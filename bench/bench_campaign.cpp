@@ -22,80 +22,51 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/runner.hpp"
+#include "core/outcome.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace ftsort;
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
-std::vector<std::string> string_array(const std::string& text,
-                                      const char* key) {
-  std::vector<std::string> items;
-  const std::size_t pos = text.find(std::string("\"") + key + "\"");
-  if (pos == std::string::npos) return items;
-  const std::size_t open = text.find('[', pos);
-  if (open == std::string::npos) return items;
-  const std::size_t close = text.find(']', open);
-  if (close == std::string::npos) return items;
-  std::size_t q = open;
-  while ((q = text.find('"', q + 1)) != std::string::npos && q < close) {
-    const std::size_t q2 = text.find('"', q + 1);
-    if (q2 == std::string::npos || q2 > close) break;
-    items.push_back(text.substr(q + 1, q2 - q - 1));
-    q = q2;
-  }
-  return items;
-}
-
-bool validate_schema(const std::string& json, const std::string& schema_path) {
-  std::string schema;
-  if (!read_file(schema_path, schema)) {
-    std::fprintf(stderr, "FAIL: cannot read schema %s\n", schema_path.c_str());
+/// A required key is one present as an object key anywhere in the parsed
+/// export; a required outcome class one present in its `outcomes` rollup.
+bool validate_schema(const util::json::Value& doc,
+                     const std::string& schema_path) {
+  const util::json::ParseResult schema = util::json::parse_file(schema_path);
+  if (!schema.ok()) {
+    std::fprintf(stderr, "FAIL: cannot read schema %s: %s\n",
+                 schema_path.c_str(), schema.error.c_str());
     return false;
   }
-  bool ok = true;
-  long depth = 0;
-  for (char c : json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    if (depth < 0) break;
-  }
-  if (depth != 0) {
-    std::fprintf(stderr, "SCHEMA: campaign JSON braces do not balance\n");
-    ok = false;
-  }
-  const std::vector<std::string> keys = string_array(schema, "required_keys");
-  const std::vector<std::string> outcomes =
-      string_array(schema, "required_outcomes");
+  const std::vector<util::json::Value>& keys =
+      schema.value["required_keys"].items();
+  const std::vector<util::json::Value>& outcomes =
+      schema.value["required_outcomes"].items();
   if (keys.empty() || outcomes.empty()) {
     std::fprintf(stderr, "FAIL: schema %s lists no required keys\n",
                  schema_path.c_str());
     return false;
   }
-  for (const std::string& k : keys)
-    if (json.find("\"" + k + "\"") == std::string::npos) {
-      std::fprintf(stderr, "SCHEMA: missing required key \"%s\"\n", k.c_str());
+  const std::set<std::string> present = util::json::object_keys(doc);
+  bool ok = true;
+  for (const util::json::Value& k : keys)
+    if (present.count(k.string()) == 0) {
+      std::fprintf(stderr, "SCHEMA: missing required key \"%s\"\n",
+                   k.string().c_str());
       ok = false;
     }
-  for (const std::string& o : outcomes)
-    if (json.find("\"" + o + "\"") == std::string::npos) {
+  for (const util::json::Value& o : outcomes)
+    if (doc["outcomes"].find(o.string()) == nullptr) {
       std::fprintf(stderr, "SCHEMA: missing outcome class \"%s\"\n",
-                   o.c_str());
+                   o.string().c_str());
       ok = false;
     }
   return ok;
@@ -107,52 +78,35 @@ bool validate_schema(const std::string& json, const std::string& schema_path) {
 /// *behaviour* of recovery under this fault universe changed.
 struct BucketCounts {
   long r = -1;
-  long counts[6] = {0, 0, 0, 0, 0, 0};
+  long counts[core::kRunOutcomeCount] = {};
   bool operator==(const BucketCounts&) const = default;
 };
 
-long int_field(const std::string& obj, const char* key, long fallback) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return fallback;
-  return std::strtol(obj.c_str() + at + needle.size(), nullptr, 10);
-}
-
-std::vector<BucketCounts> parse_bucket_counts(const std::string& json) {
-  static constexpr const char* kFields[6] = {"completed",  "recovered",
-                                             "degraded",   "deadlocked",
-                                             "corrupt",    "failed"};
+std::vector<BucketCounts> bucket_counts(const util::json::Value& doc) {
   std::vector<BucketCounts> rows;
-  std::size_t pos = json.find("\"buckets\": [");
-  if (pos == std::string::npos) return rows;
-  const std::size_t stop = json.find("\n  ]", pos);
-  while (true) {
-    pos = json.find("{\"r\": ", pos);
-    if (pos == std::string::npos || (stop != std::string::npos && pos >= stop))
-      break;
-    const std::size_t end = json.find("}}", pos);
-    if (end == std::string::npos) break;
-    const std::string obj = json.substr(pos, end - pos);
+  for (const util::json::Value& bucket : doc["buckets"].items()) {
     BucketCounts row;
-    row.r = int_field(obj, "r", -1);
-    for (int i = 0; i < 6; ++i)
-      row.counts[i] = int_field(obj, kFields[i], -1);
+    row.r = static_cast<long>(bucket["r"].number(-1.0));
+    for (std::size_t i = 0; i < core::kRunOutcomeCount; ++i)
+      row.counts[i] = static_cast<long>(
+          bucket[core::run_outcome_name(static_cast<core::RunOutcome>(i))]
+              .number(-1.0));
     rows.push_back(row);
-    pos = end + 2;
   }
   return rows;
 }
 
-bool check_baseline(const std::string& current_json,
+bool check_baseline(const util::json::Value& doc,
                     const std::string& baseline_path) {
-  std::string baseline;
-  if (!read_file(baseline_path, baseline)) {
-    std::fprintf(stderr, "FAIL: cannot read baseline %s\n",
-                 baseline_path.c_str());
+  const util::json::ParseResult baseline =
+      util::json::parse_file(baseline_path);
+  if (!baseline.ok()) {
+    std::fprintf(stderr, "FAIL: cannot read baseline %s: %s\n",
+                 baseline_path.c_str(), baseline.error.c_str());
     return false;
   }
-  const std::vector<BucketCounts> cur = parse_bucket_counts(current_json);
-  const std::vector<BucketCounts> base = parse_bucket_counts(baseline);
+  const std::vector<BucketCounts> cur = bucket_counts(doc);
+  const std::vector<BucketCounts> base = bucket_counts(baseline.value);
   if (cur.empty() || base.empty()) {
     std::fprintf(stderr, "FAIL: could not parse bucket counts (%zu vs %zu)\n",
                  cur.size(), base.size());
@@ -263,9 +217,16 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote %s\n", out_path.c_str());
   }
-  if (!schema_path.empty() && !validate_schema(json.str(), schema_path))
+  if (schema_path.empty() && baseline_path.empty()) return 0;
+  const util::json::ParseResult doc = util::json::parse(json.str());
+  if (!doc.ok()) {
+    std::fprintf(stderr, "FAIL: campaign JSON is invalid: %s\n",
+                 doc.error.c_str());
     return 1;
-  if (!baseline_path.empty() && !check_baseline(json.str(), baseline_path))
+  }
+  if (!schema_path.empty() && !validate_schema(doc.value, schema_path))
+    return 1;
+  if (!baseline_path.empty() && !check_baseline(doc.value, baseline_path))
     return 1;
   return 0;
 }

@@ -39,7 +39,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <new>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -51,6 +53,7 @@
 #include "sort/distribution.hpp"
 #include "sort/merge_split.hpp"
 #include "util/history.hpp"
+#include "util/json.hpp"
 #include "util/progress.hpp"
 #include "util/rng.hpp"
 #include "util/schema.hpp"
@@ -200,7 +203,7 @@ Metrics run_end_to_end(const std::string& name, cube::Dim n,
   // The wall-clock watchdog rides the instrumented run too (generous
   // deadline): a wedged scenario becomes a black-box dump + abort instead
   // of a CI timeout, and the metrics export carries the full armed
-  // watchdog block the schema scan requires. Heartbeats are wall-clock
+  // watchdog block the schema gate requires. Heartbeats are wall-clock
   // only, so not a single exported sim-time byte moves.
   obs_cfg.watchdog.enabled = true;
   obs_cfg.watchdog.deadline_ms = 120000;
@@ -284,7 +287,7 @@ Metrics run_micro_pairwise(const std::string& name,
 
 // ---------------------------------------------------------------------------
 // JSON out. Hand-rolled: the schema is flat and the repo has no JSON
-// dependency. Keep writer and parser in lockstep.
+// writer. read_bench below reads it back; keep the counters in lockstep.
 
 void write_json(const std::string& path, const std::vector<Metrics>& all,
                 bool smoke) {
@@ -333,10 +336,6 @@ void write_json(const std::string& path, const std::vector<Metrics>& all,
         << "      \"pool_checkouts\": " << m.pool_checkouts << ",\n"
         << "      \"link_key_hops\": "
         << m.obs.links.grand_total().key_hops;
-    // Nested blocks below are placed AFTER every flat field: parse_json
-    // bounds a scenario's fields by the first '}' after its "name", which
-    // with this layout is the first nested object's close — still past all
-    // the gated counters.
     // Cost model the simulated times were charged under — ftdiag refuses
     // to diff scenarios whose models differ.
     if (m.has_cost) {
@@ -396,175 +395,110 @@ void write_json(const std::string& path, const std::vector<Metrics>& all,
   out << "  ]\n}\n";
 }
 
-// Minimal reader for the exact format write_json emits (plus whitespace
-// tolerance). Returns false on anything it cannot understand, which is the
-// "malformed JSON" failure the smoke test gates on.
+// Reader for BENCH_sort.json (write_json above). Every scenario must carry
+// every counter in kScenarioCounters; a missing one, or invalid JSON, is
+// the "malformed" failure the smoke test gates on.
+constexpr const char* kScenarioCounters[] = {
+    "wall_ns", "makespan", "makespan_detect", "makespan_post_recovery",
+    "comparisons", "keys_routed", "messages", "allocations",
+    "pool_heap_allocations", "pool_checkouts", "link_key_hops"};
+
 struct ParsedScenario {
   std::string name;
-  std::string kernel_backend;  ///< micros only; empty otherwise
-  double makespan = 0.0;
-  double makespan_detect = 0.0;
-  double makespan_post_recovery = 0.0;
-  std::uint64_t wall_ns = 0;
-  std::uint64_t comparisons = 0;
-  std::uint64_t keys_routed = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t allocations = 0;
-  std::uint64_t pool_heap_allocations = 0;
-  std::uint64_t pool_checkouts = 0;
-  std::uint64_t link_key_hops = 0;
+  std::string kernel_backend;              ///< micros only; empty otherwise
+  std::map<std::string, double> counters;  ///< kScenarioCounters by name
 };
 
-bool parse_json(const std::string& path, std::string& mode,
-                std::string& build, std::vector<ParsedScenario>& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
+struct ParsedBench {
+  std::string mode;
+  /// Older-schema-optional: absent reads as empty (never comparable for
+  /// wall time, which is the safe direction).
+  std::string build;
+  std::vector<ParsedScenario> scenarios;
+};
 
-  // Structural sanity: braces and brackets must balance.
-  long depth = 0;
-  for (char c : text) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    if (depth < 0) return false;
-  }
-  if (depth != 0 || text.find("\"scenarios\"") == std::string::npos)
+bool read_bench(const std::string& path, ParsedBench* out, std::string* why) {
+  const util::json::ParseResult parsed = util::json::parse_file(path);
+  if (!parsed.ok()) {
+    *why = parsed.error;
     return false;
-
-  const auto string_value = [&](const char* key, std::size_t from,
-                                std::size_t bound, std::string& value) {
-    const std::size_t k = text.find(std::string("\"") + key + "\"", from);
-    if (k == std::string::npos || k >= bound) return false;
-    const std::size_t q1 = text.find('"', text.find(':', k));
-    const std::size_t q2 =
-        q1 == std::string::npos ? std::string::npos : text.find('"', q1 + 1);
-    if (q1 == std::string::npos || q2 == std::string::npos) return false;
-    value = text.substr(q1 + 1, q2 - q1 - 1);
-    return true;
-  };
-  if (!string_value("mode", 0, text.size(), mode)) return false;
-  // `build` is older-schema-optional: absent reads as empty (never
-  // comparable for wall time, which is the safe direction).
-  build.clear();
-  string_value("build", 0, text.size(), build);
-
-  std::size_t pos = text.find("\"scenarios\"");
-  while ((pos = text.find("\"name\"", pos)) != std::string::npos) {
-    ParsedScenario s;
-    const std::size_t q1 = text.find('"', text.find(':', pos));
-    const std::size_t q2 = text.find('"', q1 + 1);
-    if (q1 == std::string::npos || q2 == std::string::npos) return false;
-    s.name = text.substr(q1 + 1, q2 - q1 - 1);
-    const std::size_t object_end = text.find('}', pos);
-    if (object_end == std::string::npos) return false;
-    string_value("kernel_backend", pos, object_end, s.kernel_backend);
-
-    const auto field = [&](const char* key, double& value) {
-      const std::size_t k = text.find(std::string("\"") + key + "\"", pos);
-      if (k == std::string::npos || k > object_end) return false;
-      value = std::strtod(text.c_str() + text.find(':', k) + 1, nullptr);
-      return true;
-    };
-    double v = 0;
-    if (!field("wall_ns", v)) return false;
-    s.wall_ns = static_cast<std::uint64_t>(v);
-    if (!field("makespan", s.makespan)) return false;
-    if (!field("makespan_detect", s.makespan_detect)) return false;
-    if (!field("makespan_post_recovery", s.makespan_post_recovery))
-      return false;
-    if (!field("comparisons", v)) return false;
-    s.comparisons = static_cast<std::uint64_t>(v);
-    if (!field("keys_routed", v)) return false;
-    s.keys_routed = static_cast<std::uint64_t>(v);
-    if (!field("messages", v)) return false;
-    s.messages = static_cast<std::uint64_t>(v);
-    if (!field("allocations", v)) return false;
-    s.allocations = static_cast<std::uint64_t>(v);
-    if (!field("pool_heap_allocations", v)) return false;
-    s.pool_heap_allocations = static_cast<std::uint64_t>(v);
-    if (!field("pool_checkouts", v)) return false;
-    s.pool_checkouts = static_cast<std::uint64_t>(v);
-    if (!field("link_key_hops", v)) return false;
-    s.link_key_hops = static_cast<std::uint64_t>(v);
-    out.push_back(std::move(s));
-    pos = object_end;
   }
-  return !out.empty();
-}
-
-// ---------------------------------------------------------------------------
-// Metrics-JSON schema gate. bench/metrics_schema.json lists the top-level
-// keys, per-phase counter fields, and phase names every metrics export must
-// contain; the check is a required-keys scan, not a JSON-schema engine —
-// enough to catch writer/consumer drift without a JSON dependency.
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
+  const util::json::Value& doc = parsed.value;
+  if (!doc["mode"].is_string()) {
+    *why = "no \"mode\"";
+    return false;
+  }
+  out->mode = doc["mode"].string();
+  out->build = doc["build"].string();
+  for (const util::json::Value& sc : doc["scenarios"].items()) {
+    ParsedScenario s;
+    s.name = sc["name"].string();
+    s.kernel_backend = sc["kernel_backend"].string();
+    if (s.name.empty()) {
+      *why = "scenario without a \"name\"";
+      return false;
+    }
+    for (const char* key : kScenarioCounters) {
+      if (!sc[key].is_number()) {
+        *why = "scenario \"" + s.name + "\" without \"" + key + "\"";
+        return false;
+      }
+      s.counters[key] = sc[key].number();
+    }
+    out->scenarios.push_back(std::move(s));
+  }
+  if (out->scenarios.empty()) {
+    *why = "no scenarios";
+    return false;
+  }
   return true;
 }
 
-/// Extract the string elements of the JSON array following `"key"`.
-std::vector<std::string> string_array(const std::string& text,
-                                      const char* key) {
-  std::vector<std::string> items;
-  const std::size_t pos = text.find(std::string("\"") + key + "\"");
-  if (pos == std::string::npos) return items;
-  const std::size_t open = text.find('[', pos);
-  if (open == std::string::npos) return items;
-  const std::size_t close = text.find(']', open);
-  if (close == std::string::npos) return items;
-  std::size_t q = open;
-  while ((q = text.find('"', q + 1)) != std::string::npos && q < close) {
-    const std::size_t q2 = text.find('"', q + 1);
-    if (q2 == std::string::npos || q2 > close) break;
-    items.push_back(text.substr(q + 1, q2 - q - 1));
-    q = q2;
-  }
-  return items;
-}
+// ---------------------------------------------------------------------------
+// Metrics-JSON schema gate. bench/metrics_schema.json lists the keys,
+// per-phase counter fields, and phase names every metrics export must
+// contain; a required key is one present as an object key anywhere in the
+// parsed export, a required phase the "phase" of an entry in `phases` — a
+// drift check between writer and consumers, not a JSON-schema engine.
 
 bool validate_metrics_schema(const std::string& metrics_json,
                              const std::string& schema_path) {
-  std::string schema;
-  if (!read_file(schema_path, schema)) {
-    std::fprintf(stderr, "FAIL: cannot read schema %s\n",
-                 schema_path.c_str());
+  const util::json::ParseResult schema = util::json::parse_file(schema_path);
+  if (!schema.ok()) {
+    std::fprintf(stderr, "FAIL: cannot read schema %s: %s\n",
+                 schema_path.c_str(), schema.error.c_str());
     return false;
   }
-  bool ok = true;
-  long depth = 0;
-  for (char c : metrics_json) {
-    if (c == '{' || c == '[') ++depth;
-    if (c == '}' || c == ']') --depth;
-    if (depth < 0) break;
-  }
-  if (depth != 0) {
-    std::fprintf(stderr, "SCHEMA: metrics JSON braces do not balance\n");
-    ok = false;
-  }
-  const std::vector<std::string> keys = string_array(schema, "required_keys");
-  const std::vector<std::string> phases =
-      string_array(schema, "required_phases");
+  const std::vector<util::json::Value>& keys =
+      schema.value["required_keys"].items();
+  const std::vector<util::json::Value>& phases =
+      schema.value["required_phases"].items();
   if (keys.empty() || phases.empty()) {
     std::fprintf(stderr, "FAIL: schema %s lists no required keys\n",
                  schema_path.c_str());
     return false;
   }
-  for (const std::string& k : keys)
-    if (metrics_json.find("\"" + k + "\"") == std::string::npos) {
+  const util::json::ParseResult metrics = util::json::parse(metrics_json);
+  if (!metrics.ok()) {
+    std::fprintf(stderr, "SCHEMA: metrics JSON is invalid: %s\n",
+                 metrics.error.c_str());
+    return false;
+  }
+  const std::set<std::string> present = util::json::object_keys(metrics.value);
+  std::set<std::string> phase_names;
+  for (const util::json::Value& p : metrics.value["phases"].items())
+    phase_names.insert(p["phase"].string());
+  bool ok = true;
+  for (const util::json::Value& k : keys)
+    if (present.count(k.string()) == 0) {
       std::fprintf(stderr, "SCHEMA: missing required key \"%s\"\n",
-                   k.c_str());
+                   k.string().c_str());
       ok = false;
     }
-  for (const std::string& p : phases)
-    if (metrics_json.find("\"phase\": \"" + p + "\"") == std::string::npos) {
-      std::fprintf(stderr, "SCHEMA: missing phase entry \"%s\"\n", p.c_str());
+  for (const util::json::Value& p : phases)
+    if (phase_names.count(p.string()) == 0) {
+      std::fprintf(stderr, "SCHEMA: missing phase entry \"%s\"\n",
+                   p.string().c_str());
       ok = false;
     }
   return ok;
@@ -603,31 +537,22 @@ bool check_regressions(const std::vector<ParsedScenario>& current,
       ok = false;
       continue;
     }
-    gate(base.name, "makespan", now->makespan, base.makespan);
-    // The recovery split: detection time is pinned by the timeout constant,
-    // so a post-recovery blow-up is a genuine algorithmic regression even
-    // when the total makespan hides it behind a large detect share.
-    gate(base.name, "makespan_post_recovery", now->makespan_post_recovery,
-         base.makespan_post_recovery);
-    gate(base.name, "comparisons", static_cast<double>(now->comparisons),
-         static_cast<double>(base.comparisons));
-    gate(base.name, "keys_routed", static_cast<double>(now->keys_routed),
-         static_cast<double>(base.keys_routed));
-    gate(base.name, "messages", static_cast<double>(now->messages),
-         static_cast<double>(base.messages));
-    gate(base.name, "allocations", static_cast<double>(now->allocations),
-         static_cast<double>(base.allocations));
-    gate(base.name, "pool_heap_allocations",
-         static_cast<double>(now->pool_heap_allocations),
-         static_cast<double>(base.pool_heap_allocations));
-    // Routing regressions that keys_routed hides (the same keys pushed
-    // over longer detours) show up here: this counter is hop-weighted.
-    gate(base.name, "link_key_hops", static_cast<double>(now->link_key_hops),
-         static_cast<double>(base.link_key_hops));
+    // makespan_post_recovery is the recovery split: detection time is
+    // pinned by the timeout constant, so a post-recovery blow-up is a
+    // genuine algorithmic regression even when the total makespan hides it
+    // behind a large detect share. link_key_hops is hop-weighted: it shows
+    // the routing regressions keys_routed hides (the same keys pushed over
+    // longer detours).
+    for (const char* metric :
+         {"makespan", "makespan_post_recovery", "comparisons", "keys_routed",
+          "messages", "allocations", "pool_heap_allocations",
+          "link_key_hops"})
+      gate(base.name, metric, now->counters.at(metric),
+           base.counters.at(metric));
     if (base.name.rfind("micro_", 0) == 0) {
       if (wall_builds_match && now->kernel_backend == base.kernel_backend) {
-        gate(base.name, "wall_ns", static_cast<double>(now->wall_ns),
-             static_cast<double>(base.wall_ns));
+        gate(base.name, "wall_ns", now->counters.at("wall_ns"),
+             base.counters.at("wall_ns"));
       } else {
         std::printf("note: %s wall gate skipped (build \"%s\" vs \"%s\", "
                     "backend \"%s\" vs \"%s\")\n",
@@ -806,21 +731,22 @@ int harness_main(int argc, char** argv) {
 
   // Re-parse what we just wrote: a malformed file fails here, not in some
   // future consumer.
-  std::vector<ParsedScenario> current;
-  std::string current_mode;
-  std::string current_build;
-  if (!parse_json(out_path, current_mode, current_build, current) ||
-      current.size() != all.size()) {
-    std::fprintf(stderr, "FAIL: %s is malformed\n", out_path.c_str());
+  ParsedBench current;
+  std::string why = "scenario count differs from the run";
+  if (!read_bench(out_path, &current, &why) ||
+      current.scenarios.size() != all.size()) {
+    std::fprintf(stderr, "FAIL: %s is malformed: %s\n", out_path.c_str(),
+                 why.c_str());
     return 1;
   }
-  for (const ParsedScenario& s : current)
-    std::printf("%-22s wall=%9.3fms makespan=%12.1f cmp=%9" PRIu64
-                " keys=%8" PRIu64 " msgs=%6" PRIu64 " allocs=%8" PRIu64
-                " pool_heap=%6" PRIu64 "\n",
-                s.name.c_str(), static_cast<double>(s.wall_ns) / 1e6,
-                s.makespan, s.comparisons, s.keys_routed, s.messages,
-                s.allocations, s.pool_heap_allocations);
+  for (const ParsedScenario& s : current.scenarios) {
+    const std::map<std::string, double>& c = s.counters;
+    std::printf("%-22s wall=%9.3fms makespan=%12.1f cmp=%9.0f keys=%8.0f "
+                "msgs=%6.0f allocs=%8.0f pool_heap=%6.0f\n",
+                s.name.c_str(), c.at("wall_ns") / 1e6, c.at("makespan"),
+                c.at("comparisons"), c.at("keys_routed"), c.at("messages"),
+                c.at("allocations"), c.at("pool_heap_allocations"));
+  }
 
   // Host-side scheduler profile of the threaded instrumented run. Printed,
   // never written into the scenario rows: the counters are wall-clock
@@ -907,7 +833,6 @@ int harness_main(int argc, char** argv) {
         static_cast<std::uint32_t>(flagship.obs.metrics.nodes.size()), topts);
     // Shape-check before writing: a malformed export fails the smoke test
     // here, not when someone loads the file in Perfetto weeks later.
-    std::string why;
     if (!sim::validate_chrome_trace(tjson.str(), &why)) {
       std::fprintf(stderr, "FAIL: trace export invalid: %s\n", why.c_str());
       return 1;
@@ -945,25 +870,24 @@ int harness_main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::vector<ParsedScenario> baseline;
-    std::string baseline_mode;
-    std::string baseline_build;
-    if (!parse_json(baseline_path, baseline_mode, baseline_build, baseline)) {
-      std::fprintf(stderr, "FAIL: baseline %s is malformed\n",
-                   baseline_path.c_str());
+    ParsedBench baseline;
+    if (!read_bench(baseline_path, &baseline, &why)) {
+      std::fprintf(stderr, "FAIL: baseline %s is malformed: %s\n",
+                   baseline_path.c_str(), why.c_str());
       return 1;
     }
-    if (baseline_mode != current_mode) {
+    if (baseline.mode != current.mode) {
       std::fprintf(stderr,
                    "FAIL: baseline mode \"%s\" != current mode \"%s\" — "
                    "scenario sizes differ, counters are not comparable\n",
-                   baseline_mode.c_str(), current_mode.c_str());
+                   baseline.mode.c_str(), current.mode.c_str());
       return 1;
     }
-    if (!check_regressions(current, baseline, current_build, baseline_build))
+    if (!check_regressions(current.scenarios, baseline.scenarios,
+                           current.build, baseline.build))
       return 1;
     std::printf("baseline check OK (%zu scenarios, +20%% tolerance)\n",
-                baseline.size());
+                baseline.scenarios.size());
   }
   return 0;
 }

@@ -41,36 +41,6 @@ void BM_StdSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-void BM_MergeSplitFull(benchmark::State& state) {
-  util::Rng rng(2);
-  auto a = sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  auto b = sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  for (auto _ : state) {
-    std::uint64_t comparisons = 0;
-    auto lower =
-        sort::merge_split_full(a, b, sort::SplitHalf::Lower, comparisons);
-    benchmark::DoNotOptimize(lower.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_PairwiseSelect(benchmark::State& state) {
-  util::Rng rng(3);
-  const auto a =
-      sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  const auto b =
-      sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  for (auto _ : state) {
-    std::uint64_t comparisons = 0;
-    auto split =
-        sort::pairwise_select(a, b, sort::SplitHalf::Lower, comparisons);
-    benchmark::DoNotOptimize(split.kept.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
 void BM_MergeSplitInto(benchmark::State& state) {
   util::Rng rng(2);
   auto a = sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
@@ -82,23 +52,6 @@ void BM_MergeSplitInto(benchmark::State& state) {
     std::uint64_t comparisons = 0;
     sort::merge_split_into(a, b, sort::SplitHalf::Lower, out, comparisons);
     benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void BM_PairwiseSelectInto(benchmark::State& state) {
-  util::Rng rng(3);
-  const auto a =
-      sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  const auto b =
-      sort::gen_uniform(static_cast<std::size_t>(state.range(0)), rng);
-  std::vector<Key> kept;
-  std::vector<Key> returned;
-  for (auto _ : state) {
-    std::uint64_t comparisons = 0;
-    sort::pairwise_select_into(a, b, sort::SplitHalf::Lower, kept, returned,
-                               comparisons);
-    benchmark::DoNotOptimize(kept.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -148,10 +101,7 @@ void BM_BitonicNetworkSequential(benchmark::State& state) {
 
 BENCHMARK(BM_Heapsort)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
 BENCHMARK(BM_StdSort)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-BENCHMARK(BM_MergeSplitFull)->Arg(1 << 10)->Arg(1 << 16);
 BENCHMARK(BM_MergeSplitInto)->Arg(1 << 10)->Arg(1 << 16);
-BENCHMARK(BM_PairwiseSelect)->Arg(1 << 10)->Arg(1 << 16);
-BENCHMARK(BM_PairwiseSelectInto)->Arg(1 << 10)->Arg(1 << 16);
 BENCHMARK(BM_PairwiseSelectRevInto)->Arg(1 << 10)->Arg(1 << 16);
 BENCHMARK(BM_SortUnimodal)->Arg(1 << 10)->Arg(1 << 16);
 BENCHMARK(BM_BitonicNetworkSequential)->Arg(10)->Arg(14);

@@ -43,8 +43,8 @@ enum class RunOutcome : std::uint8_t {
 
 inline constexpr std::size_t kRunOutcomeCount = 6;
 
-/// Stable machine-readable name, used by the campaign JSON exporter and
-/// the ftdiag campaign parser (keep them in lockstep).
+/// Stable machine-readable name: the key the campaign JSON exporter
+/// writes and `ftdiag campaign` / the bench_campaign gate read back.
 const char* run_outcome_name(RunOutcome o);
 
 /// True for the two classes that produced a verified sorted result.

@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cctype>
 #include <cstdio>
 #include <deque>
+#include <map>
 #include <ostream>
+#include <set>
 #include <string>
 #include <unordered_map>
 
 #include "sim/link_stats.hpp"
+#include "util/json.hpp"
 #include "util/schema.hpp"
 
 namespace ftsort::sim {
@@ -259,162 +261,72 @@ void write_chrome_trace(std::ostream& os,
   os << "\n]}\n";
 }
 
-namespace {
-
-/// Index one past the matching '}' for the '{' at `start`; npos on
-/// imbalance. String-aware (quotes may in principle contain braces).
-std::size_t match_brace(const std::string& text, std::size_t start) {
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = start; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\')
-        ++i;
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0) return i + 1;
-    }
-  }
-  return std::string::npos;
-}
-
-/// Value of a `"key": "string"` field inside one event object, or empty.
-std::string object_string_field(const std::string& obj, const char* key) {
-  const std::string needle = std::string("\"") + key + "\": \"";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return {};
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = obj.find('"', begin);
-  if (end == std::string::npos) return {};
-  return obj.substr(begin, end - begin);
-}
-
-/// Numeric field as text (enough for id/tid comparisons), or empty.
-std::string object_num_field(const std::string& obj, const char* key) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return {};
-  std::size_t begin = at + needle.size();
-  std::size_t end = begin;
-  while (end < obj.size() &&
-         (std::isdigit(static_cast<unsigned char>(obj[end])) != 0 ||
-          obj[end] == '-' || obj[end] == '+' || obj[end] == '.' ||
-          obj[end] == 'e' || obj[end] == 'E'))
-    ++end;
-  return obj.substr(begin, end - begin);
-}
-
-}  // namespace
-
 bool validate_chrome_trace(const std::string& json, std::string* error) {
   const auto fail = [&](const std::string& msg) {
     if (error != nullptr) *error = msg;
     return false;
   };
-  if (json.find("\"displayTimeUnit\"") == std::string::npos)
+  const util::json::ParseResult parsed = util::json::parse(json);
+  if (!parsed.ok()) return fail("invalid JSON: " + parsed.error);
+  const util::json::Value& doc = parsed.value;
+  if (doc.find("displayTimeUnit") == nullptr)
     return fail("missing displayTimeUnit");
-  const std::size_t events_key = json.find("\"traceEvents\"");
-  if (events_key == std::string::npos) return fail("missing traceEvents");
+  const util::json::Value* events = doc.find("traceEvents");
+  if (events == nullptr) return fail("missing traceEvents");
+  if (!events->is_array()) return fail("traceEvents is not an array");
+  if (events->items().empty()) return fail("no events");
 
-  // Global nesting balance, string-aware.
-  {
-    int braces = 0;
-    int brackets = 0;
-    bool in_string = false;
-    for (std::size_t i = 0; i < json.size(); ++i) {
-      const char c = json[i];
-      if (in_string) {
-        if (c == '\\')
-          ++i;
-        else if (c == '"')
-          in_string = false;
-        continue;
-      }
-      switch (c) {
-        case '"': in_string = true; break;
-        case '{': ++braces; break;
-        case '}': --braces; break;
-        case '[': ++brackets; break;
-        case ']': --brackets; break;
-        default: break;
-      }
-      if (braces < 0 || brackets < 0) return fail("unbalanced nesting");
-    }
-    if (braces != 0 || brackets != 0 || in_string)
-      return fail("unbalanced nesting");
-  }
-
-  const std::size_t array_start = json.find('[', events_key);
-  if (array_start == std::string::npos)
-    return fail("traceEvents is not an array");
-
-  std::unordered_map<std::string, long> span_balance;  // tid -> open B spans
-  std::unordered_map<std::string, bool> open_flows;    // id -> started
-  std::size_t cursor = array_start + 1;
-  std::size_t count = 0;
-  while (true) {
-    const std::size_t obj_start = json.find('{', cursor);
-    if (obj_start == std::string::npos) break;
-    const std::size_t obj_end = match_brace(json, obj_start);
-    if (obj_end == std::string::npos)
-      return fail("unterminated event object");
-    const std::string obj = json.substr(obj_start, obj_end - obj_start);
-    cursor = obj_end;
-    ++count;
-
-    const std::string name = object_string_field(obj, "name");
-    const std::string ph = object_string_field(obj, "ph");
-    if (name.empty()) return fail("event without name: " + obj);
+  std::map<double, long> span_balance;  // tid -> open B spans
+  std::set<double> open_flows;          // ids of started flows
+  for (std::size_t i = 0; i < events->items().size(); ++i) {
+    const auto bad = [&](const char* what) {
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "%s: traceEvents[%zu]", what, i);
+      return fail(buf);
+    };
+    const util::json::Value& ev = events->items()[i];
+    const std::string& name = ev["name"].string();
+    const std::string& ph = ev["ph"].string();
+    if (name.empty()) return bad("event without name");
     if (ph != "M" && ph != "B" && ph != "E" && ph != "s" && ph != "f" &&
         ph != "i" && ph != "C")
-      return fail("unknown ph in event: " + obj);
-    if (obj.find("\"pid\"") == std::string::npos)
-      return fail("event without pid: " + obj);
+      return bad("unknown ph in event");
+    if (ev.find("pid") == nullptr) return bad("event without pid");
     if (ph == "M") continue;  // metadata carries no timestamp
     if (ph == "C") {
       // Counter samples are process-scoped: ts plus an args payload, no
       // thread binding required.
-      if (object_num_field(obj, "ts").empty())
-        return fail("counter without ts: " + obj);
-      if (obj.find("\"args\"") == std::string::npos)
-        return fail("counter without args: " + obj);
+      if (!ev["ts"].is_number()) return bad("counter without ts");
+      if (ev.find("args") == nullptr) return bad("counter without args");
       continue;
     }
-    const std::string tid = object_num_field(obj, "tid");
-    if (tid.empty()) return fail("event without tid: " + obj);
-    if (object_num_field(obj, "ts").empty())
-      return fail("event without ts: " + obj);
+    const util::json::Value& tid = ev["tid"];
+    if (!tid.is_number()) return bad("event without tid");
+    if (!ev["ts"].is_number()) return bad("event without ts");
+    const util::json::Value& id = ev["id"];
     if (ph == "B") {
-      ++span_balance[tid];
+      ++span_balance[tid.number()];
     } else if (ph == "E") {
-      if (--span_balance[tid] < 0)
-        return fail("span end without begin on tid " + tid);
+      if (--span_balance[tid.number()] < 0)
+        return bad("span end without begin");
     } else if (ph == "s") {
-      const std::string id = object_num_field(obj, "id");
-      if (id.empty()) return fail("flow start without id: " + obj);
-      open_flows[id] = true;
+      if (!id.is_number()) return bad("flow start without id");
+      open_flows.insert(id.number());
     } else if (ph == "f") {
-      const std::string id = object_num_field(obj, "id");
-      if (id.empty() || !open_flows[id])
-        return fail("flow end without matching start: " + obj);
+      if (!id.is_number() || open_flows.count(id.number()) == 0)
+        return bad("flow end without matching start");
     } else if (ph == "i") {
       if ((name == "timeout" || name == "kill") &&
-          obj.find("\"phase\"") == std::string::npos)
-        return fail("fault instant without phase: " + obj);
+          ev["args"].find("phase") == nullptr)
+        return bad("fault instant without phase");
     }
   }
-  if (count == 0) return fail("no events");
   for (const auto& [tid, balance] : span_balance)
-    if (balance != 0)
-      return fail("unclosed span on tid " + tid);
+    if (balance != 0) {
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "unclosed span on tid %g", tid);
+      return fail(buf);
+    }
   return true;
 }
 

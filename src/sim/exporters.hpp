@@ -75,10 +75,11 @@ void write_chrome_trace(std::ostream& os,
                         const ChromeTraceOptions& opts);
 
 /// Structural validation of a trace_events JSON document as produced by
-/// write_chrome_trace: well-formed nesting, the traceEvents wrapper, the
-/// required keys per event (`name`/`ph`, plus `ts`/`pid`/`tid` outside
-/// metadata), known `ph` codes, per-track span balance, flow ends bound to
-/// an earlier flow start, and fault instants carrying their phase. Returns
+/// write_chrome_trace: valid JSON (util/json.hpp; a parse error names its
+/// byte offset), the traceEvents wrapper, the required keys per event
+/// (`name`/`ph`, plus `ts`/`pid`/`tid` outside metadata), known `ph`
+/// codes, per-track span balance, flow ends bound to an earlier flow
+/// start, and fault instants carrying their phase. Returns
 /// false and fills `error` (when non-null) with the first problem found.
 /// Intended for complete exports: a ring-truncated trace can legitimately
 /// fail the span-balance and flow checks.

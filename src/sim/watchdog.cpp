@@ -112,14 +112,14 @@ void Watchdog::run_monitor() {
       view.beats = s.beats.load(std::memory_order_relaxed);
       view.age_ms = ms_between(slot_change[i], now);
       const std::uint64_t act = s.activity.load(std::memory_order_relaxed);
-      if (act == kActivityTerminal) {
-        view.terminal = true;
-        view.activity = "terminal";
-      } else if (act == kActivityNone) {
-        view.activity = "-";
-      } else {
-        view.activity = namer_ ? namer_(act) : std::to_string(act);
-      }
+      view.terminal = act == kActivityTerminal;
+      // Built as a temporary and move-assigned: GCC 12 at -O3 flags the
+      // inlined copy-assignment of a short literal as -Wrestrict (a false
+      // positive that breaks the -Werror release build).
+      view.activity = view.terminal          ? std::string("terminal")
+                      : act == kActivityNone ? std::string("-")
+                      : namer_               ? namer_(act)
+                                             : std::to_string(act);
       capture_.push_back(std::move(view));
     }
   };

@@ -119,29 +119,6 @@ void merge_split_into_scalar(std::span<const Key> mine,
   }
 }
 
-void pairwise_select_into_scalar(std::span<const Key> a,
-                                 std::span<const Key> b, SplitHalf keep,
-                                 std::vector<Key>& kept,
-                                 std::vector<Key>& returned,
-                                 std::uint64_t& comparisons) {
-  FTSORT_REQUIRE(a.size() == b.size());
-  const std::size_t n = a.size();
-  kept.resize(n);
-  returned.resize(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    ++comparisons;
-    const Key lo = std::min(a[t], b[t]);
-    const Key hi = std::max(a[t], b[t]);
-    if (keep == SplitHalf::Lower) {
-      kept[t] = lo;
-      returned[t] = hi;
-    } else {
-      kept[t] = hi;
-      returned[t] = lo;
-    }
-  }
-}
-
 void pairwise_select_rev_into_scalar(std::span<const Key> a,
                                      std::span<const Key> b, SplitHalf keep,
                                      std::vector<Key>& kept,
@@ -180,28 +157,6 @@ void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
   detail::merge_split_into_scalar(mine, theirs, keep, out, comparisons);
 }
 
-std::vector<Key> merge_split_full(std::span<const Key> mine,
-                                  std::span<const Key> theirs,
-                                  SplitHalf keep,
-                                  std::uint64_t& comparisons) {
-  std::vector<Key> out;
-  merge_split_into(mine, theirs, keep, out, comparisons);
-  return out;
-}
-
-void pairwise_select_into(std::span<const Key> a, std::span<const Key> b,
-                          SplitHalf keep, std::vector<Key>& kept,
-                          std::vector<Key>& returned,
-                          std::uint64_t& comparisons) {
-#if FTSORT_SIMD_KERNELS
-  if (use_simd()) {
-    detail::pairwise_select_into_simd(a, b, keep, kept, returned, comparisons);
-    return;
-  }
-#endif
-  detail::pairwise_select_into_scalar(a, b, keep, kept, returned, comparisons);
-}
-
 void pairwise_select_rev_into(std::span<const Key> a, std::span<const Key> b,
                               SplitHalf keep, std::vector<Key>& kept,
                               std::vector<Key>& returned,
@@ -215,13 +170,6 @@ void pairwise_select_rev_into(std::span<const Key> a, std::span<const Key> b,
 #endif
   detail::pairwise_select_rev_into_scalar(a, b, keep, kept, returned,
                                           comparisons);
-}
-
-PairwiseSplit pairwise_select(std::span<const Key> a, std::span<const Key> b,
-                              SplitHalf keep, std::uint64_t& comparisons) {
-  PairwiseSplit split;
-  pairwise_select_into(a, b, keep, split.kept, split.returned, comparisons);
-  return split;
 }
 
 }  // namespace ftsort::sort

@@ -29,8 +29,7 @@
 // exchange there. See resolve_protocol.
 //
 // The messaging halves of these protocols live in spmd_bitonic.*; this
-// header holds the pure computational kernels plus a reference
-// `merge_split_full` used directly by tests.
+// header holds the pure computational kernels.
 #pragma once
 
 #include <cstdint>
@@ -86,46 +85,22 @@ KernelBackend set_kernel_backend(KernelBackend requested);
 
 KernelBackend active_kernel_backend();
 
-/// Reference kernel: given own ascending block `mine` and the partner's
-/// ascending block `theirs`, return the `mine.size()` smallest (Lower) or
-/// largest (Upper) keys of the union, ascending.
-std::vector<Key> merge_split_full(std::span<const Key> mine,
-                                  std::span<const Key> theirs,
-                                  SplitHalf keep,
-                                  std::uint64_t& comparisons);
-
-/// Scratch-buffer variant of `merge_split_full`: merges into caller-owned
-/// `out` (resized to `mine.size()`, capacity reused across calls so the
-/// steady state never allocates). Byte-identical output and identical
-/// comparison count to the reference kernel. `out` must not alias the
-/// inputs.
+/// Merge-split kernel: given own ascending block `mine` and the partner's
+/// ascending block `theirs`, write the `mine.size()` smallest (Lower) or
+/// largest (Upper) keys of the union, ascending, into caller-owned `out`
+/// (resized to `mine.size()`, capacity reused across calls so the steady
+/// state never allocates). `out` must not alias the inputs.
 void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
                       SplitHalf keep, std::vector<Key>& out,
                       std::uint64_t& comparisons);
 
 /// Pairwise-select kernel of the half-exchange protocol. Pairs a[t] with
-/// b[t] (the caller arranges the reversed indexing) and splits winners from
-/// losers: with `keep == Lower` kept[t] = min, returned[t] = max; with
-/// `Upper` the reverse. `a` and `b` must have equal length.
-struct PairwiseSplit {
-  std::vector<Key> kept;
-  std::vector<Key> returned;
-};
-PairwiseSplit pairwise_select(std::span<const Key> a, std::span<const Key> b,
-                              SplitHalf keep, std::uint64_t& comparisons);
-
-/// Scratch-buffer variant of `pairwise_select`: writes into caller-owned
-/// `kept` / `returned` (resized, capacity reused). Outputs must not alias
-/// the inputs.
-void pairwise_select_into(std::span<const Key> a, std::span<const Key> b,
-                          SplitHalf keep, std::vector<Key>& kept,
-                          std::vector<Key>& returned,
-                          std::uint64_t& comparisons);
-
-/// As `pairwise_select_into`, but pairs a[t] with b[n-1-t] — equivalent to
-/// reversing `b` first, without materialising the reversed copy. This is
-/// exactly the indexing the half-exchange identity needs (ascending A vs
-/// descending-read B).
+/// b[n-1-t] — ascending A against descending-read B, exactly the indexing
+/// the half-exchange identity needs, without materialising a reversed
+/// copy — and splits winners from losers: with `keep == Lower` kept[t] =
+/// min, returned[t] = max; with `Upper` the reverse. `a` and `b` must have
+/// equal length. Writes into caller-owned `kept` / `returned` (resized,
+/// capacity reused); outputs must not alias the inputs.
 void pairwise_select_rev_into(std::span<const Key> a, std::span<const Key> b,
                               SplitHalf keep, std::vector<Key>& kept,
                               std::vector<Key>& returned,

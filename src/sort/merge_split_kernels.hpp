@@ -21,11 +21,6 @@ void merge_split_into_scalar(std::span<const Key> mine,
                              std::span<const Key> theirs, SplitHalf keep,
                              std::vector<Key>& out,
                              std::uint64_t& comparisons);
-void pairwise_select_into_scalar(std::span<const Key> a,
-                                 std::span<const Key> b, SplitHalf keep,
-                                 std::vector<Key>& kept,
-                                 std::vector<Key>& returned,
-                                 std::uint64_t& comparisons);
 void pairwise_select_rev_into_scalar(std::span<const Key> a,
                                      std::span<const Key> b, SplitHalf keep,
                                      std::vector<Key>& kept,
@@ -36,10 +31,6 @@ void pairwise_select_rev_into_scalar(std::span<const Key> a,
 void merge_split_into_simd(std::span<const Key> mine,
                            std::span<const Key> theirs, SplitHalf keep,
                            std::vector<Key>& out, std::uint64_t& comparisons);
-void pairwise_select_into_simd(std::span<const Key> a, std::span<const Key> b,
-                               SplitHalf keep, std::vector<Key>& kept,
-                               std::vector<Key>& returned,
-                               std::uint64_t& comparisons);
 void pairwise_select_rev_into_simd(std::span<const Key> a,
                                    std::span<const Key> b, SplitHalf keep,
                                    std::vector<Key>& kept,

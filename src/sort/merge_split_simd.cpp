@@ -269,36 +269,6 @@ void merge_split_into_simd(std::span<const Key> mine,
   }
 }
 
-void pairwise_select_into_simd(std::span<const Key> a, std::span<const Key> b,
-                               SplitHalf keep, std::vector<Key>& kept,
-                               std::vector<Key>& returned,
-                               std::uint64_t& comparisons) {
-  FTSORT_REQUIRE(a.size() == b.size());
-  const std::size_t n = a.size();
-  kept.resize(n);
-  returned.resize(n);
-  comparisons += n;
-  Key* const kp = kept.data();
-  Key* const rp = returned.data();
-  std::size_t t = 0;
-  for (; t + 4 <= n; t += 4) {
-    v4k va;
-    v4k vb;
-    std::memcpy(&va, a.data() + t, 32);
-    std::memcpy(&vb, b.data() + t, 32);
-    const v4k lo = vmin4(va, vb);
-    const v4k hi = vmax4(va, vb);
-    std::memcpy(kp + t, keep == SplitHalf::Lower ? &lo : &hi, 32);
-    std::memcpy(rp + t, keep == SplitHalf::Lower ? &hi : &lo, 32);
-  }
-  for (; t < n; ++t) {
-    const Key lo = std::min(a[t], b[t]);
-    const Key hi = std::max(a[t], b[t]);
-    kp[t] = keep == SplitHalf::Lower ? lo : hi;
-    rp[t] = keep == SplitHalf::Lower ? hi : lo;
-  }
-}
-
 void pairwise_select_rev_into_simd(std::span<const Key> a,
                                    std::span<const Key> b, SplitHalf keep,
                                    std::vector<Key>& kept,

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/ft_sorter.hpp"
 #include "fault/scenario.hpp"
@@ -18,6 +19,7 @@
 #include "sim/watchdog.hpp"
 #include "sort/distribution.hpp"
 #include "tools/ftdiag.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace ftsort {
@@ -587,6 +589,94 @@ TEST(FtdiagDegenerate, EmptyMetricsFileExitsTwoFromEveryReader) {
   EXPECT_NE(err.str().find("traceEvents"), std::string::npos) << err.str();
   EXPECT_NE(err.str().find("watchdog_dump"), std::string::npos) << err.str();
   std::remove(empty.c_str());
+}
+
+std::string read_fixture(const char* relative) {
+  std::ifstream in(std::string(FTSORT_SOURCE_DIR) + "/" + relative,
+                   std::ios::binary);
+  EXPECT_TRUE(in) << relative;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(FtdiagDegenerate, BrokenDocumentsExitTwoWithTheParseOffset) {
+  // Every checked-in fixture and generated export, cut to half its bytes
+  // or followed by garbage: each reader refuses with the parser's message,
+  // which names the byte offset — never a clean-looking report.
+  const core::SortOutcome run =
+      run_pinned_recovery(core::Executor::Sequential);
+  std::ostringstream metrics;
+  sim::write_metrics_json(metrics, run.report);
+  std::vector<std::string> docs = {metrics.str(), chrome_trace_of(run)};
+  for (const char* fixture :
+       {"BENCH_sort.json", "bench/BENCH_baseline.json",
+        "bench/BENCH_campaign_baseline.json", "bench/metrics_schema.json",
+        "bench/campaign_schema.json"})
+    docs.push_back(read_fixture(fixture));
+  for (const std::string& doc : docs) {
+    for (const std::string& broken :
+         {doc.substr(0, doc.size() / 2), doc + "\n}garbage"}) {
+      const std::string parse_error = util::json::parse(broken).error;
+      ASSERT_NE(parse_error.find(" at byte "), std::string::npos);
+      const std::string path = write_temp("broken", broken);
+      const char* p = path.c_str();
+      const std::vector<std::vector<const char*>> commands = {
+          {"explain", p},  {"diff", p, p},     {"hotspots", p},
+          {"hotspots", p, p}, {"campaign", p}, {"campaign", p, p},
+          {"history", p},  {"lineage", p},     {"lineage", p, "--audit"},
+          {"stuck", p}};
+      for (const std::vector<const char*>& c : commands) {
+        std::vector<const char*> argv = {"ftdiag"};
+        argv.insert(argv.end(), c.begin(), c.end());
+        std::ostringstream out;
+        std::ostringstream err;
+        EXPECT_EQ(tools::run_cli(static_cast<int>(argv.size()), argv.data(),
+                                 out, err),
+                  2)
+            << c[0];
+        EXPECT_TRUE(out.str().empty()) << c[0] << ": " << out.str();
+        // history parses line by line, so it names the first line's error.
+        const std::string& expected =
+            std::string(c[0]) == "history" ? " at byte " : parse_error;
+        EXPECT_NE(err.str().find(expected), std::string::npos)
+            << c[0] << ": " << err.str();
+      }
+      std::string why;
+      EXPECT_FALSE(sim::validate_chrome_trace(broken, &why));
+      EXPECT_NE(why.find(parse_error), std::string::npos) << why;
+      std::remove(p);
+    }
+  }
+}
+
+TEST(FtdiagDegenerate, BrokenHistoryLinesAreSkippedUntilNoneParse) {
+  const std::string jsonl = read_fixture("bench/BENCH_history.jsonl");
+  const std::string half = jsonl.substr(0, jsonl.size() / 2);
+  const tools::HistoryResult cut =
+      tools::history_trends(half, "makespan", 3, 20.0);
+  ASSERT_TRUE(cut.ok) << cut.error;
+  EXPECT_GE(cut.lines, 1u);
+  EXPECT_EQ(cut.skipped_lines, half.back() == '\n' ? 0u : 1u);
+  const tools::HistoryResult garbage =
+      tools::history_trends(jsonl + "}garbage\n", "makespan", 3, 20.0);
+  ASSERT_TRUE(garbage.ok) << garbage.error;
+  EXPECT_EQ(garbage.skipped_lines, 1u);
+  EXPECT_NE(garbage.text.find("skipped 1 corrupt"), std::string::npos);
+
+  // Nothing parses: exit 2, naming the first line's parse error.
+  const std::string first = jsonl.substr(0, jsonl.find('\n'));
+  const std::string path =
+      write_temp("broken_history", first.substr(0, first.size() / 2) + "\n");
+  std::ostringstream out;
+  std::ostringstream err;
+  const char* args[] = {"ftdiag", "history", path.c_str()};
+  EXPECT_EQ(tools::run_cli(3, args, out, err), 2);
+  EXPECT_TRUE(out.str().empty());
+  EXPECT_NE(err.str().find("line 1: unexpected end of input at byte"),
+            std::string::npos)
+      << err.str();
+  std::remove(path.c_str());
 }
 
 TEST(FtdiagDegenerate, ZeroTrialCampaignIsRefusedNotReportedClean) {

@@ -7,6 +7,7 @@
 #include "sim/cost_model.hpp"
 #include "sort/distribution.hpp"
 #include "sort/merge_split.hpp"
+#include "sort/merge_split_kernels.hpp"
 #include "util/rng.hpp"
 
 namespace ftsort::sort {
@@ -16,22 +17,25 @@ TEST(MergeSplitFull, BasicLowerUpper) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> a{1, 4, 7};
   const std::vector<Key> b{2, 3, 9};
-  EXPECT_EQ(merge_split_full(a, b, SplitHalf::Lower, comparisons),
-            (std::vector<Key>{1, 2, 3}));
-  EXPECT_EQ(merge_split_full(a, b, SplitHalf::Upper, comparisons),
-            (std::vector<Key>{4, 7, 9}));
+  std::vector<Key> out;
+  merge_split_into(a, b, SplitHalf::Lower, out, comparisons);
+  EXPECT_EQ(out, (std::vector<Key>{1, 2, 3}));
+  merge_split_into(a, b, SplitHalf::Upper, out, comparisons);
+  EXPECT_EQ(out, (std::vector<Key>{4, 7, 9}));
 }
 
 TEST(MergeSplitFull, ComplementaryHalvesPartitionUnion) {
   util::Rng rng(1);
+  std::vector<Key> lower;
+  std::vector<Key> upper;
   for (int trial = 0; trial < 200; ++trial) {
     auto a = gen_uniform(17, rng);
     auto b = gen_uniform(17, rng);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     std::uint64_t comparisons = 0;
-    const auto lower = merge_split_full(a, b, SplitHalf::Lower, comparisons);
-    const auto upper = merge_split_full(b, a, SplitHalf::Upper, comparisons);
+    merge_split_into(a, b, SplitHalf::Lower, lower, comparisons);
+    merge_split_into(b, a, SplitHalf::Upper, upper, comparisons);
     std::vector<Key> expected;
     expected.insert(expected.end(), a.begin(), a.end());
     expected.insert(expected.end(), b.begin(), b.end());
@@ -49,30 +53,33 @@ TEST(MergeSplitFull, ResultsAreAscending) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   std::uint64_t comparisons = 0;
-  EXPECT_TRUE(is_ascending(
-      merge_split_full(a, b, SplitHalf::Lower, comparisons)));
-  EXPECT_TRUE(is_ascending(
-      merge_split_full(a, b, SplitHalf::Upper, comparisons)));
+  std::vector<Key> out;
+  merge_split_into(a, b, SplitHalf::Lower, out, comparisons);
+  EXPECT_TRUE(is_ascending(out));
+  merge_split_into(a, b, SplitHalf::Upper, out, comparisons);
+  EXPECT_TRUE(is_ascending(out));
 }
 
 TEST(MergeSplitFull, UnequalSizesKeepOwnSize) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> mine{5, 6};
   const std::vector<Key> theirs{1, 2, 3, 4};
-  EXPECT_EQ(merge_split_full(mine, theirs, SplitHalf::Lower, comparisons),
-            (std::vector<Key>{1, 2}));
-  EXPECT_EQ(merge_split_full(mine, theirs, SplitHalf::Upper, comparisons),
-            (std::vector<Key>{5, 6}));
+  std::vector<Key> out;
+  merge_split_into(mine, theirs, SplitHalf::Lower, out, comparisons);
+  EXPECT_EQ(out, (std::vector<Key>{1, 2}));
+  merge_split_into(mine, theirs, SplitHalf::Upper, out, comparisons);
+  EXPECT_EQ(out, (std::vector<Key>{5, 6}));
 }
 
 TEST(MergeSplitFull, EmptyInputs) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> empty;
   const std::vector<Key> some{1, 2};
-  EXPECT_TRUE(
-      merge_split_full(empty, some, SplitHalf::Lower, comparisons).empty());
-  EXPECT_EQ(merge_split_full(some, empty, SplitHalf::Lower, comparisons),
-            some);
+  std::vector<Key> out;
+  merge_split_into(empty, some, SplitHalf::Lower, out, comparisons);
+  EXPECT_TRUE(out.empty());
+  merge_split_into(some, empty, SplitHalf::Lower, out, comparisons);
+  EXPECT_EQ(out, some);
   EXPECT_EQ(comparisons, 0u);
 }
 
@@ -83,7 +90,8 @@ TEST(MergeSplitFull, LinearComparisonBudget) {
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   std::uint64_t comparisons = 0;
-  merge_split_full(a, b, SplitHalf::Lower, comparisons);
+  std::vector<Key> out;
+  merge_split_into(a, b, SplitHalf::Lower, out, comparisons);
   EXPECT_LE(comparisons, 100u);  // stops after producing |mine| keys
 }
 
@@ -116,16 +124,22 @@ TEST(PairwiseIdentity, ReversedPairingYieldsExactSplit) {
   }
 }
 
+// The unreversed pairing (a[t] against b[t]) is the reversed kernel on a
+// reversed `b`.
 TEST(PairwiseSelect, SplitsWinnersFromLosers) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> a{3, 8, 1};
-  const std::vector<Key> b{5, 2, 9};
-  const auto lower = pairwise_select(a, b, SplitHalf::Lower, comparisons);
-  EXPECT_EQ(lower.kept, (std::vector<Key>{3, 2, 1}));
-  EXPECT_EQ(lower.returned, (std::vector<Key>{5, 8, 9}));
-  const auto upper = pairwise_select(a, b, SplitHalf::Upper, comparisons);
-  EXPECT_EQ(upper.kept, (std::vector<Key>{5, 8, 9}));
-  EXPECT_EQ(upper.returned, (std::vector<Key>{3, 2, 1}));
+  const std::vector<Key> b_rev{9, 2, 5};  // pairs a with {5, 2, 9}
+  std::vector<Key> kept;
+  std::vector<Key> returned;
+  pairwise_select_rev_into(a, b_rev, SplitHalf::Lower, kept, returned,
+                           comparisons);
+  EXPECT_EQ(kept, (std::vector<Key>{3, 2, 1}));
+  EXPECT_EQ(returned, (std::vector<Key>{5, 8, 9}));
+  pairwise_select_rev_into(a, b_rev, SplitHalf::Upper, kept, returned,
+                           comparisons);
+  EXPECT_EQ(kept, (std::vector<Key>{5, 8, 9}));
+  EXPECT_EQ(returned, (std::vector<Key>{3, 2, 1}));
   EXPECT_EQ(comparisons, 6u);
 }
 
@@ -133,35 +147,44 @@ TEST(PairwiseSelect, RejectsMismatchedLengths) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> a{1};
   const std::vector<Key> b{1, 2};
-  EXPECT_THROW(pairwise_select(a, b, SplitHalf::Lower, comparisons),
+  std::vector<Key> kept;
+  std::vector<Key> returned;
+  EXPECT_THROW(pairwise_select_rev_into(a, b, SplitHalf::Lower, kept,
+                                        returned, comparisons),
                ContractViolation);
 }
 
 TEST(PairwiseSelect, EmptyIsEmpty) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> empty;
-  const auto split =
-      pairwise_select(empty, empty, SplitHalf::Lower, comparisons);
-  EXPECT_TRUE(split.kept.empty());
-  EXPECT_TRUE(split.returned.empty());
+  std::vector<Key> kept{1};
+  std::vector<Key> returned{2};
+  pairwise_select_rev_into(empty, empty, SplitHalf::Lower, kept, returned,
+                           comparisons);
+  EXPECT_TRUE(kept.empty());
+  EXPECT_TRUE(returned.empty());
 }
 
 TEST(PairwiseSelect, DummiesLoseEveryComparison) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> a{1, sim::kDummyKey};
-  const std::vector<Key> b{sim::kDummyKey, 2};
-  const auto split = pairwise_select(a, b, SplitHalf::Lower, comparisons);
-  EXPECT_EQ(split.kept, (std::vector<Key>{1, 2}));
-  EXPECT_EQ(split.returned,
-            (std::vector<Key>{sim::kDummyKey, sim::kDummyKey}));
+  const std::vector<Key> b_rev{2, sim::kDummyKey};  // pairs a with {D, 2}
+  std::vector<Key> kept;
+  std::vector<Key> returned;
+  pairwise_select_rev_into(a, b_rev, SplitHalf::Lower, kept, returned,
+                           comparisons);
+  EXPECT_EQ(kept, (std::vector<Key>{1, 2}));
+  EXPECT_EQ(returned, (std::vector<Key>{sim::kDummyKey, sim::kDummyKey}));
 }
 
-// The scratch-buffer kernels must be drop-in replacements for the
-// allocating reference kernels: byte-identical output AND an identical
-// comparison count (the simulator's RunReport checksums depend on both).
+// The dispatching kernels must match the scalar oracle bit for bit:
+// byte-identical output AND an identical comparison count (the
+// simulator's RunReport checksums depend on both), whichever backend is
+// active.
 TEST(MergeSplitInto, MatchesReferenceBitForBit) {
   util::Rng rng(11);
   std::vector<Key> out;  // reused across every trial: exercises capacity reuse
+  std::vector<Key> ref;
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t na = 1 + static_cast<std::size_t>(trial) % 33;
     const std::size_t nb = 1 + static_cast<std::size_t>(trial * 7) % 33;
@@ -169,13 +192,20 @@ TEST(MergeSplitInto, MatchesReferenceBitForBit) {
     auto b = gen_uniform(nb, rng);
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
+    std::vector<Key> all = a;
+    all.insert(all.end(), b.begin(), b.end());
+    std::sort(all.begin(), all.end());
     for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
       std::uint64_t c_ref = 0;
       std::uint64_t c_into = 0;
-      const auto ref = merge_split_full(a, b, keep, c_ref);
+      detail::merge_split_into_scalar(a, b, keep, ref, c_ref);
       merge_split_into(a, b, keep, out, c_into);
       ASSERT_EQ(out, ref);
       ASSERT_EQ(c_into, c_ref);
+      const auto first = keep == SplitHalf::Lower
+                             ? all.begin()
+                             : all.end() - static_cast<std::ptrdiff_t>(na);
+      ASSERT_TRUE(std::equal(out.begin(), out.end(), first));
     }
   }
 }
@@ -202,6 +232,8 @@ TEST(PairwiseSelectInto, MatchesReferenceBitForBit) {
   util::Rng rng(13);
   std::vector<Key> kept;
   std::vector<Key> returned;
+  std::vector<Key> kept_ref;
+  std::vector<Key> returned_ref;
   for (int trial = 0; trial < 200; ++trial) {
     const std::size_t n = static_cast<std::size_t>(trial) % 40;
     auto a = gen_uniform(n, rng);
@@ -209,10 +241,11 @@ TEST(PairwiseSelectInto, MatchesReferenceBitForBit) {
     for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
       std::uint64_t c_ref = 0;
       std::uint64_t c_into = 0;
-      const auto ref = pairwise_select(a, b, keep, c_ref);
-      pairwise_select_into(a, b, keep, kept, returned, c_into);
-      ASSERT_EQ(kept, ref.kept);
-      ASSERT_EQ(returned, ref.returned);
+      detail::pairwise_select_rev_into_scalar(a, b, keep, kept_ref,
+                                              returned_ref, c_ref);
+      pairwise_select_rev_into(a, b, keep, kept, returned, c_into);
+      ASSERT_EQ(kept, kept_ref);
+      ASSERT_EQ(returned, returned_ref);
       ASSERT_EQ(c_into, c_ref);
     }
   }
@@ -226,15 +259,17 @@ TEST(PairwiseSelectRevInto, EquivalentToReversedCopy) {
     const std::size_t n = static_cast<std::size_t>(trial) % 40;
     auto a = gen_uniform(n, rng);
     auto b = gen_uniform(n, rng);
-    std::vector<Key> b_rev(b.rbegin(), b.rend());
+    const std::vector<Key> b_rev(b.rbegin(), b.rend());
     for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
-      std::uint64_t c_ref = 0;
-      std::uint64_t c_into = 0;
-      const auto ref = pairwise_select(a, b_rev, keep, c_ref);
-      pairwise_select_rev_into(a, b, keep, kept, returned, c_into);
-      ASSERT_EQ(kept, ref.kept);
-      ASSERT_EQ(returned, ref.returned);
-      ASSERT_EQ(c_into, c_ref);
+      std::uint64_t comparisons = 0;
+      pairwise_select_rev_into(a, b, keep, kept, returned, comparisons);
+      ASSERT_EQ(comparisons, n);
+      for (std::size_t t = 0; t < n; ++t) {
+        const Key lo = std::min(a[t], b_rev[t]);
+        const Key hi = std::max(a[t], b_rev[t]);
+        ASSERT_EQ(kept[t], keep == SplitHalf::Lower ? lo : hi);
+        ASSERT_EQ(returned[t], keep == SplitHalf::Lower ? hi : lo);
+      }
     }
   }
 }
@@ -370,14 +405,6 @@ TEST(KernelBackends, PairwiseScalarAndSimdMatchBitForBit) {
       for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
         std::uint64_t c_ref = 0;
         std::uint64_t c_out = 0;
-        set_kernel_backend(KernelBackend::Scalar);
-        pairwise_select_into(a, b, keep, kept_ref, ret_ref, c_ref);
-        set_kernel_backend(KernelBackend::Simd);
-        pairwise_select_into(a, b, keep, kept, ret, c_out);
-        ASSERT_EQ(kept, kept_ref) << "n=" << n;
-        ASSERT_EQ(ret, ret_ref) << "n=" << n;
-        ASSERT_EQ(c_out, c_ref) << "n=" << n;
-        c_ref = c_out = 0;
         set_kernel_backend(KernelBackend::Scalar);
         pairwise_select_rev_into(a, b, keep, kept_ref, ret_ref, c_ref);
         set_kernel_backend(KernelBackend::Simd);

@@ -120,10 +120,12 @@ TEST(Exchange, MatchesPureKernelReference) {
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     std::uint64_t comparisons = 0;
-    const auto expect_lower =
-        sort::merge_split_full(a, b, sort::SplitHalf::Lower, comparisons);
-    const auto expect_upper =
-        sort::merge_split_full(b, a, sort::SplitHalf::Upper, comparisons);
+    std::vector<Key> expect_lower;
+    std::vector<Key> expect_upper;
+    sort::merge_split_into(a, b, sort::SplitHalf::Lower, expect_lower,
+                           comparisons);
+    sort::merge_split_into(b, a, sort::SplitHalf::Upper, expect_upper,
+                           comparisons);
     for (const auto protocol : {sort::ExchangeProtocol::HalfExchange,
                                 sort::ExchangeProtocol::FullExchange}) {
       const auto [lower, upper] = run_exchange(a, b, protocol);

@@ -10,73 +10,29 @@
 #include <sstream>
 #include <string>
 
+#include "core/outcome.hpp"
 #include "sim/phase.hpp"
+#include "util/json.hpp"
 #include "util/schema.hpp"
 
 namespace ftsort::tools {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON scanning, in lockstep with the repo's hand-rolled writers
-// (sim::write_chrome_trace, sim::write_metrics_json, bench_harness
-// write_json). Not a general parser: it only needs the exact shapes those
-// emit, plus whitespace tolerance.
+using util::json::Value;
 
-/// Index one past the matching close for the `open` at `start`; npos on
-/// imbalance. String-aware (quoted text may contain braces).
-std::size_t match_delim(const std::string& text, std::size_t start,
-                        char open, char close) {
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = start; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\')
-        ++i;
-      else if (c == '"')
-        in_string = false;
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == open) {
-      ++depth;
-    } else if (c == close) {
-      if (--depth == 0) return i + 1;
-    }
+/// Parses `text` into `doc`. Invalid JSON is refused with what the reader
+/// expected and the byte offset where the text stopped being JSON.
+bool read_doc(const std::string& text, const char* expected, Value* doc,
+              std::string* err) {
+  util::json::ParseResult parsed = util::json::parse(text);
+  if (!parsed.ok()) {
+    *err = std::string("invalid JSON (expected ") + expected +
+           "): " + parsed.error;
+    return false;
   }
-  return std::string::npos;
-}
-
-/// Value of a `"key": "string"` field inside `obj`, or empty.
-std::string string_field(const std::string& obj, const char* key) {
-  const std::string needle = std::string("\"") + key + "\": \"";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return {};
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = obj.find('"', begin);
-  if (end == std::string::npos) return {};
-  return obj.substr(begin, end - begin);
-}
-
-/// Numeric `"key": value` field inside `obj`; false when absent.
-bool num_field(const std::string& obj, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return false;
-  const char* begin = obj.c_str() + at + needle.size();
-  char* end = nullptr;
-  const double v = std::strtod(begin, &end);
-  if (end == begin) return false;
-  *out = v;
+  *doc = std::move(parsed.value);
   return true;
-}
-
-double num_or(const std::string& obj, const char* key, double fallback) {
-  double v = fallback;
-  num_field(obj, key, &v);
-  return v;
 }
 
 // Newest schema version each reader understands — derived from the one
@@ -92,9 +48,9 @@ constexpr double kWatchdogSchemaMax = util::kWatchdogDumpSchemaVersion;
 /// Refuses documents newer than `ceiling`. `what` names the format in
 /// the error ("metrics JSON", ...). A missing schema_version (hand-made
 /// fixtures, pre-versioning files) passes: absent means v0.
-bool check_schema_ceiling(const std::string& text, const char* what,
-                          double ceiling, std::string* err) {
-  const double sv = num_or(text, "schema_version", 0.0);
+bool check_schema_ceiling(const Value& doc, const char* what, double ceiling,
+                          std::string* err) {
+  const double sv = doc["schema_version"].number();
   if (sv <= ceiling) return true;
   char buf[96];
   std::snprintf(buf, sizeof buf, "%s is schema v%g, this build reads up to v%g",
@@ -133,155 +89,92 @@ struct ParsedDoc {
   std::vector<RunSample> runs;
 };
 
-/// Signature of the `"cost_model": { ... }` block inside `obj` (a whole
-/// metrics export or one bench scenario object), or empty when the block
-/// is absent. Formats the constants with %g so the signature is stable
-/// across the %.17g writers in both exporters.
-std::string cost_signature(const std::string& obj) {
-  const std::size_t at = obj.find("\"cost_model\": {");
-  if (at == std::string::npos) return {};
-  const std::size_t open = obj.find('{', at);
-  const std::size_t end = match_delim(obj, open, '{', '}');
-  if (end == std::string::npos) return {};
-  const std::string block = obj.substr(open, end - open);
+/// Signature of the `cost_model` block of `obj` (a whole metrics export
+/// or one bench scenario object), or empty when the block is absent.
+/// Formats the constants with %g so the signature is stable across the
+/// %.17g writers in both exporters.
+std::string cost_signature(const Value& obj) {
+  const Value& cm = obj["cost_model"];
+  if (!cm.is_object()) return {};
   char buf[160];
   std::snprintf(buf, sizeof buf, "%s/%s t_c=%g t_t=%g t_s=%g",
-                string_field(block, "name").c_str(),
-                string_field(block, "routing").c_str(),
-                num_or(block, "t_compare", 0.0),
-                num_or(block, "t_transfer", 0.0),
-                num_or(block, "t_startup", 0.0));
+                cm["name"].string().c_str(), cm["routing"].string().c_str(),
+                cm["t_compare"].number(), cm["t_transfer"].number(),
+                cm["t_startup"].number());
   return buf;
 }
 
-/// Parse one `{"phase"|name: {...}}`-style slice object into `out`.
-void read_phase_counters(const std::string& obj, PhaseSample* out) {
-  out->critical_time = num_or(obj, "critical_time", 0.0);
-  double comm = 0.0;
-  double compute = 0.0;
-  const bool has_comm = num_field(obj, "critical_comm", &comm);
-  const bool has_compute = num_field(obj, "critical_compute", &compute);
-  out->critical_comm = comm;
-  out->critical_compute = compute;
-  out->has_split = has_comm && has_compute;
+/// One phase's counters: an entry of the metrics `phases` array or a
+/// member of a bench scenario's `phases` object.
+void read_phase_counters(const Value& obj, PhaseSample* out) {
+  out->critical_time = obj["critical_time"].number();
+  out->critical_comm = obj["critical_comm"].number();
+  out->critical_compute = obj["critical_compute"].number();
+  out->has_split =
+      obj["critical_comm"].is_number() && obj["critical_compute"].is_number();
 }
 
 /// Metrics format: top-level `"phases": [ {"phase": "name", ...}, ... ]`.
-bool parse_metrics_doc(const std::string& text, ParsedDoc* doc,
-                       std::string* err) {
-  if (!check_schema_ceiling(text, "metrics JSON", kMetricsSchemaMax, err))
+bool parse_metrics_doc(const Value& doc, ParsedDoc* out, std::string* err) {
+  if (!check_schema_ceiling(doc, "metrics JSON", kMetricsSchemaMax, err))
     return false;
-  RunSample run;
-  run.makespan = num_or(text, "makespan", 0.0);
-  run.cost_sig = cost_signature(text);
-  const std::size_t at = text.find("\"phases\": [");
-  if (at == std::string::npos) {
+  const Value& phases = doc["phases"];
+  if (!phases.is_array()) {
     *err = "metrics JSON without a \"phases\" array";
     return false;
   }
-  std::size_t pos = text.find('[', at);
-  const std::size_t stop = match_delim(text, pos, '[', ']');
-  if (stop == std::string::npos) {
-    *err = "unterminated \"phases\" array";
-    return false;
-  }
-  while (true) {
-    pos = text.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(text, pos, '{', '}');
-    if (end == std::string::npos) {
-      *err = "unterminated phase object";
-      return false;
-    }
-    const std::string obj = text.substr(pos, end - pos);
-    const std::string name = string_field(obj, "phase");
+  RunSample run;
+  run.makespan = doc["makespan"].number();
+  run.cost_sig = cost_signature(doc);
+  for (const Value& ph : phases.items()) {
+    const std::string& name = ph["phase"].string();
     if (name.empty()) {
-      *err = "phase object without a \"phase\" name: " + obj;
+      *err = "phase entry without a \"phase\" name";
       return false;
     }
-    read_phase_counters(obj, &run.phases[name]);
-    pos = end;
+    read_phase_counters(ph, &run.phases[name]);
   }
-  doc->bench_format = false;
-  doc->runs.push_back(std::move(run));
+  out->bench_format = false;
+  out->runs.push_back(std::move(run));
   return true;
 }
 
 /// Bench format: `"scenarios": [ {"name": ..., "phases": { ... }}, ... ]`.
-bool parse_bench_doc(const std::string& text, ParsedDoc* doc,
-                     std::string* err) {
-  if (!check_schema_ceiling(text, "bench JSON", kBenchSchemaMax, err))
+bool parse_bench_doc(const Value& doc, ParsedDoc* out, std::string* err) {
+  if (!check_schema_ceiling(doc, "bench JSON", kBenchSchemaMax, err))
     return false;
-  std::size_t pos = text.find('[', text.find("\"scenarios\""));
-  if (pos == std::string::npos) {
+  const Value& scenarios = doc["scenarios"];
+  if (!scenarios.is_array()) {
     *err = "bench JSON without a \"scenarios\" array";
     return false;
   }
-  const std::size_t stop = match_delim(text, pos, '[', ']');
-  if (stop == std::string::npos) {
-    *err = "unterminated \"scenarios\" array";
-    return false;
-  }
-  while (true) {
-    pos = text.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(text, pos, '{', '}');
-    if (end == std::string::npos) {
-      *err = "unterminated scenario object";
-      return false;
-    }
-    const std::string obj = text.substr(pos, end - pos);
+  for (const Value& sc : scenarios.items()) {
     RunSample run;
-    run.scenario = string_field(obj, "name");
+    run.scenario = sc["name"].string();
     if (run.scenario.empty()) {
       *err = "scenario without a \"name\"";
       return false;
     }
-    run.makespan = num_or(obj, "makespan", 0.0);
-    run.cost_sig = cost_signature(obj);
-    const std::size_t ph = obj.find("\"phases\": {");
-    if (ph != std::string::npos) {
-      std::size_t p = obj.find('{', ph);
-      const std::size_t pstop = match_delim(obj, p, '{', '}');
-      if (pstop == std::string::npos) {
-        *err = "unterminated \"phases\" object in scenario " + run.scenario;
-        return false;
-      }
-      ++p;  // step inside the phases object
-      while (true) {
-        // Each entry is `"phase_name": { ... }`.
-        const std::size_t q = obj.find('"', p);
-        if (q == std::string::npos || q >= pstop - 1) break;
-        const std::size_t qe = obj.find('"', q + 1);
-        if (qe == std::string::npos || qe >= pstop) break;
-        const std::string name = obj.substr(q + 1, qe - q - 1);
-        const std::size_t body = obj.find('{', qe);
-        if (body == std::string::npos || body >= pstop) break;
-        const std::size_t bend = match_delim(obj, body, '{', '}');
-        if (bend == std::string::npos) {
-          *err = "unterminated phase entry \"" + name + "\"";
-          return false;
-        }
-        read_phase_counters(obj.substr(body, bend - body),
-                            &run.phases[name]);
-        p = bend;
-      }
-    }
-    doc->runs.push_back(std::move(run));
-    pos = end;
+    run.makespan = sc["makespan"].number();
+    run.cost_sig = cost_signature(sc);
+    for (const auto& [name, counters] : sc["phases"].members())
+      read_phase_counters(counters, &run.phases[name]);
+    out->runs.push_back(std::move(run));
   }
-  doc->bench_format = true;
+  out->bench_format = true;
   return true;
 }
 
 ParsedDoc parse_doc(const std::string& text) {
   ParsedDoc doc;
-  std::string err;
-  const bool ok = text.find("\"scenarios\"") != std::string::npos
-                      ? parse_bench_doc(text, &doc, &err)
-                      : parse_metrics_doc(text, &doc, &err);
-  doc.ok = ok;
-  doc.error = err;
+  Value root;
+  doc.ok = read_doc(text,
+                    "a metrics export with a \"phases\" array or a bench "
+                    "export with a \"scenarios\" array",
+                    &root, &doc.error) &&
+           (root.find("scenarios") != nullptr
+                ? parse_bench_doc(root, &doc, &doc.error)
+                : parse_metrics_doc(root, &doc, &doc.error));
   return doc;
 }
 
@@ -304,58 +197,50 @@ void put_us(std::ostream& os, double us) {
 
 ExplainResult explain_trace_json(const std::string& json) {
   ExplainResult res;
-  const std::size_t wrapper = json.find("\"traceEvents\"");
-  if (wrapper == std::string::npos) {
+  Value doc;
+  if (!read_doc(json, "a Chrome trace with a \"traceEvents\" array", &doc,
+                &res.error))
+    return res;
+  const Value* events = doc.find("traceEvents");
+  if (events == nullptr) {
     res.error = "not a Chrome trace: missing \"traceEvents\"";
     return res;
   }
-  std::size_t pos = json.find('[', wrapper);
-  if (pos == std::string::npos) {
-    res.error = "missing traceEvents array";
-    return res;
-  }
-  const std::size_t stop = match_delim(json, pos, '[', ']');
-  if (stop == std::string::npos) {
-    res.error = "unterminated traceEvents array";
+  if (!events->is_array()) {
+    res.error = "traceEvents is not an array";
     return res;
   }
 
   sim::DiagnosisInput input;
-  while (true) {
-    pos = json.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(json, pos, '{', '}');
-    if (end == std::string::npos) {
-      res.error = "unterminated event object";
-      return res;
-    }
-    const std::string obj = json.substr(pos, end - pos);
-    pos = end;
-    const std::string name = string_field(obj, "name");
+  for (std::size_t i = 0; i < events->items().size(); ++i) {
+    const Value& ev = events->items()[i];
+    const std::string& name = ev["name"].string();
+    const Value& args = ev["args"];
     if (name == "trace_dropped") {
       // Ring-eviction metadata (always exported, count 0 = complete
       // trace). A nonzero count makes diagnose() degrade a silent-peer
       // verdict to RootKind::Evicted instead of guessing from a partial
       // event stream.
       input.trace_dropped =
-          static_cast<std::uint64_t>(num_or(obj, "count", 0.0));
+          static_cast<std::uint64_t>(args["count"].number());
       continue;
     }
     if (name != "timeout" && name != "kill") continue;
-    double ts = 0.0;
-    double tid = 0.0;
-    if (!num_field(obj, "ts", &ts) || !num_field(obj, "tid", &tid)) {
-      res.error = "fault instant without ts/tid: " + obj;
+    if (!ev["ts"].is_number() || !ev["tid"].is_number()) {
+      char buf[80];
+      std::snprintf(buf, sizeof buf,
+                    "fault instant without ts/tid: traceEvents[%zu]", i);
+      res.error = buf;
       return res;
     }
-    const sim::Phase phase =
-        sim::phase_from_name(string_field(obj, "phase"));
-    const auto node = static_cast<cube::NodeId>(tid);
+    const double ts = ev["ts"].number();
+    const sim::Phase phase = sim::phase_from_name(args["phase"].string());
+    const auto node = static_cast<cube::NodeId>(ev["tid"].number());
     if (name == "timeout") {
       ++res.timeout_events;
       input.waits.push_back(
-          {node, static_cast<cube::NodeId>(num_or(obj, "src", 0.0)),
-           static_cast<sim::Tag>(num_or(obj, "tag", 0.0)), ts, phase,
+          {node, static_cast<cube::NodeId>(args["src"].number()),
+           static_cast<sim::Tag>(args["tag"].number()), ts, phase,
            /*expired=*/true});
     } else {
       ++res.kill_events;
@@ -513,144 +398,62 @@ struct LinkRun {
   std::map<std::string, double> phase_comm;
 };
 
-void read_dim_entry(const std::string& obj, DimTraffic* out) {
-  out->traversals = num_or(obj, "traversals", 0.0);
-  out->key_hops = num_or(obj, "key_hops", 0.0);
-  out->busy = num_or(obj, "busy", 0.0);
-  out->utilization = num_or(obj, "utilization", 0.0);
+DimTraffic read_dim_entry(const Value& obj) {
+  return {obj["traversals"].number(), obj["key_hops"].number(),
+          obj["busy"].number(), obj["utilization"].number()};
 }
 
 /// Metrics format: the `"links"` block plus per-phase `key_hops`.
-bool parse_links_metrics(const std::string& text, std::vector<LinkRun>* runs,
+bool parse_links_metrics(const Value& doc, std::vector<LinkRun>* runs,
                          std::string* err) {
-  if (!check_schema_ceiling(text, "metrics JSON", kMetricsSchemaMax, err))
+  if (!check_schema_ceiling(doc, "metrics JSON", kMetricsSchemaMax, err))
     return false;
-  const std::size_t at = text.find("\"links\": {");
-  if (at == std::string::npos) {
+  const Value& links = doc["links"];
+  if (!links.is_object()) {
     *err = "metrics JSON without a \"links\" block (schema v3 required)";
     return false;
   }
-  const std::size_t block_start = text.find('{', at);
-  const std::size_t block_end = match_delim(text, block_start, '{', '}');
-  if (block_end == std::string::npos) {
-    *err = "unterminated \"links\" block";
-    return false;
-  }
-  const std::string block = text.substr(block_start, block_end - block_start);
-  if (block.find("\"enabled\": true") == std::string::npos) {
+  if (!links["enabled"].boolean()) {
     *err = "run recorded no link telemetry (record_link_stats off)";
     return false;
   }
   LinkRun run;
-  const std::size_t tot = block.find("\"total\": {");
-  if (tot != std::string::npos)
-    run.total_key_hops =
-        num_or(block.substr(tot, block.find('}', tot) - tot), "key_hops", 0.0);
-  std::size_t pos = block.find("\"per_dimension\"");
-  while (pos != std::string::npos) {
-    pos = block.find('{', pos);
-    if (pos == std::string::npos) break;
-    const std::size_t end = match_delim(block, pos, '{', '}');
-    if (end == std::string::npos) break;
-    const std::string obj = block.substr(pos, end - pos);
-    double d = -1.0;
-    if (num_field(obj, "dim", &d) && d >= 0.0)
-      read_dim_entry(obj, &run.dims[static_cast<int>(d)]);
-    pos = end;
+  run.total_key_hops = links["total"]["key_hops"].number();
+  for (const Value& entry : links["per_dimension"].items()) {
+    const double d = entry["dim"].number(-1.0);
+    if (d >= 0.0) run.dims[static_cast<int>(d)] = read_dim_entry(entry);
   }
-  // Per-phase comm volume from the phases array.
-  const std::size_t ph = text.find("\"phases\": [");
-  if (ph != std::string::npos) {
-    std::size_t p = text.find('[', ph);
-    const std::size_t pstop = match_delim(text, p, '[', ']');
-    while (pstop != std::string::npos) {
-      p = text.find('{', p);
-      if (p == std::string::npos || p >= pstop) break;
-      const std::size_t end = match_delim(text, p, '{', '}');
-      if (end == std::string::npos) break;
-      const std::string obj = text.substr(p, end - p);
-      const std::string name = string_field(obj, "phase");
-      const double hops = num_or(obj, "key_hops", 0.0);
-      if (!name.empty() && hops > 0.0) run.phase_comm[name] = hops;
-      p = end;
-    }
+  for (const Value& ph : doc["phases"].items()) {
+    const std::string& name = ph["phase"].string();
+    const double hops = ph["key_hops"].number();
+    if (!name.empty() && hops > 0.0) run.phase_comm[name] = hops;
   }
   runs->push_back(std::move(run));
   return true;
 }
 
 /// Bench format: per-scenario `link_key_hops` / `"link_dimensions"`.
-bool parse_links_bench(const std::string& text, std::vector<LinkRun>* runs,
+bool parse_links_bench(const Value& doc, std::vector<LinkRun>* runs,
                        std::string* err) {
-  if (!check_schema_ceiling(text, "bench JSON", kBenchSchemaMax, err))
+  if (!check_schema_ceiling(doc, "bench JSON", kBenchSchemaMax, err))
     return false;
-  std::size_t pos = text.find('[', text.find("\"scenarios\""));
-  if (pos == std::string::npos) {
+  const Value& scenarios = doc["scenarios"];
+  if (!scenarios.is_array()) {
     *err = "bench JSON without a \"scenarios\" array";
     return false;
   }
-  const std::size_t stop = match_delim(text, pos, '[', ']');
-  if (stop == std::string::npos) {
-    *err = "unterminated \"scenarios\" array";
-    return false;
-  }
-  while (true) {
-    pos = text.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(text, pos, '{', '}');
-    if (end == std::string::npos) {
-      *err = "unterminated scenario object";
-      return false;
-    }
-    const std::string obj = text.substr(pos, end - pos);
-    pos = end;
-    const std::size_t ld = obj.find("\"link_dimensions\": {");
-    if (ld == std::string::npos) continue;  // kernel micro: no link data
+  for (const Value& sc : scenarios.items()) {
+    const Value& dims = sc["link_dimensions"];
+    if (!dims.is_object()) continue;  // kernel micro: no link data
     LinkRun run;
-    run.scenario = string_field(obj, "name");
-    run.total_key_hops = num_or(obj, "link_key_hops", 0.0);
-    std::size_t p = obj.find('{', ld);
-    const std::size_t pstop = match_delim(obj, p, '{', '}');
-    if (pstop == std::string::npos) {
-      *err = "unterminated \"link_dimensions\" in scenario " + run.scenario;
-      return false;
-    }
-    ++p;
-    while (true) {
-      // Each entry is `"<dim>": { ... }`.
-      const std::size_t q = obj.find('"', p);
-      if (q == std::string::npos || q >= pstop - 1) break;
-      const std::size_t qe = obj.find('"', q + 1);
-      if (qe == std::string::npos || qe >= pstop) break;
-      const int d = std::atoi(obj.substr(q + 1, qe - q - 1).c_str());
-      const std::size_t body = obj.find('{', qe);
-      if (body == std::string::npos || body >= pstop) break;
-      const std::size_t bend = match_delim(obj, body, '{', '}');
-      if (bend == std::string::npos) break;
-      read_dim_entry(obj.substr(body, bend - body), &run.dims[d]);
-      p = bend;
-    }
+    run.scenario = sc["name"].string();
+    run.total_key_hops = sc["link_key_hops"].number();
+    for (const auto& [dim, entry] : dims.members())
+      run.dims[std::atoi(dim.c_str())] = read_dim_entry(entry);
     // Comm volume per phase: the bench rows carry keys_sent.
-    const std::size_t ph = obj.find("\"phases\": {");
-    if (ph != std::string::npos) {
-      std::size_t pp = obj.find('{', ph);
-      const std::size_t ppstop = match_delim(obj, pp, '{', '}');
-      ++pp;
-      while (ppstop != std::string::npos) {
-        const std::size_t q = obj.find('"', pp);
-        if (q == std::string::npos || q >= ppstop - 1) break;
-        const std::size_t qe = obj.find('"', q + 1);
-        if (qe == std::string::npos || qe >= ppstop) break;
-        const std::string name = obj.substr(q + 1, qe - q - 1);
-        const std::size_t body = obj.find('{', qe);
-        if (body == std::string::npos || body >= ppstop) break;
-        const std::size_t bend = match_delim(obj, body, '{', '}');
-        if (bend == std::string::npos) break;
-        const double keys =
-            num_or(obj.substr(body, bend - body), "keys_sent", 0.0);
-        if (keys > 0.0) run.phase_comm[name] = keys;
-        pp = bend;
-      }
+    for (const auto& [name, counters] : sc["phases"].members()) {
+      const double keys = counters["keys_sent"].number();
+      if (keys > 0.0) run.phase_comm[name] = keys;
     }
     runs->push_back(std::move(run));
   }
@@ -663,9 +466,15 @@ bool parse_links_bench(const std::string& text, std::vector<LinkRun>* runs,
 
 bool parse_links_doc(const std::string& text, std::vector<LinkRun>* runs,
                      std::string* err) {
-  return text.find("\"scenarios\"") != std::string::npos
-             ? parse_links_bench(text, runs, err)
-             : parse_links_metrics(text, runs, err);
+  Value doc;
+  if (!read_doc(text,
+                "a metrics export with a \"links\" block or a bench export "
+                "with \"link_dimensions\"",
+                &doc, err))
+    return false;
+  return doc.find("scenarios") != nullptr
+             ? parse_links_bench(doc, runs, err)
+             : parse_links_metrics(doc, runs, err);
 }
 
 }  // namespace
@@ -818,20 +627,15 @@ struct CampaignBucket {
   double completed = 0.0;
   double recovered = 0.0;
   double degraded = 0.0;
-  double deadlocked = 0.0;
-  double corrupt = 0.0;
-  double failed = 0.0;
   double completion_probability = 0.0;
   double mean_slowdown = 0.0;
-  double mean_detect = 0.0;
-  double mean_makespan = 0.0;
   double hotspot_p90 = 0.0;
   double detect_latency_p50 = 0.0;
   double salvage_latency_p50 = 0.0;
   double restart_latency_p50 = 0.0;
 };
 
-/// Parsed header + buckets of a schema-v4 campaign document.
+/// Parsed header + buckets of a campaign document.
 struct CampaignDoc {
   double n = 0.0;
   double r_max = 0.0;
@@ -839,20 +643,24 @@ struct CampaignDoc {
   double trials = 0.0;
   double seed = 0.0;
   std::string executor;
-  std::string outcomes;  ///< the raw rollup object, echoed verbatim
+  std::string outcomes;  ///< the outcome rollup, rendered in writer order
   std::vector<CampaignBucket> buckets;
 };
 
-bool parse_campaign_doc(const std::string& text, CampaignDoc* doc,
+bool parse_campaign_doc(const std::string& text, CampaignDoc* out,
                         std::string* err) {
-  if (string_field(text, "campaign") != "fault_mc") {
+  Value doc;
+  if (!read_doc(text, "a campaign export with a \"buckets\" array", &doc,
+                err))
+    return false;
+  if (doc["campaign"].string() != "fault_mc") {
     *err = "not a campaign export: missing \"campaign\": \"fault_mc\"";
     return false;
   }
   // The campaign reader is exact-version: the bucket keys it relies on
   // changed meaning across versions, so both older and newer files get
   // the versioned refusal rather than zero-filled columns.
-  const double sv = num_or(text, "schema_version", 0.0);
+  const double sv = doc["schema_version"].number();
   if (sv != kCampaignSchemaMax) {
     char buf[96];
     std::snprintf(buf, sizeof buf,
@@ -861,65 +669,49 @@ bool parse_campaign_doc(const std::string& text, CampaignDoc* doc,
     *err = buf;
     return false;
   }
-  doc->n = num_or(text, "n", 0.0);
-  doc->r_max = num_or(text, "r_max", 0.0);
-  doc->scenarios = num_or(text, "scenarios", 0.0);
-  doc->trials = num_or(text, "trials", 0.0);
-  doc->seed = num_or(text, "seed", 0.0);
-  doc->executor = string_field(text, "executor");
-  const std::size_t oc = text.find("\"outcomes\": {");
-  if (oc != std::string::npos) {
-    const std::size_t start = text.find('{', oc);
-    const std::size_t end = match_delim(text, start, '{', '}');
-    if (end != std::string::npos)
-      doc->outcomes = text.substr(start + 1, end - start - 2);
+  out->n = doc["n"].number();
+  out->r_max = doc["r_max"].number();
+  out->scenarios = doc["scenarios"].number();
+  out->trials = doc["trials"].number();
+  out->seed = doc["seed"].number();
+  out->executor = doc["executor"].string();
+  const Value& outcomes = doc["outcomes"];
+  if (outcomes.is_object()) {
+    std::ostringstream line;
+    for (std::size_t i = 0; i < core::kRunOutcomeCount; ++i) {
+      const char* name =
+          core::run_outcome_name(static_cast<core::RunOutcome>(i));
+      line << (i != 0 ? ", " : "") << "\"" << name
+           << "\": " << static_cast<long>(outcomes[name].number());
+    }
+    out->outcomes = line.str();
   }
-  std::size_t pos = text.find("\"buckets\": [");
-  if (pos == std::string::npos) {
+  const Value& buckets = doc["buckets"];
+  if (!buckets.is_array()) {
     *err = "campaign JSON without a \"buckets\" array";
     return false;
   }
-  pos = text.find('[', pos);
-  const std::size_t stop = match_delim(text, pos, '[', ']');
-  if (stop == std::string::npos) {
-    *err = "unterminated \"buckets\" array";
-    return false;
-  }
-  while (true) {
-    pos = text.find('{', pos);
-    if (pos == std::string::npos || pos >= stop) break;
-    const std::size_t end = match_delim(text, pos, '{', '}');
-    if (end == std::string::npos) {
-      *err = "unterminated bucket object";
-      return false;
-    }
-    const std::string obj = text.substr(pos, end - pos);
-    pos = end;
-    CampaignBucket b;
-    double r = -1.0;
-    if (!num_field(obj, "r", &r) || r < 0.0) {
+  for (const Value& obj : buckets.items()) {
+    const double r = obj["r"].number(-1.0);
+    if (r < 0.0) {
       *err = "bucket object without an \"r\" field";
       return false;
     }
+    CampaignBucket b;
     b.r = static_cast<int>(r);
-    b.trials = num_or(obj, "trials", 0.0);
-    b.completed = num_or(obj, "completed", 0.0);
-    b.recovered = num_or(obj, "recovered", 0.0);
-    b.degraded = num_or(obj, "degraded", 0.0);
-    b.deadlocked = num_or(obj, "deadlocked", 0.0);
-    b.corrupt = num_or(obj, "corrupt", 0.0);
-    b.failed = num_or(obj, "failed", 0.0);
-    b.completion_probability = num_or(obj, "completion_probability", 0.0);
-    b.mean_slowdown = num_or(obj, "mean_slowdown", 0.0);
-    b.mean_detect = num_or(obj, "mean_detect", 0.0);
-    b.mean_makespan = num_or(obj, "mean_makespan", 0.0);
-    b.hotspot_p90 = num_or(obj, "hotspot_p90", 0.0);
-    b.detect_latency_p50 = num_or(obj, "detect_latency_p50", 0.0);
-    b.salvage_latency_p50 = num_or(obj, "salvage_latency_p50", 0.0);
-    b.restart_latency_p50 = num_or(obj, "restart_latency_p50", 0.0);
-    doc->buckets.push_back(b);
+    b.trials = obj["trials"].number();
+    b.completed = obj["completed"].number();
+    b.recovered = obj["recovered"].number();
+    b.degraded = obj["degraded"].number();
+    b.completion_probability = obj["completion_probability"].number();
+    b.mean_slowdown = obj["mean_slowdown"].number();
+    b.hotspot_p90 = obj["hotspot_p90"].number();
+    b.detect_latency_p50 = obj["detect_latency_p50"].number();
+    b.salvage_latency_p50 = obj["salvage_latency_p50"].number();
+    b.restart_latency_p50 = obj["restart_latency_p50"].number();
+    out->buckets.push_back(b);
   }
-  if (doc->buckets.empty()) {
+  if (out->buckets.empty()) {
     *err = "campaign JSON with an empty \"buckets\" array";
     return false;
   }
@@ -1107,49 +899,41 @@ HistoryResult history_trends(const std::string& jsonl,
   };
   std::vector<Group> groups;
   std::map<std::string, std::size_t> index;
+  std::string first_error;  ///< why the first skipped line was skipped
 
   std::size_t begin = 0;
+  std::size_t line_no = 0;
   while (begin < jsonl.size()) {
     std::size_t nl = jsonl.find('\n', begin);
     if (nl == std::string::npos) nl = jsonl.size();
     const std::string line = jsonl.substr(begin, nl - begin);
     begin = nl + 1;
+    ++line_no;
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
 
-    // A well-formed history line is one balanced object holding a
-    // balanced scenarios array; anything else (a crashed bench run, a
-    // partial append, editor damage) is skipped and counted, never
-    // fatal — history files are append-only and must survive one bad
-    // writer.
-    const std::size_t open = line.find('{');
-    const std::size_t close =
-        open == std::string::npos ? std::string::npos
-                                  : match_delim(line, open, '{', '}');
-    const std::size_t arr_at = line.find("\"scenarios\": [");
-    const std::size_t arr = arr_at == std::string::npos
-                                ? std::string::npos
-                                : line.find('[', arr_at);
-    const std::size_t arr_end =
-        arr == std::string::npos ? std::string::npos
-                                 : match_delim(line, arr, '[', ']');
-    if (close == std::string::npos || arr_end == std::string::npos) {
+    // A well-formed history line is one JSON object holding a scenarios
+    // array; anything else (a crashed bench run, a partial append, editor
+    // damage) is skipped and counted, never fatal — history files are
+    // append-only and must survive one bad writer.
+    const util::json::ParseResult parsed = util::json::parse(line);
+    const Value& scenarios = parsed.value["scenarios"];
+    if (!scenarios.is_array()) {
       ++res.skipped_lines;
+      if (first_error.empty()) {
+        std::ostringstream why;
+        why << "line " << line_no << ": "
+            << (parsed.ok() ? "no \"scenarios\" array" : parsed.error);
+        first_error = why.str();
+      }
       continue;
     }
-    const std::string mode = string_field(line, "mode");
-    const std::string build = string_field(line, "build");
+    const std::string& mode = parsed.value["mode"].string();
+    const std::string& build = parsed.value["build"].string();
     bool any = false;
-    std::size_t pos = arr;
-    while (true) {
-      pos = line.find('{', pos);
-      if (pos == std::string::npos || pos >= arr_end) break;
-      const std::size_t end = match_delim(line, pos, '{', '}');
-      if (end == std::string::npos || end > arr_end) break;
-      const std::string obj = line.substr(pos, end - pos);
-      pos = end;
-      const std::string name = string_field(obj, "name");
-      double value = 0.0;
-      if (name.empty() || !num_field(obj, metric.c_str(), &value)) continue;
+    for (const Value& obj : scenarios.items()) {
+      const std::string& name = obj["name"].string();
+      const Value& value = obj[metric];
+      if (name.empty() || !value.is_number()) continue;
       const std::string key = name + "\x1f" + mode + "\x1f" + build;
       const auto it = index.find(key);
       std::size_t gi;
@@ -1160,16 +944,17 @@ HistoryResult history_trends(const std::string& jsonl,
       } else {
         gi = it->second;
       }
-      groups[gi].samples.push_back(value);
+      groups[gi].samples.push_back(value.number());
       any = true;
     }
     if (any)
       ++res.lines;
     else
-      ++res.skipped_lines;  // balanced JSON but no usable sample
+      ++res.skipped_lines;  // well-formed JSON but no usable sample
   }
   if (res.lines == 0) {
     res.error = "no well-formed history lines in file";
+    if (!first_error.empty()) res.error += " (" + first_error + ")";
     return res;
   }
 
@@ -1234,14 +1019,6 @@ HistoryResult history_trends(const std::string& jsonl,
 
 namespace {
 
-/// `"key": true|false` field inside `obj`; `fallback` when absent.
-bool bool_or(const std::string& obj, const char* key, bool fallback) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const std::size_t at = obj.find(needle);
-  if (at == std::string::npos) return fallback;
-  return obj.compare(at + needle.size(), 4, "true") == 0;
-}
-
 /// One row of the metrics export's per-key lineage detail.
 struct LineageKeyRow {
   long id = -1;
@@ -1259,20 +1036,22 @@ struct LineageKeyRow {
   std::string trail;
 };
 
-void read_key_row(const std::string& obj, LineageKeyRow* row) {
-  row->id = static_cast<long>(num_or(obj, "id", -1.0));
-  row->value = num_or(obj, "value", 0.0);
-  row->origin = static_cast<long>(num_or(obj, "origin", 0.0));
-  row->holder = static_cast<long>(num_or(obj, "holder", 0.0));
-  row->dummy = bool_or(obj, "dummy", false);
-  row->retired = bool_or(obj, "retired", false);
-  row->lost = bool_or(obj, "lost", false);
-  row->salvaged = bool_or(obj, "salvaged", false);
-  row->witness = static_cast<long>(num_or(obj, "witness", -1.0));
-  row->witness_step = static_cast<long>(num_or(obj, "witness_step", -1.0));
-  row->moves = num_or(obj, "moves", 0.0);
-  row->hops = num_or(obj, "hops", 0.0);
-  row->trail = string_field(obj, "trail");
+LineageKeyRow read_key_row(const Value& obj) {
+  LineageKeyRow row;
+  row.id = static_cast<long>(obj["id"].number(-1.0));
+  row.value = obj["value"].number();
+  row.origin = static_cast<long>(obj["origin"].number());
+  row.holder = static_cast<long>(obj["holder"].number());
+  row.dummy = obj["dummy"].boolean();
+  row.retired = obj["retired"].boolean();
+  row.lost = obj["lost"].boolean();
+  row.salvaged = obj["salvaged"].boolean();
+  row.witness = static_cast<long>(obj["witness"].number(-1.0));
+  row.witness_step = static_cast<long>(obj["witness_step"].number(-1.0));
+  row.moves = obj["moves"].number();
+  row.hops = obj["hops"].number();
+  row.trail = obj["trail"].string();
+  return row;
 }
 
 /// Decode one `<code>,node,peer,step,phase` trail event (the codec of
@@ -1316,119 +1095,51 @@ std::string decode_trail_event(const std::string& ev) {
 LineageCliResult lineage_report(const std::string& json, long key,
                                 std::size_t top_n, bool audit_only) {
   LineageCliResult res;
-  if (!check_schema_ceiling(json, "metrics JSON", kMetricsSchemaMax,
+  Value doc;
+  if (!read_doc(json, "a metrics export with a \"lineage\" block", &doc,
+                &res.error) ||
+      !check_schema_ceiling(doc, "metrics JSON", kMetricsSchemaMax,
                             &res.error))
     return res;
-  const std::size_t at = json.find("\"lineage\": {");
-  if (at == std::string::npos) {
+  const Value& block = doc["lineage"];
+  if (!block.is_object()) {
     res.error =
         "metrics JSON without a \"lineage\" block (schema v6 required)";
     return res;
   }
-  const std::size_t block_start = json.find('{', at);
-  const std::size_t block_end = match_delim(json, block_start, '{', '}');
-  if (block_end == std::string::npos) {
-    res.error = "unterminated \"lineage\" block";
-    return res;
-  }
-  const std::string block =
-      json.substr(block_start, block_end - block_start);
-  if (!bool_or(block, "enabled", false)) {
+  if (!block["enabled"].boolean()) {
     res.error = "run recorded no lineage (record_lineage off)";
     return res;
   }
 
-  // Rollups. These keys all precede the audit/keys sub-objects in the
-  // writer's fixed order, so first-occurrence scanning is unambiguous.
-  const auto assigned = static_cast<long>(num_or(block, "assigned", 0.0));
-  const auto dummies = static_cast<long>(num_or(block, "dummies", 0.0));
-  const auto dropped =
-      static_cast<long>(num_or(block, "dropped_events", 0.0));
+  const auto assigned = static_cast<long>(block["assigned"].number());
+  const auto dummies = static_cast<long>(block["dummies"].number());
+  const auto dropped = static_cast<long>(block["dropped_events"].number());
   const auto mismatches =
-      static_cast<long>(num_or(block, "resolve_mismatches", 0.0));
-  const auto untracked =
-      static_cast<long>(num_or(block, "untracked_total", 0.0));
+      static_cast<long>(block["resolve_mismatches"].number());
+  const auto untracked = static_cast<long>(block["untracked_total"].number());
 
   // Audit block with the named violations.
-  struct LostRow {
-    long id = 0;
-    double value = 0.0;
-    long last_holder = 0;
-    std::string phase;
-  };
-  struct DupRow {
-    double value = 0.0;
-    long extra = 0;
-  };
-  std::vector<LostRow> lost_rows;
-  std::vector<DupRow> dup_rows;
-  long salvaged = 0;
-  long witnessed = 0;
-  {
-    const std::size_t aud = block.find("\"audit\": {");
-    if (aud == std::string::npos) {
-      res.error = "lineage block without an \"audit\" object";
-      return res;
-    }
-    const std::size_t astart = block.find('{', aud);
-    const std::size_t aend = match_delim(block, astart, '{', '}');
-    if (aend == std::string::npos) {
-      res.error = "unterminated \"audit\" object";
-      return res;
-    }
-    const std::string audit = block.substr(astart, aend - astart);
-    res.audit_checked = bool_or(audit, "checked", false);
-    res.audit_ok = bool_or(audit, "ok", false);
-    salvaged = static_cast<long>(num_or(audit, "salvaged", 0.0));
-    witnessed = static_cast<long>(num_or(audit, "witnessed_salvaged", 0.0));
-    const auto read_array = [&](const char* name, auto fn) {
-      const std::size_t arr_at = audit.find(std::string("\"") + name +
-                                            "\": [");
-      if (arr_at == std::string::npos) return;
-      std::size_t p = audit.find('[', arr_at);
-      const std::size_t pstop = match_delim(audit, p, '[', ']');
-      while (pstop != std::string::npos) {
-        p = audit.find('{', p);
-        if (p == std::string::npos || p >= pstop) break;
-        const std::size_t end = match_delim(audit, p, '{', '}');
-        if (end == std::string::npos) break;
-        fn(audit.substr(p, end - p));
-        p = end;
-      }
-    };
-    read_array("lost", [&](const std::string& obj) {
-      lost_rows.push_back({static_cast<long>(num_or(obj, "id", 0.0)),
-                           num_or(obj, "value", 0.0),
-                           static_cast<long>(num_or(obj, "last_holder", 0.0)),
-                           string_field(obj, "phase")});
-    });
-    read_array("duplicated", [&](const std::string& obj) {
-      dup_rows.push_back({num_or(obj, "value", 0.0),
-                          static_cast<long>(num_or(obj, "extra", 0.0))});
-    });
+  const Value& audit = block["audit"];
+  if (!audit.is_object()) {
+    res.error = "lineage block without an \"audit\" object";
+    return res;
   }
+  res.audit_checked = audit["checked"].boolean();
+  res.audit_ok = audit["ok"].boolean();
+  const auto salvaged = static_cast<long>(audit["salvaged"].number());
+  const auto witnessed =
+      static_cast<long>(audit["witnessed_salvaged"].number());
+  const std::vector<Value>& lost_rows = audit["lost"].items();
+  const std::vector<Value>& dup_rows = audit["duplicated"].items();
   res.lost = lost_rows.size();
   res.duplicated = dup_rows.size();
 
-  // Per-key detail (needed for --key and --top). `"keys": [` is distinct
-  // from the `keys_total`/`keys_emitted` scalars before it.
+  // Per-key detail (needed for --key and --top).
   std::vector<LineageKeyRow> rows;
-  {
-    const std::size_t karr = block.find("\"keys\": [");
-    if (karr != std::string::npos) {
-      std::size_t p = block.find('[', karr);
-      const std::size_t pstop = match_delim(block, p, '[', ']');
-      while (pstop != std::string::npos) {
-        p = block.find('{', p);
-        if (p == std::string::npos || p >= pstop) break;
-        const std::size_t end = match_delim(block, p, '{', '}');
-        if (end == std::string::npos) break;
-        LineageKeyRow row;
-        read_key_row(block.substr(p, end - p), &row);
-        if (row.id >= 0) rows.push_back(std::move(row));
-        p = end;
-      }
-    }
+  for (const Value& obj : block["keys"].items()) {
+    LineageKeyRow row = read_key_row(obj);
+    if (row.id >= 0) rows.push_back(std::move(row));
   }
 
   std::ostringstream out;
@@ -1440,16 +1151,18 @@ LineageCliResult lineage_report(const std::string& json, long key,
     else
       out << "  audit: VIOLATED — " << res.lost << " lost, "
           << res.duplicated << " duplicated\n";
-    for (const LostRow& r : lost_rows) {
-      out << "    LOST id " << r.id << " value ";
-      put_us(out, r.value);
-      out << " last holder node " << r.last_holder << " [" << r.phase
-          << "]\n";
+    for (const Value& r : lost_rows) {
+      out << "    LOST id " << static_cast<long>(r["id"].number())
+          << " value ";
+      put_us(out, r["value"].number());
+      out << " last holder node " << static_cast<long>(r["last_holder"].number())
+          << " [" << r["phase"].string() << "]\n";
     }
-    for (const DupRow& r : dup_rows) {
+    for (const Value& r : dup_rows) {
+      const auto extra = static_cast<long>(r["extra"].number());
       out << "    DUPLICATED value ";
-      put_us(out, r.value);
-      out << " x" << (r.extra + 1) << " (" << r.extra << " extra)\n";
+      put_us(out, r["value"].number());
+      out << " x" << (extra + 1) << " (" << extra << " extra)\n";
     }
   };
 
@@ -1465,7 +1178,7 @@ LineageCliResult lineage_report(const std::string& json, long key,
                   " in the per-key detail (" + std::to_string(rows.size()) +
                   " emitted; the export caps detail at " +
                   std::to_string(static_cast<long>(
-                      num_or(block, "keys_emitted", 0.0))) +
+                      block["keys_emitted"].number())) +
                   " keys)";
       return res;
     }
@@ -1562,59 +1275,45 @@ LineageCliResult lineage_report(const std::string& json, long key,
 
 StuckResult stuck_report(const std::string& json) {
   StuckResult res;
-  if (json.find("\"watchdog_dump\": true") == std::string::npos) {
+  Value doc;
+  if (!read_doc(json, "a watchdog dump with a \"watchdog_dump\" marker",
+                &doc, &res.error))
+    return res;
+  if (!doc["watchdog_dump"].boolean()) {
     res.error =
         "not a watchdog dump (missing \"watchdog_dump\" marker; expected "
         "sim::write_watchdog_dump output)";
     return res;
   }
-  if (!check_schema_ceiling(json, "watchdog JSON", kWatchdogSchemaMax,
+  if (!check_schema_ceiling(doc, "watchdog JSON", kWatchdogSchemaMax,
                             &res.error))
     return res;
-  res.origin = string_field(json, "origin");
+  res.origin = doc["origin"].string();
   if (res.origin.empty()) res.origin = "machine";
-  const std::string policy = string_field(json, "policy");
-  res.trips = static_cast<std::uint64_t>(num_or(json, "trips", 0.0));
-  res.near_misses =
-      static_cast<std::uint64_t>(num_or(json, "near_misses", 0.0));
-  const std::uint64_t deadline =
-      static_cast<std::uint64_t>(num_or(json, "deadline_ms", 0.0));
-  const std::uint64_t effective =
-      static_cast<std::uint64_t>(num_or(json, "effective_deadline_ms", 0.0));
-  const std::uint64_t interval =
-      static_cast<std::uint64_t>(num_or(json, "interval_ms", 0.0));
-  const std::uint64_t stall =
-      static_cast<std::uint64_t>(num_or(json, "stall_ms", 0.0));
+  const std::string& policy = doc["policy"].string();
+  const auto count = [&](const char* field) {
+    return static_cast<std::uint64_t>(doc[field].number());
+  };
+  res.trips = count("trips");
+  res.near_misses = count("near_misses");
+  const std::uint64_t deadline = count("deadline_ms");
+  const std::uint64_t effective = count("effective_deadline_ms");
+  const std::uint64_t interval = count("interval_ms");
+  const std::uint64_t stall = count("stall_ms");
 
-  const std::size_t hb = json.find("\"heartbeats\": [");
-  if (hb == std::string::npos) {
+  const Value& heartbeats = doc["heartbeats"];
+  if (!heartbeats.is_array()) {
     res.error = "watchdog dump without a \"heartbeats\" array";
     return res;
   }
-  const std::size_t hb_open = json.find('[', hb);
-  const std::size_t hb_end = match_delim(json, hb_open, '[', ']');
-  if (hb_end == std::string::npos) {
-    res.error = "unterminated \"heartbeats\" array";
-    return res;
-  }
-  std::size_t cursor = hb_open + 1;
-  while (cursor < hb_end) {
-    const std::size_t open = json.find('{', cursor);
-    if (open == std::string::npos || open >= hb_end) break;
-    const std::size_t close = match_delim(json, open, '{', '}');
-    if (close == std::string::npos) {
-      res.error = "unterminated heartbeat row";
-      return res;
-    }
-    const std::string row = json.substr(open, close - open);
+  for (const Value& row : heartbeats.items()) {
     StuckSlot slot;
-    slot.slot = string_field(row, "slot");
-    slot.beats = static_cast<std::uint64_t>(num_or(row, "beats", 0.0));
-    slot.age_ms = static_cast<std::uint64_t>(num_or(row, "age_ms", 0.0));
-    slot.activity = string_field(row, "activity");
-    slot.terminal = row.find("\"terminal\": true") != std::string::npos;
+    slot.slot = row["slot"].string();
+    slot.beats = static_cast<std::uint64_t>(row["beats"].number());
+    slot.age_ms = static_cast<std::uint64_t>(row["age_ms"].number());
+    slot.activity = row["activity"].string();
+    slot.terminal = row["terminal"].boolean();
     res.slots.push_back(std::move(slot));
-    cursor = close;
   }
   // Culprit-first ordering: live slots by silence, retired slots last.
   std::stable_sort(res.slots.begin(), res.slots.end(),
@@ -1634,23 +1333,15 @@ StuckResult stuck_report(const std::string& json) {
 
   // The replayed Diagnosis, when the dump carries one: the root cause in
   // protocol terms, ahead of the raw heartbeat evidence.
-  const std::size_t dg = json.find("\"diagnosis\": {");
-  if (dg != std::string::npos) {
-    const std::size_t open = json.find('{', dg);
-    const std::size_t end = match_delim(json, open, '{', '}');
-    if (end != std::string::npos) {
-      const std::string block = json.substr(open, end - open);
-      const std::string summary = string_field(block, "summary");
-      if (!summary.empty()) out << "  root cause: " << summary << "\n";
-      const std::size_t st = block.find("\"stalled\": [");
-      if (st != std::string::npos) {
-        const std::size_t sopen = block.find('[', st);
-        const std::size_t send = block.find(']', sopen);
-        if (send != std::string::npos && send > sopen + 1)
-          out << "  stalled nodes: [" << block.substr(sopen + 1, send - sopen - 1)
-              << "] in phase " << string_field(block, "root_phase") << "\n";
-      }
-    }
+  const Value& diagnosis = doc["diagnosis"];
+  const std::string& summary = diagnosis["summary"].string();
+  if (!summary.empty()) out << "  root cause: " << summary << "\n";
+  const std::vector<Value>& stalled = diagnosis["stalled"].items();
+  if (!stalled.empty()) {
+    out << "  stalled nodes: [";
+    for (std::size_t i = 0; i < stalled.size(); ++i)
+      out << (i != 0 ? ", " : "") << static_cast<long>(stalled[i].number());
+    out << "] in phase " << diagnosis["root_phase"].string() << "\n";
   }
 
   if (res.slots.empty()) {
@@ -1674,20 +1365,13 @@ StuckResult stuck_report(const std::string& json) {
       out << "  most silent: none (every slot retired in order)\n";
   }
 
-  const std::size_t hp = json.find("\"host_profile\": {");
-  if (hp != std::string::npos) {
-    const std::size_t open = json.find('{', hp);
-    const std::size_t end = match_delim(json, open, '{', '}');
-    if (end != std::string::npos) {
-      const std::string block = json.substr(open, end - open);
-      out << "  host: " << static_cast<long>(num_or(block, "shards", 0.0))
-          << " shard(s), "
-          << static_cast<long>(num_or(block, "tasks_resumed", 0.0))
-          << " task(s) resumed, "
-          << static_cast<long>(num_or(block, "quiescence_checks", 0.0))
-          << " quiescence check(s)\n";
-    }
-  }
+  const Value& host = doc["host_profile"];
+  if (host.is_object())
+    out << "  host: " << static_cast<long>(host["shards"].number())
+        << " shard(s), " << static_cast<long>(host["tasks_resumed"].number())
+        << " task(s) resumed, "
+        << static_cast<long>(host["quiescence_checks"].number())
+        << " quiescence check(s)\n";
 
   out << "  verdict: "
       << (res.trips > 0
@@ -1744,12 +1428,48 @@ int usage(std::ostream& err) {
   return 2;
 }
 
+/// The shared tail of every subcommand: read the files at `paths`, run
+/// `report` on their texts, and print the result — the report on stdout
+/// with exit status `status(result)`, or the error on stderr with exit 2.
+template <typename Report, typename Status>
+int run_report(const std::string& cmd, std::vector<std::string> paths,
+               std::ostream& out, std::ostream& err, Report report,
+               Status status) {
+  std::vector<std::string> texts(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    std::string why;
+    if (!slurp(paths[i], &texts[i], &why)) {
+      err << "ftdiag " << cmd << ": " << why << "\n";
+      return 2;
+    }
+  }
+  const auto res = report(texts);
+  if (!res.ok) {
+    err << "ftdiag " << cmd << ": " << res.error << "\n";
+    return 2;
+  }
+  out << res.text;
+  return status(res);
+}
+
+/// `--threshold PCT` value; false (a usage error) when not a number >= 0.
+bool parse_threshold(const char* text, double* threshold) {
+  char* end = nullptr;
+  *threshold = std::strtod(text, &end);
+  return end != text && *threshold >= 0.0;
+}
+
+const auto kRegressed = [](const auto& res) {
+  return res.regressions > 0 ? 1 : 0;
+};
+
 }  // namespace
 
 int run_cli(int argc, const char* const* argv, std::ostream& out,
             std::ostream& err) {
   if (argc < 2) return usage(err);
   const std::string cmd = argv[1];
+  using Texts = std::vector<std::string>;
 
   if (cmd == "--version" || cmd == "version") {
     out << "ftdiag schemas:\n";
@@ -1761,50 +1481,27 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
 
   if (cmd == "explain") {
     if (argc != 3) return usage(err);
-    std::string text;
-    std::string why;
-    if (!slurp(argv[2], &text, &why)) {
-      err << "ftdiag explain: " << why << "\n";
-      return 2;
-    }
-    const ExplainResult res = explain_trace_json(text);
-    if (!res.ok) {
-      err << "ftdiag explain: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return 0;
+    return run_report(
+        cmd, {argv[2]}, out, err,
+        [](const Texts& t) { return explain_trace_json(t[0]); },
+        [](const ExplainResult&) { return 0; });
   }
 
   if (cmd == "diff") {
     if (argc != 4 && argc != 6) return usage(err);
     double threshold = 20.0;
-    if (argc == 6) {
-      if (std::string(argv[4]) != "--threshold") return usage(err);
-      char* end = nullptr;
-      threshold = std::strtod(argv[5], &end);
-      if (end == argv[5] || threshold < 0.0) return usage(err);
-    }
-    std::string ta;
-    std::string tb;
-    std::string why;
-    if (!slurp(argv[2], &ta, &why) || !slurp(argv[3], &tb, &why)) {
-      err << "ftdiag diff: " << why << "\n";
-      return 2;
-    }
-    const DiffResult res = diff_json(ta, tb, threshold);
-    if (!res.ok) {
-      err << "ftdiag diff: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return res.regressions > 0 ? 1 : 0;
+    if (argc == 6 && (std::string(argv[4]) != "--threshold" ||
+                      !parse_threshold(argv[5], &threshold)))
+      return usage(err);
+    return run_report(
+        cmd, {argv[2], argv[3]}, out, err,
+        [&](const Texts& t) { return diff_json(t[0], t[1], threshold); },
+        kRegressed);
   }
 
   if (cmd == "hotspots") {
     // One file = report mode (optionally --top K); two files = diff mode
     // (optionally --threshold PCT).
-    std::string why;
     if (argc == 3 || (argc == 5 && std::string(argv[3]) == "--top")) {
       std::size_t top_k = 0;
       if (argc == 5) {
@@ -1813,39 +1510,19 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
         if (end == argv[4] || k <= 0) return usage(err);
         top_k = static_cast<std::size_t>(k);
       }
-      std::string text;
-      if (!slurp(argv[2], &text, &why)) {
-        err << "ftdiag hotspots: " << why << "\n";
-        return 2;
-      }
-      const HotspotsResult res = hotspots_report(text, top_k);
-      if (!res.ok) {
-        err << "ftdiag hotspots: " << res.error << "\n";
-        return 2;
-      }
-      out << res.text;
-      return 0;
+      return run_report(
+          cmd, {argv[2]}, out, err,
+          [&](const Texts& t) { return hotspots_report(t[0], top_k); },
+          kRegressed);
     }
     if (argc == 4 || (argc == 6 && std::string(argv[4]) == "--threshold")) {
       double threshold = 20.0;
-      if (argc == 6) {
-        char* end = nullptr;
-        threshold = std::strtod(argv[5], &end);
-        if (end == argv[5] || threshold < 0.0) return usage(err);
-      }
-      std::string ta;
-      std::string tb;
-      if (!slurp(argv[2], &ta, &why) || !slurp(argv[3], &tb, &why)) {
-        err << "ftdiag hotspots: " << why << "\n";
-        return 2;
-      }
-      const HotspotsResult res = hotspots_diff(ta, tb, threshold);
-      if (!res.ok) {
-        err << "ftdiag hotspots: " << res.error << "\n";
-        return 2;
-      }
-      out << res.text;
-      return res.regressions > 0 ? 1 : 0;
+      if (argc == 6 && !parse_threshold(argv[5], &threshold))
+        return usage(err);
+      return run_report(
+          cmd, {argv[2], argv[3]}, out, err,
+          [&](const Texts& t) { return hotspots_diff(t[0], t[1], threshold); },
+          kRegressed);
     }
     return usage(err);
   }
@@ -1854,41 +1531,18 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     // One file = summary report; two files = reliability-curve diff
     // (optionally --threshold PCT; default 0 — campaigns are
     // deterministic, so same-spec reports must match exactly).
-    std::string why;
-    if (argc == 3) {
-      std::string text;
-      if (!slurp(argv[2], &text, &why)) {
-        err << "ftdiag campaign: " << why << "\n";
-        return 2;
-      }
-      const CampaignCliResult res = campaign_report(text);
-      if (!res.ok) {
-        err << "ftdiag campaign: " << res.error << "\n";
-        return 2;
-      }
-      out << res.text;
-      return 0;
-    }
+    if (argc == 3)
+      return run_report(
+          cmd, {argv[2]}, out, err,
+          [](const Texts& t) { return campaign_report(t[0]); }, kRegressed);
     if (argc == 4 || (argc == 6 && std::string(argv[4]) == "--threshold")) {
       double threshold = 0.0;
-      if (argc == 6) {
-        char* end = nullptr;
-        threshold = std::strtod(argv[5], &end);
-        if (end == argv[5] || threshold < 0.0) return usage(err);
-      }
-      std::string ta;
-      std::string tb;
-      if (!slurp(argv[2], &ta, &why) || !slurp(argv[3], &tb, &why)) {
-        err << "ftdiag campaign: " << why << "\n";
-        return 2;
-      }
-      const CampaignCliResult res = campaign_diff(ta, tb, threshold);
-      if (!res.ok) {
-        err << "ftdiag campaign: " << res.error << "\n";
-        return 2;
-      }
-      out << res.text;
-      return res.regressions > 0 ? 1 : 0;
+      if (argc == 6 && !parse_threshold(argv[5], &threshold))
+        return usage(err);
+      return run_report(
+          cmd, {argv[2], argv[3]}, out, err,
+          [&](const Texts& t) { return campaign_diff(t[0], t[1], threshold); },
+          kRegressed);
     }
     return usage(err);
   }
@@ -1910,26 +1564,17 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
         if (end == val || k <= 0) return usage(err);
         last_k = static_cast<std::size_t>(k);
       } else if (flag == "--threshold") {
-        char* end = nullptr;
-        threshold = std::strtod(val, &end);
-        if (end == val || threshold < 0.0) return usage(err);
+        if (!parse_threshold(val, &threshold)) return usage(err);
       } else {
         return usage(err);
       }
     }
-    std::string text;
-    std::string why;
-    if (!slurp(argv[2], &text, &why)) {
-      err << "ftdiag history: " << why << "\n";
-      return 2;
-    }
-    const HistoryResult res = history_trends(text, metric, last_k, threshold);
-    if (!res.ok) {
-      err << "ftdiag history: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return res.regressions > 0 ? 1 : 0;
+    return run_report(
+        cmd, {argv[2]}, out, err,
+        [&](const Texts& t) {
+          return history_trends(t[0], metric, last_k, threshold);
+        },
+        kRegressed);
   }
 
   if (cmd == "lineage") {
@@ -1961,37 +1606,22 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     // The three modes are exclusive: each picks its own rendering.
     if ((key >= 0 ? 1 : 0) + (top_n > 0 ? 1 : 0) + (audit_only ? 1 : 0) > 1)
       return usage(err);
-    std::string text;
-    std::string why;
-    if (!slurp(argv[2], &text, &why)) {
-      err << "ftdiag lineage: " << why << "\n";
-      return 2;
-    }
-    const LineageCliResult res =
-        lineage_report(text, key, top_n, audit_only);
-    if (!res.ok) {
-      err << "ftdiag lineage: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return (res.audit_checked && !res.audit_ok) ? 1 : 0;
+    return run_report(
+        cmd, {argv[2]}, out, err,
+        [&](const Texts& t) {
+          return lineage_report(t[0], key, top_n, audit_only);
+        },
+        [](const LineageCliResult& r) {
+          return (r.audit_checked && !r.audit_ok) ? 1 : 0;
+        });
   }
 
   if (cmd == "stuck") {
     if (argc != 3) return usage(err);
-    std::string text;
-    std::string why;
-    if (!slurp(argv[2], &text, &why)) {
-      err << "ftdiag stuck: " << why << "\n";
-      return 2;
-    }
-    const StuckResult res = stuck_report(text);
-    if (!res.ok) {
-      err << "ftdiag stuck: " << res.error << "\n";
-      return 2;
-    }
-    out << res.text;
-    return res.trips > 0 ? 1 : 0;
+    return run_report(
+        cmd, {argv[2]}, out, err,
+        [](const Texts& t) { return stuck_report(t[0]); },
+        [](const StuckResult& r) { return r.trips > 0 ? 1 : 0; });
   }
 
   return usage(err);

@@ -15,6 +15,10 @@
 // shapes the repo emits: sim::write_metrics_json (single run, `"phases"`
 // array) and bench_harness (`"scenarios"` array with nested `"phases"`
 // objects).
+//
+// Every reader parses its input with util/json.hpp and navigates by key,
+// so any valid formatting of a document gives the same result; invalid
+// JSON is an error (`ok == false`, exit 2) naming the byte offset.
 #pragma once
 
 #include <cstdint>

@@ -10,11 +10,10 @@
 // re-parses the emitted JSON (catching malformed output) and compares the
 // deterministic counters — comparisons, keys routed, messages, simulated
 // makespan, heap allocations — against a committed baseline, exiting
-// non-zero on a >20% regression. Wall time of end-to-end scenarios is
-// recorded for the trajectory but never gated (machine- and load-
-// dependent); the kernel micros' wall time IS gated (+20%, one-sided,
-// release builds on matching kernel backends only) because their inner
-// loop is exactly the kernel being scored.
+// non-zero on a >20% regression. Wall time is never compared against the
+// baseline (machine- and load-dependent); instead each SIMD kernel micro
+// must beat its scalar twin from the same run, because its inner loop is
+// exactly the kernel being scored.
 //
 // Observability: each end-to-end scenario also performs one *separate*
 // instrumented run with sim::Metrics enabled — the timed reps (and their
@@ -44,6 +43,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/ft_sorter.hpp"
@@ -51,7 +51,7 @@
 #include "sim/exporters.hpp"
 #include "sim/link_stats.hpp"
 #include "sort/distribution.hpp"
-#include "sort/merge_split.hpp"
+#include "sort/merge_split_kernels.hpp"
 #include "util/history.hpp"
 #include "util/json.hpp"
 #include "util/progress.hpp"
@@ -119,9 +119,8 @@ struct Metrics {
   /// (end-to-end scenarios only — kernel micros have no simulated time).
   bool has_cost = false;
   sim::CostModel cost;
-  /// Kernel backend a micro actually ran on ("scalar"/"simd", after any
-  /// degrade); empty for end-to-end scenarios. Wall-time baselines are only
-  /// comparable between runs on the same backend.
+  /// Kernel backend a micro actually ran on ("scalar"/"simd"); empty for
+  /// end-to-end scenarios.
   std::string kernel_backend;
 };
 
@@ -218,26 +217,41 @@ Metrics run_end_to_end(const std::string& name, cube::Dim n,
   return m;
 }
 
-/// Pin the process-global kernel backend for one micro's timed reps and
-/// restore the scalar default afterwards. Records the backend actually in
-/// effect (a Simd request degrades to Scalar off-AVX2) so the wall-time
-/// gate can refuse to compare across backends.
-class BackendScope {
- public:
-  explicit BackendScope(sort::KernelBackend requested)
-      : effective_(sort::set_kernel_backend(requested)) {}
-  ~BackendScope() { sort::set_kernel_backend(sort::KernelBackend::Scalar); }
-  const char* name() const {
-    return effective_ == sort::KernelBackend::Simd ? "simd" : "scalar";
-  }
+// The kernel micros call the detail:: bodies directly, so a scalar micro
+// and its `_simd` twin run side by side in one process. Where the vector
+// body is not compiled in or the CPU lacks AVX2, the twin runs the scalar
+// body and is tagged "scalar".
+using MergeSplitKernel = void (*)(std::span<const sort::Key>,
+                                  std::span<const sort::Key>, sort::SplitHalf,
+                                  std::vector<sort::Key>&, std::uint64_t&);
+using PairwiseKernel = void (*)(std::span<const sort::Key>,
+                                std::span<const sort::Key>, sort::SplitHalf,
+                                std::vector<sort::Key>&,
+                                std::vector<sort::Key>&, std::uint64_t&);
 
- private:
-  sort::KernelBackend effective_;
-};
+/// Whether a micro asking for the vector body gets it; tags `m`.
+bool use_simd(Metrics& m, bool simd) {
+  const bool vector = simd && sort::simd_kernels_available();
+  m.kernel_backend = vector ? "simd" : "scalar";
+  return vector;
+}
 
-Metrics run_micro_merge_split(const std::string& name,
-                              sort::KernelBackend backend, std::size_t block,
-                              int iters, int reps) {
+MergeSplitKernel merge_split_body([[maybe_unused]] bool simd) {
+#if FTSORT_SIMD_KERNELS
+  if (simd) return sort::detail::merge_split_into_simd;
+#endif
+  return sort::detail::merge_split_into_scalar;
+}
+
+PairwiseKernel pairwise_body([[maybe_unused]] bool simd) {
+#if FTSORT_SIMD_KERNELS
+  if (simd) return sort::detail::pairwise_select_rev_into_simd;
+#endif
+  return sort::detail::pairwise_select_rev_into_scalar;
+}
+
+Metrics run_micro_merge_split(const std::string& name, bool simd,
+                              std::size_t block, int iters, int reps) {
   util::Rng rng(99);
   auto a = sort::gen_uniform(block, rng);
   auto b = sort::gen_uniform(block, rng);
@@ -246,40 +260,36 @@ Metrics run_micro_merge_split(const std::string& name,
 
   Metrics m;
   m.name = name;
-  const BackendScope scope(backend);
-  m.kernel_backend = scope.name();
+  const MergeSplitKernel kernel = merge_split_body(use_simd(m, simd));
   std::vector<sort::Key> out;
   std::uint64_t comparisons = 0;
   measure(m, reps, [&] {
     comparisons = 0;
     for (int i = 0; i < iters; ++i) {
-      sort::merge_split_into(a, b, sort::SplitHalf::Lower, out, comparisons);
-      sort::merge_split_into(a, b, sort::SplitHalf::Upper, out, comparisons);
+      kernel(a, b, sort::SplitHalf::Lower, out, comparisons);
+      kernel(a, b, sort::SplitHalf::Upper, out, comparisons);
     }
   });
   m.comparisons = comparisons;
   return m;
 }
 
-Metrics run_micro_pairwise(const std::string& name,
-                           sort::KernelBackend backend, std::size_t block,
-                           int iters, int reps) {
+Metrics run_micro_pairwise(const std::string& name, bool simd,
+                           std::size_t block, int iters, int reps) {
   util::Rng rng(98);
   const auto a = sort::gen_uniform(block, rng);
   const auto b = sort::gen_uniform(block, rng);
 
   Metrics m;
   m.name = name;
-  const BackendScope scope(backend);
-  m.kernel_backend = scope.name();
+  const PairwiseKernel kernel = pairwise_body(use_simd(m, simd));
   std::vector<sort::Key> kept;
   std::vector<sort::Key> returned;
   std::uint64_t comparisons = 0;
   measure(m, reps, [&] {
     comparisons = 0;
     for (int i = 0; i < iters; ++i)
-      sort::pairwise_select_rev_into(a, b, sort::SplitHalf::Lower, kept,
-                                     returned, comparisons);
+      kernel(a, b, sort::SplitHalf::Lower, kept, returned, comparisons);
   });
   m.comparisons = comparisons;
   return m;
@@ -299,10 +309,9 @@ void write_json(const std::string& path, const std::vector<Metrics>& all,
       // per-scenario cost_model block and the micros' kernel_backend tag.
       << "  \"schema_version\": " << util::kBenchSchemaVersion << ",\n"
       << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      // The real CMake config when the build system provides it: the old
-      // NDEBUG heuristic tagged RelWithDebInfo (-O2) as "release", so the
-      // one-sided micro wall gate compared -O2 runs against the -O3
-      // baseline and tripped on optimization level, not on regressions.
+      // The real CMake config when the build system provides it (NDEBUG
+      // alone cannot tell RelWithDebInfo from Release); `ftdiag history`
+      // groups its trends by this tag.
 #ifdef FTSORT_BUILD_TYPE
       << "  \"build\": \"" FTSORT_BUILD_TYPE "\",\n"
 #elif defined(NDEBUG)
@@ -411,9 +420,6 @@ struct ParsedScenario {
 
 struct ParsedBench {
   std::string mode;
-  /// Older-schema-optional: absent reads as empty (never comparable for
-  /// wall time, which is the safe direction).
-  std::string build;
   std::vector<ParsedScenario> scenarios;
 };
 
@@ -429,7 +435,6 @@ bool read_bench(const std::string& path, ParsedBench* out, std::string* why) {
     return false;
   }
   out->mode = doc["mode"].string();
-  out->build = doc["build"].string();
   for (const util::json::Value& sc : doc["scenarios"].items()) {
     ParsedScenario s;
     s.name = sc["name"].string();
@@ -504,19 +509,10 @@ bool validate_metrics_schema(const std::string& metrics_json,
   return ok;
 }
 
-/// >20% above baseline on any deterministic counter fails the gate. Kernel
-/// micros additionally gate their wall time (+20%, one-sided): a micro's
-/// inner loop is exactly the kernel, so its wall time IS the deliverable —
-/// but only when both runs came from a "release" build on the same kernel
-/// backend; anything else (debug/sanitizer builds, Simd degraded to Scalar
-/// on a non-AVX2 host) is skipped with a note instead of a bogus failure.
+/// >20% above baseline on any deterministic counter fails the gate.
 bool check_regressions(const std::vector<ParsedScenario>& current,
-                       const std::vector<ParsedScenario>& baseline,
-                       const std::string& current_build,
-                       const std::string& baseline_build) {
+                       const std::vector<ParsedScenario>& baseline) {
   bool ok = true;
-  const bool wall_builds_match =
-      current_build == "release" && baseline_build == "release";
   const auto gate = [&](const std::string& scenario, const char* metric,
                         double now, double base) {
     if (base > 0 && now > base * 1.2) {
@@ -549,16 +545,35 @@ bool check_regressions(const std::vector<ParsedScenario>& current,
           "link_key_hops"})
       gate(base.name, metric, now->counters.at(metric),
            base.counters.at(metric));
-    if (base.name.rfind("micro_", 0) == 0) {
-      if (wall_builds_match && now->kernel_backend == base.kernel_backend) {
-        gate(base.name, "wall_ns", now->counters.at("wall_ns"),
-             base.counters.at("wall_ns"));
-      } else {
-        std::printf("note: %s wall gate skipped (build \"%s\" vs \"%s\", "
-                    "backend \"%s\" vs \"%s\")\n",
-                    base.name.c_str(), current_build.c_str(),
-                    baseline_build.c_str(), now->kernel_backend.c_str(),
-                    base.kernel_backend.c_str());
+  }
+  return ok;
+}
+
+/// Same-run kernel gate: every micro that ran the vector body must beat
+/// its scalar twin (the name without "_simd") from this very run. A micro
+/// is exactly its kernel's inner loop, so a vector kernel that quietly
+/// stopped vectorizing fails here — on any host, with no stored wall time.
+bool check_simd_twins(const std::vector<ParsedScenario>& current) {
+  bool ok = true;
+  constexpr std::string_view kSuffix = "_simd";
+  for (const ParsedScenario& simd : current) {
+    if (!simd.name.ends_with(kSuffix)) continue;
+    if (simd.kernel_backend != "simd") {
+      std::printf("note: %s ran the scalar body here; twin gate skipped\n",
+                  simd.name.c_str());
+      continue;
+    }
+    const std::string twin =
+        simd.name.substr(0, simd.name.size() - kSuffix.size());
+    for (const ParsedScenario& scalar : current) {
+      if (scalar.name != twin) continue;
+      const double fast = simd.counters.at("wall_ns");
+      const double slow = scalar.counters.at("wall_ns");
+      if (fast >= slow) {
+        std::fprintf(stderr, "REGRESSION %s: %.0f ns, not faster than %s "
+                     "(%.0f ns)\n", simd.name.c_str(), fast, twin.c_str(),
+                     slow);
+        ok = false;
       }
     }
   }
@@ -601,6 +616,9 @@ int harness_main(int argc, char** argv) {
   const std::size_t m_recovery = smoke ? 200 : 2'000;
   const std::size_t micro_block = smoke ? 8'192 : 65'536;
   const int micro_iters = smoke ? 20 : 50;
+  // Best of five: the twin gate compares two micro wall times, and a
+  // millisecond micro costs nothing to repeat.
+  const int micro_reps = 5;
 
   // Scenario list as (name, thunk) so the loop below owns liveness: the
   // live progress line names the scenario in flight, and SIGINT/SIGTERM
@@ -665,24 +683,20 @@ int harness_main(int argc, char** argv) {
     });
   }
   plan.emplace_back("micro_merge_split_into", [=] {
-    return run_micro_merge_split("micro_merge_split_into",
-                                 sort::KernelBackend::Scalar, micro_block,
-                                 micro_iters, reps);
+    return run_micro_merge_split("micro_merge_split_into", false,
+                                 micro_block, micro_iters, micro_reps);
   });
   plan.emplace_back("micro_merge_split_into_simd", [=] {
-    return run_micro_merge_split("micro_merge_split_into_simd",
-                                 sort::KernelBackend::Simd, micro_block,
-                                 micro_iters, reps);
+    return run_micro_merge_split("micro_merge_split_into_simd", true,
+                                 micro_block, micro_iters, micro_reps);
   });
   plan.emplace_back("micro_pairwise_rev_into", [=] {
-    return run_micro_pairwise("micro_pairwise_rev_into",
-                              sort::KernelBackend::Scalar, micro_block,
-                              micro_iters, reps);
+    return run_micro_pairwise("micro_pairwise_rev_into", false, micro_block,
+                              micro_iters, micro_reps);
   });
   plan.emplace_back("micro_pairwise_rev_into_simd", [=] {
-    return run_micro_pairwise("micro_pairwise_rev_into_simd",
-                              sort::KernelBackend::Simd, micro_block,
-                              micro_iters, reps);
+    return run_micro_pairwise("micro_pairwise_rev_into_simd", true,
+                              micro_block, micro_iters, micro_reps);
   });
 
   std::signal(SIGINT, bench_on_signal);
@@ -883,10 +897,12 @@ int harness_main(int argc, char** argv) {
                    baseline.mode.c_str(), current.mode.c_str());
       return 1;
     }
-    if (!check_regressions(current.scenarios, baseline.scenarios,
-                           current.build, baseline.build))
-      return 1;
-    std::printf("baseline check OK (%zu scenarios, +20%% tolerance)\n",
+    // Both gates run and report before the exit code is decided.
+    const bool counters_ok =
+        check_regressions(current.scenarios, baseline.scenarios);
+    if (!check_simd_twins(current.scenarios) || !counters_ok) return 1;
+    std::printf("baseline check OK (%zu scenarios, +20%% tolerance; SIMD "
+                "micros beat their scalar twins)\n",
                 baseline.scenarios.size());
   }
   return 0;

@@ -17,7 +17,7 @@ using namespace ftsort;
 void BM_MachinePingPong(benchmark::State& state) {
   const auto rounds = static_cast<int>(state.range(0));
   sim::Machine machine(1, fault::FaultSet(1));
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
     for (int i = 0; i < rounds; ++i) {
       const auto tag = static_cast<sim::Tag>(i);
       if (ctx.id() == 0) {

@@ -76,10 +76,11 @@ void BM_PairwiseSelectRevInto(benchmark::State& state) {
 void BM_SortUnimodal(benchmark::State& state) {
   const auto base =
       sort::gen_organ_pipe(static_cast<std::size_t>(state.range(0)));
+  std::vector<Key> scratch;
   for (auto _ : state) {
     auto keys = base;
     std::uint64_t comparisons = 0;
-    sort::sort_unimodal(keys, comparisons);
+    sort::sort_unimodal(keys, scratch, comparisons);
     benchmark::DoNotOptimize(keys.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -28,7 +28,7 @@ sim::RunReport run_spmd_diagnosis(const fault::FaultSet& truth, int rounds,
   std::vector<std::vector<bool>> maps(size, std::vector<bool>(size, false));
 
   sim::Machine machine(n, truth);
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
     auto& map = maps[ctx.id()];
     // Ping phase happens implicitly: the fault set is known to the harness
     // and a faulty neighbour would never ack, so seed the local view.

@@ -12,6 +12,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "core/ft_sorter.hpp"
 #include "partition/plan.hpp"
 #include "sim/machine.hpp"
 #include "sort/distribution.hpp"
@@ -27,32 +28,17 @@ using sort::Key;
 
 struct Walkthrough {
   partition::Plan plan;
-  std::vector<sort::LogicalCube> subcube_lc;
+  core::PlanLayout layout;  // Step 1's logical cubes + Step 2's slot list
   std::vector<std::vector<Key>> block_of;  // by machine address
   sort::ExchangeProtocol protocol = sort::ExchangeProtocol::HalfExchange;
 
   explicit Walkthrough(const fault::FaultSet& faults)
       : plan(partition::Plan::build(faults)),
-        block_of(cube::num_nodes(faults.dim())) {
-    subcube_lc.resize(plan.num_subcubes());
-    for (cube::NodeId v = 0; v < plan.num_subcubes(); ++v) {
-      auto& lc = subcube_lc[v];
-      lc.s = plan.s();
-      lc.dead0 = plan.has_dead();
-      lc.phys.resize(cube::num_nodes(plan.s()));
-      for (cube::NodeId lw = 0; lw < lc.size(); ++lw)
-        lc.phys[lw] = plan.physical(v, lw);
-    }
-  }
+        layout(core::plan_layout(plan)) {}
 
   void scatter(const std::vector<Key>& keys) {
-    auto dist = sort::distribute_evenly(keys, plan.live_count());
-    std::size_t slot = 0;
-    for (cube::NodeId v = 0; v < plan.num_subcubes(); ++v)
-      for (cube::NodeId lw = 0; lw < subcube_lc[v].size(); ++lw) {
-        if (subcube_lc[v].is_dead(lw)) continue;
-        block_of[plan.physical(v, lw)] = std::move(dist.blocks[slot++]);
-      }
+    block_of =
+        sort::scatter(keys, layout.slots, cube::num_nodes(plan.n())).block_of;
   }
 
   /// Run one phase of the algorithm as its own simulation run.
@@ -66,8 +52,8 @@ struct Walkthrough {
     for (cube::NodeId v = 0; v < plan.num_subcubes(); ++v) {
       std::ostringstream row;
       row << "  subcube v=" << v << ":";
-      for (cube::NodeId lw = 0; lw < subcube_lc[v].size(); ++lw) {
-        if (subcube_lc[v].is_dead(lw)) {
+      for (cube::NodeId lw = 0; lw < layout.subcubes[v].size(); ++lw) {
+        if (layout.subcubes[v].is_dead(lw)) {
           row << "  [w'=0: dead]";
           continue;
         }
@@ -110,7 +96,7 @@ int main(int argc, char** argv) {
   wt.print_state("(a) keys distributed to re-indexed live processors");
 
   // Step 3a: local heapsort.
-  wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task {
     const auto role = wt.plan.role_of(ctx.id());
     if (!role.live) co_return;
     std::uint64_t comparisons = 0;
@@ -118,14 +104,15 @@ int main(int argc, char** argv) {
     ctx.charge_compares(comparisons);
   });
   // Step 3b: single-fault bitonic sort per subcube, direction by parity.
-  wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task {
     const auto role = wt.plan.role_of(ctx.id());
     if (!role.live) co_return;
     const bool ascending = cube::bit(role.v, 0) == 0;
-    co_await sort::block_bitonic_sort(ctx, wt.subcube_lc[role.v],
+    sort::ExchangeScratch scratch;
+    co_await sort::block_bitonic_sort(ctx, wt.layout.subcubes[role.v],
                                       role.logical_w,
                                       wt.block_of[ctx.id()], ascending,
-                                      wt.protocol, 0);
+                                      wt.protocol, 0, scratch);
   });
   wt.print_state(
       "(b) after Step 3: each subcube sorted (ascending iff v even)");
@@ -136,7 +123,7 @@ int main(int argc, char** argv) {
   for (cube::Dim i = 0; i < m; ++i) {
     for (cube::Dim j = i; j >= 0; --j) {
       // Step 7: inter-subcube merge-split between corresponding nodes.
-      wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task<void> {
+      wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task {
         const auto role = wt.plan.role_of(ctx.id());
         if (!role.live) co_return;
         const int mask =
@@ -146,8 +133,9 @@ int main(int argc, char** argv) {
         const auto keep = (cube::bit(role.v, j) == mask)
                               ? sort::SplitHalf::Lower
                               : sort::SplitHalf::Upper;
-        wt.block_of[ctx.id()] = co_await sort::exchange_merge_split(
-            ctx, partner, 0, std::move(wt.block_of[ctx.id()]), keep,
+        sort::ExchangeScratch scratch;
+        co_await sort::exchange_merge_split_into(
+            ctx, partner, 0, wt.block_of[ctx.id()], scratch, keep,
             wt.protocol);
       });
       std::ostringstream label7;
@@ -157,7 +145,7 @@ int main(int argc, char** argv) {
       wt.print_state(label7.str());
 
       // Step 8: re-sort each subcube (merge variant).
-      wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task<void> {
+      wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task {
         const auto role = wt.plan.role_of(ctx.id());
         if (!role.live) co_return;
         const int mask =
@@ -166,10 +154,11 @@ int main(int argc, char** argv) {
         const auto keep = (cube::bit(role.v, j) == mask)
                               ? sort::SplitHalf::Lower
                               : sort::SplitHalf::Upper;
+        sort::ExchangeScratch scratch;
         co_await sort::block_bitonic_merge(
-            ctx, wt.subcube_lc[role.v], role.logical_w,
+            ctx, wt.layout.subcubes[role.v], role.logical_w,
             wt.block_of[ctx.id()], /*ascending=*/v_jm1 == mask, keep,
-            wt.protocol, 0);
+            wt.protocol, 0, scratch);
       });
       std::ostringstream label8;
       label8 << "(" << figure_label++ << ") after Step 8, i=" << i
@@ -179,13 +168,7 @@ int main(int argc, char** argv) {
   }
 
   // Verify.
-  std::vector<std::vector<Key>> in_order;
-  for (cube::NodeId v = 0; v < wt.plan.num_subcubes(); ++v)
-    for (cube::NodeId lw = 0; lw < wt.subcube_lc[v].size(); ++lw) {
-      if (wt.subcube_lc[v].is_dead(lw)) continue;
-      in_order.push_back(wt.block_of[wt.plan.physical(v, lw)]);
-    }
-  const auto sorted = sort::gather_and_strip(in_order);
+  const auto sorted = sort::gather(wt.block_of, wt.layout.slots);
   const bool ok = sort::is_ascending(sorted) && sorted.size() == keys.size();
   std::cout << "final check: " << (ok ? "globally sorted in subcube order"
                                       : "NOT SORTED (bug!)")

@@ -19,18 +19,16 @@ MfsSortResult mfs_bitonic_sort(cube::Dim n, const fault::FaultSet& faults,
   lc.s = sub.dim();
   lc.phys = sub.members();  // increasing global order == logical order
 
-  sort::Distribution dist =
-      sort::distribute_evenly(keys, lc.live_count());
-  std::vector<std::vector<sort::Key>> block_of(cube::num_nodes(n));
+  // The subcube's members, in logical order, are the slot list.
+  sort::Placement placed = sort::scatter(keys, lc.phys, cube::num_nodes(n));
+  std::vector<std::vector<sort::Key>>& block_of = placed.block_of;
   std::vector<cube::NodeId> logical_of(cube::num_nodes(n),
                                        cube::num_nodes(n));
-  for (cube::NodeId logical = 0; logical < lc.size(); ++logical) {
-    block_of[lc.phys[logical]] = std::move(dist.blocks[logical]);
+  for (cube::NodeId logical = 0; logical < lc.size(); ++logical)
     logical_of[lc.phys[logical]] = logical;
-  }
 
   sim::Machine machine(n, faults, model, cost);
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
     const cube::NodeId logical = logical_of[ctx.id()];
     if (logical == cube::num_nodes(n)) co_return;  // outside the subcube
     std::vector<sort::Key>& block = block_of[ctx.id()];
@@ -40,21 +38,17 @@ MfsSortResult mfs_bitonic_sort(cube::Dim n, const fault::FaultSet& faults,
       sort::heapsort(block, comparisons);
       ctx.charge_compares(comparisons);
     }
+    sort::ExchangeScratch scratch;
     co_await sort::block_bitonic_sort(ctx, lc, logical, block,
                                       /*ascending=*/true, protocol,
-                                      /*tag_base=*/0);
+                                      /*tag_base=*/0, scratch);
   };
 
   MfsSortResult result;
   result.report = machine.run(program);
   result.reconfiguration = *reconf;
-  result.block_size = dist.block_size;
-
-  std::vector<std::vector<sort::Key>> in_order;
-  in_order.reserve(lc.size());
-  for (cube::NodeId logical = 0; logical < lc.size(); ++logical)
-    in_order.push_back(std::move(block_of[lc.phys[logical]]));
-  result.sorted = sort::gather_and_strip(in_order);
+  result.block_size = placed.block_size;
+  result.sorted = sort::gather(block_of, lc.phys);
   return result;
 }
 

@@ -32,15 +32,14 @@ RingSortResult ring_odd_even_sort(cube::Dim n,
   std::vector<std::size_t> position(cube::num_nodes(n), live);
   for (std::size_t p = 0; p < live; ++p) position[result.ring[p]] = p;
 
-  sort::Distribution dist = sort::distribute_evenly(
-      keys, static_cast<std::uint32_t>(live));
-  result.block_size = dist.block_size;
-  std::vector<std::vector<sort::Key>> block_of(cube::num_nodes(n));
-  for (std::size_t p = 0; p < live; ++p)
-    block_of[result.ring[p]] = std::move(dist.blocks[p]);
+  // The ring is the slot list: block p on the p-th node along it.
+  sort::Placement placed =
+      sort::scatter(keys, result.ring, cube::num_nodes(n));
+  result.block_size = placed.block_size;
+  std::vector<std::vector<sort::Key>>& block_of = placed.block_of;
 
   sim::Machine machine(n, faults, model, cost);
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
     const std::size_t me = position[ctx.id()];
     if (me == live) co_return;  // not on the ring (cannot happen: healthy)
     std::vector<sort::Key>& block = block_of[ctx.id()];
@@ -53,6 +52,7 @@ RingSortResult ring_odd_even_sort(cube::Dim n,
 
     // Odd-even transposition: phase p pairs positions (i, i+1) with
     // i ≡ p (mod 2). `live` phases guarantee a sorted ring.
+    sort::ExchangeScratch scratch;
     for (std::size_t phase = 0; phase < live; ++phase) {
       const bool is_left = (me % 2) == (phase % 2);
       const std::size_t partner_pos =
@@ -61,20 +61,15 @@ RingSortResult ring_odd_even_sort(cube::Dim n,
       if (is_left && partner_pos >= live) continue;
       if (!is_left && me == 0) continue;
       const cube::NodeId partner = result.ring[partner_pos];
-      block = co_await sort::exchange_merge_split(
-          ctx, partner, static_cast<sim::Tag>(phase), std::move(block),
+      co_await sort::exchange_merge_split_into(
+          ctx, partner, static_cast<sim::Tag>(phase), block, scratch,
           is_left ? sort::SplitHalf::Lower : sort::SplitHalf::Upper,
           sort::ExchangeProtocol::FullExchange);
     }
     co_return;
   };
   result.report = machine.run(program);
-
-  std::vector<std::vector<sort::Key>> in_order;
-  in_order.reserve(live);
-  for (std::size_t p = 0; p < live; ++p)
-    in_order.push_back(std::move(block_of[result.ring[p]]));
-  result.sorted = sort::gather_and_strip(in_order);
+  result.sorted = sort::gather(block_of, result.ring);
   return result;
 }
 

@@ -39,6 +39,44 @@ sim::ReindexAudit build_reindex_audit(const partition::Plan& plan,
 
 }  // namespace
 
+PlanLayout plan_layout(const partition::Plan& plan) {
+  PlanLayout layout;
+  layout.subcubes.resize(plan.num_subcubes());
+  layout.slots.reserve(plan.live_count());
+  for (cube::NodeId v = 0; v < plan.num_subcubes(); ++v) {
+    sort::LogicalCube& lc = layout.subcubes[v];
+    lc.s = plan.s();
+    lc.dead0 = plan.has_dead();
+    lc.phys.resize(lc.size());
+    for (cube::NodeId lw = 0; lw < lc.size(); ++lw) {
+      lc.phys[lw] = plan.physical(v, lw);
+      if (!lc.is_dead(lw)) layout.slots.push_back(lc.phys[lw]);
+    }
+  }
+  return layout;
+}
+
+void prepare_machine(sim::Machine& machine, const SortConfig& config,
+                     std::span<const std::vector<sort::Key>> block_of,
+                     std::span<const cube::NodeId> slots) {
+  machine.set_injector(config.injector);
+  machine.trace().enable(config.record_trace);
+  machine.trace().set_capacity(config.trace_capacity);
+  machine.profile_host(config.profile_host);
+  machine.set_watchdog(config.watchdog);
+  if (config.record_metrics) machine.metrics().enable(machine.size());
+  if (config.record_link_stats)
+    machine.link_stats().enable(machine.size(), machine.dim());
+  if (config.record_timeline)
+    machine.timeline().enable(machine.size(), machine.dim(),
+                              config.timeline_tick);
+  if (config.record_lineage) {
+    machine.lineage().enable(machine.size(), machine.dim());
+    for (const cube::NodeId u : slots)
+      machine.lineage().assign_block(u, block_of[u]);
+  }
+}
+
 FaultTolerantSorter::FaultTolerantSorter(cube::Dim n,
                                          fault::FaultSet faults,
                                          SortConfig config)
@@ -82,30 +120,11 @@ SortOutcome FaultTolerantSorter::sort(
   const cube::Dim m = plan.m();
   const cube::Dim s = plan.s();
 
-  // One logical cube per subcube (Step 1: re-indexing is baked into the
-  // plan's physical() map; dead node is logical 0).
-  std::vector<sort::LogicalCube> subcube_lc(plan.num_subcubes());
-  for (cube::NodeId v = 0; v < plan.num_subcubes(); ++v) {
-    sort::LogicalCube& lc = subcube_lc[v];
-    lc.s = s;
-    lc.dead0 = plan.has_dead();
-    lc.phys.resize(cube::num_nodes(s));
-    for (cube::NodeId lw = 0; lw < lc.size(); ++lw)
-      lc.phys[lw] = plan.physical(v, lw);
-  }
-
-  // Step 2: scatter in (v, logical_w) order.
-  sort::Distribution dist =
-      sort::distribute_evenly(keys, plan.live_count());
-  std::vector<std::vector<sort::Key>> block_of(cube::num_nodes(n));
-  {
-    std::size_t slot = 0;
-    for (cube::NodeId v = 0; v < plan.num_subcubes(); ++v)
-      for (cube::NodeId lw = 0; lw < cube::num_nodes(s); ++lw) {
-        if (subcube_lc[v].is_dead(lw)) continue;
-        block_of[plan.physical(v, lw)] = std::move(dist.blocks[slot++]);
-      }
-  }
+  // Step 1: one logical cube per subcube; Step 2: scatter in slot order.
+  const PlanLayout layout = plan_layout(plan);
+  sort::Placement placed =
+      sort::scatter(keys, layout.slots, cube::num_nodes(n));
+  std::vector<std::vector<sort::Key>>& block_of = placed.block_of;
 
   // Host entry node: lowest live machine address (only meaningful when
   // host I/O is charged).
@@ -138,12 +157,12 @@ SortOutcome FaultTolerantSorter::sort(
 
   const auto protocol = sort::resolve_protocol(config_.protocol,
                                                config_.coalesce, config_.cost);
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
     const partition::Plan::Role role = plan.role_of(ctx.id());
     if (!role.live) co_return;  // dangling processor: idles
     const cube::NodeId v = role.v;
     const cube::NodeId lw = role.logical_w;
-    const sort::LogicalCube& lc = subcube_lc[v];
+    const sort::LogicalCube& lc = layout.subcubes[v];
     std::vector<sort::Key>& block = block_of[ctx.id()];
 
     // Step 2 (optional): the host pushes every key through the entry
@@ -180,7 +199,7 @@ SortOutcome FaultTolerantSorter::sort(
       const sim::PhaseSpan span = ctx.span(sim::Phase::SubcubeSort);
       co_await sort::block_bitonic_sort(ctx, lc, lw, block,
                                         /*ascending=*/m == 0 || v_even,
-                                        protocol, /*tag_base=*/0, &scratch);
+                                        protocol, /*tag_base=*/0, scratch);
     }
 
     // Steps 4-8: bitonic-like sort across subcubes.
@@ -222,12 +241,12 @@ SortOutcome FaultTolerantSorter::sort(
           co_await sort::block_bitonic_merge(ctx, lc, lw, block,
                                              /*ascending=*/v_jm1 == mask,
                                              keep, protocol,
-                                             tag_resort(step), &scratch);
+                                             tag_resort(step), scratch);
         } else {
           co_await sort::block_bitonic_sort(ctx, lc, lw, block,
                                             /*ascending=*/v_jm1 == mask,
                                             protocol, tag_resort(step),
-                                            &scratch);
+                                            scratch);
         }
       }
     }
@@ -237,15 +256,11 @@ SortOutcome FaultTolerantSorter::sort(
     if (config_.charge_host_io) {
       const sim::PhaseSpan span = ctx.span(sim::Phase::Gather);
       if (ctx.id() == entry) {
-        for (cube::NodeId gv = 0; gv < plan.num_subcubes(); ++gv)
-          for (cube::NodeId glw = 0; glw < cube::num_nodes(plan.s());
-               ++glw) {
-            if (subcube_lc[gv].is_dead(glw)) continue;
-            const cube::NodeId u = plan.physical(gv, glw);
-            if (u == entry) continue;
-            sim::Message msg = co_await ctx.recv(u, tag_host + 1);
-            msg.payload.release_into(block_of[u]);
-          }
+        for (const cube::NodeId u : layout.slots) {
+          if (u == entry) continue;
+          sim::Message msg = co_await ctx.recv(u, tag_host + 1);
+          msg.payload.release_into(block_of[u]);
+        }
         ctx.charge_time(config_.cost.injection_time(keys.size()));
       } else {
         ctx.send(entry, tag_host + 1, block);
@@ -256,34 +271,13 @@ SortOutcome FaultTolerantSorter::sort(
 
   sim::Machine machine(n, machine_faults_, config_.model, config_.cost,
                        dead_links_);
-  machine.set_injector(config_.injector);
-  machine.trace().enable(config_.record_trace);
-  machine.trace().set_capacity(config_.trace_capacity);
-  machine.profile_host(config_.profile_host);
-  machine.set_watchdog(config_.watchdog);
-  if (config_.record_metrics) machine.metrics().enable(machine.size());
-  if (config_.record_link_stats)
-    machine.link_stats().enable(machine.size(), machine.dim());
-  if (config_.record_timeline)
-    machine.timeline().enable(machine.size(), machine.dim(),
-                              config_.timeline_tick);
-  if (config_.record_lineage) {
-    // Assign ids in the scatter's own (subcube, logical) slot order so the
-    // id universe is identical across executors and sorter paths.
-    machine.lineage().enable(machine.size(), machine.dim());
-    for (cube::NodeId v = 0; v < plan.num_subcubes(); ++v)
-      for (cube::NodeId lw = 0; lw < cube::num_nodes(s); ++lw) {
-        if (subcube_lc[v].is_dead(lw)) continue;
-        const cube::NodeId u = plan.physical(v, lw);
-        machine.lineage().assign_block(u, block_of[u]);
-      }
-  }
+  prepare_machine(machine, config_, block_of, layout.slots);
 
   SortOutcome outcome;
   outcome.report = config_.executor == Executor::Threaded
                        ? machine.run_threaded(program)
                        : machine.run(program);
-  outcome.block_size = dist.block_size;
+  outcome.block_size = placed.block_size;
   if (config_.record_trace) {
     outcome.trace = machine.trace().to_string();
     outcome.trace_events = machine.trace().snapshot();
@@ -292,15 +286,8 @@ SortOutcome FaultTolerantSorter::sort(
     outcome.report.reindex_audit = build_reindex_audit(plan,
                                                        outcome.report.links);
 
-  // Gather in subcube-address order (the algorithm's output placement).
-  std::vector<std::vector<sort::Key>> in_order;
-  in_order.reserve(plan.live_count());
-  for (cube::NodeId v = 0; v < plan.num_subcubes(); ++v)
-    for (cube::NodeId lw = 0; lw < cube::num_nodes(s); ++lw) {
-      if (subcube_lc[v].is_dead(lw)) continue;
-      in_order.push_back(std::move(block_of[plan.physical(v, lw)]));
-    }
-  outcome.sorted = sort::gather_and_strip(in_order);
+  // Gather in slot order (the algorithm's output placement).
+  outcome.sorted = sort::gather(block_of, layout.slots);
   if (config_.record_lineage)
     sim::audit_lineage(outcome.report.lineage, outcome.sorted);
   return outcome;

@@ -171,4 +171,23 @@ class FaultTolerantSorter {
   cube::LinkSet dead_links_;
 };
 
+/// Steps 1-2 of a plan, as both sort engines (FaultTolerantSorter::sort and
+/// every recovery attempt) derive it at sort time: one LogicalCube per
+/// subcube, re-indexed so its dead node is logical 0, and the slot list —
+/// the live machine nodes in (subcube, logical) order, which is where
+/// Step 2 scatters the blocks and where the sorted output is read back.
+struct PlanLayout {
+  std::vector<sort::LogicalCube> subcubes;
+  std::vector<cube::NodeId> slots;
+};
+
+PlanLayout plan_layout(const partition::Plan& plan);
+
+/// Arm `machine` with the injector and every instrument `config` asks for.
+/// Lineage ids are assigned to the scattered `block_of` in slot order, so
+/// the id universe is identical across executors and sort engines.
+void prepare_machine(sim::Machine& machine, const SortConfig& config,
+                     std::span<const std::vector<sort::Key>> block_of,
+                     std::span<const cube::NodeId> slots);
+
 }  // namespace ftsort::core

@@ -60,25 +60,16 @@ std::uint64_t checksum(std::span<const Key> keys) {
 /// delivery orders the reads after the write on both executors.
 struct AttemptState {
   partition::Plan plan;
-  std::vector<sort::LogicalCube> lc;  ///< per subcube
-  std::uint32_t steps = 0;            ///< global exchange-step count
-  std::uint32_t tag_base = 0;         ///< first wire tag of this attempt
+  PlanLayout layout;
+  std::uint32_t steps = 0;     ///< global exchange-step count
+  std::uint32_t tag_base = 0;  ///< first wire tag of this attempt
 };
 
 AttemptState make_attempt(partition::Plan plan, std::uint32_t tag_base) {
   AttemptState a{std::move(plan), {}, 0, tag_base};
-  const cube::Dim s = a.plan.s();
+  a.layout = plan_layout(a.plan);
   const cube::Dim m = a.plan.m();
-  a.lc.resize(a.plan.num_subcubes());
-  for (NodeId v = 0; v < a.plan.num_subcubes(); ++v) {
-    sort::LogicalCube& lc = a.lc[v];
-    lc.s = s;
-    lc.dead0 = a.plan.has_dead();
-    lc.phys.resize(cube::num_nodes(s));
-    for (NodeId lw = 0; lw < lc.size(); ++lw)
-      lc.phys[lw] = a.plan.physical(v, lw);
-  }
-  const std::uint32_t t3 = sort::bitonic_sort_steps(s);
+  const std::uint32_t t3 = sort::bitonic_sort_steps(a.plan.s());
   const std::uint32_t msteps =
       static_cast<std::uint32_t>(m) * (static_cast<std::uint32_t>(m) + 1) /
       2;
@@ -96,7 +87,7 @@ std::vector<sort::ScheduleStep> node_schedule(const AttemptState& a,
   FTSORT_REQUIRE(role.live);
   const NodeId v = role.v;
   const NodeId lw = role.logical_w;
-  const sort::LogicalCube& lc = a.lc[v];
+  const sort::LogicalCube& lc = a.layout.subcubes[v];
   const cube::Dim m = a.plan.m();
   std::vector<sort::ScheduleStep> out;
   std::uint32_t step = 0;
@@ -165,8 +156,7 @@ struct Shared {
   }
 };
 
-sim::Task<void> node_program(sim::NodeCtx& ctx, Shared& sh,
-                             const SortConfig& cfg) {
+sim::Task node_program(sim::NodeCtx& ctx, Shared& sh, const SortConfig& cfg) {
   const NodeId me = ctx.id();
   const RecoveryConfig& rc = cfg.recovery;
   const bool coord = me == sh.coordinator;
@@ -459,17 +449,8 @@ sim::Task<void> node_program(sim::NodeCtx& ctx, Shared& sh,
     sh.attempts.push_back(
         make_attempt(std::move(*next), cbase + kControlTags));
     const AttemptState& na = sh.attempts.back();
-    sort::Distribution dist =
-        sort::distribute_evenly(pool, na.plan.live_count());
-    std::vector<std::vector<Key>> nb(nn);
-    {
-      std::size_t slot = 0;
-      for (NodeId v = 0; v < na.plan.num_subcubes(); ++v)
-        for (NodeId lw = 0; lw < cube::num_nodes(na.plan.s()); ++lw) {
-          if (na.lc[v].is_dead(lw)) continue;
-          nb[na.plan.physical(v, lw)] = std::move(dist.blocks[slot++]);
-        }
-    }
+    std::vector<std::vector<Key>> nb =
+        sort::scatter(pool, na.layout.slots, nn).block_of;
     sh.scatter_record = nb;
     // Re-key the lineage holdings against the new scatter. Ordered after
     // every witness receive and before any re-scatter send, so survivors
@@ -509,43 +490,14 @@ SortOutcome recovery_sort(const partition::Plan& plan0,
     }
 
   // Step 2: scatter exactly as the offline sorter does.
-  sort::Distribution dist =
-      sort::distribute_evenly(keys, plan0.live_count());
-  std::vector<std::vector<Key>> block_of(nn);
-  {
-    const AttemptState& a0 = sh.attempts[0];
-    std::size_t slot = 0;
-    for (NodeId v = 0; v < a0.plan.num_subcubes(); ++v)
-      for (NodeId lw = 0; lw < cube::num_nodes(a0.plan.s()); ++lw) {
-        if (a0.lc[v].is_dead(lw)) continue;
-        block_of[a0.plan.physical(v, lw)] = std::move(dist.blocks[slot++]);
-      }
-  }
+  const std::vector<NodeId>& slots0 = sh.attempts[0].layout.slots;
+  sort::Placement placed = sort::scatter(keys, slots0, nn);
+  std::vector<std::vector<Key>>& block_of = placed.block_of;
   sh.block_of = &block_of;
   sh.scatter_record = block_of;
 
   sim::Machine machine(n, plan0.faults(), config.model, config.cost, {});
-  machine.set_injector(config.injector);
-  machine.trace().enable(config.record_trace);
-  machine.trace().set_capacity(config.trace_capacity);
-  machine.profile_host(config.profile_host);
-  machine.set_watchdog(config.watchdog);
-  if (config.record_metrics) machine.metrics().enable(machine.size());
-  if (config.record_link_stats)
-    machine.link_stats().enable(machine.size(), machine.dim());
-  if (config.record_timeline)
-    machine.timeline().enable(machine.size(), machine.dim(),
-                              config.timeline_tick);
-  if (config.record_lineage) {
-    machine.lineage().enable(machine.size(), machine.dim());
-    const AttemptState& a0 = sh.attempts[0];
-    for (NodeId v = 0; v < a0.plan.num_subcubes(); ++v)
-      for (NodeId lw = 0; lw < cube::num_nodes(a0.plan.s()); ++lw) {
-        if (a0.lc[v].is_dead(lw)) continue;
-        const NodeId u = a0.plan.physical(v, lw);
-        machine.lineage().assign_block(u, block_of[u]);
-      }
-  }
+  prepare_machine(machine, config, block_of, slots0);
   const auto program = [&sh, &config](sim::NodeCtx& ctx) {
     return node_program(ctx, sh, config);
   };
@@ -562,7 +514,7 @@ SortOutcome recovery_sort(const partition::Plan& plan0,
   };
 
   SortOutcome out;
-  out.block_size = dist.block_size;
+  out.block_size = placed.block_size;
   try {
     out.report = config.executor == Executor::Threaded
                      ? machine.run_threaded(program)
@@ -614,16 +566,9 @@ SortOutcome recovery_sort(const partition::Plan& plan0,
   }
 
   // Gather under the plan that committed.
-  const AttemptState& fin =
-      sh.attempts[static_cast<std::size_t>(sh.final_attempt)];
-  std::vector<std::vector<Key>> in_order;
-  in_order.reserve(fin.plan.live_count());
-  for (NodeId v = 0; v < fin.plan.num_subcubes(); ++v)
-    for (NodeId lw = 0; lw < cube::num_nodes(fin.plan.s()); ++lw) {
-      if (fin.lc[v].is_dead(lw)) continue;
-      in_order.push_back(std::move(block_of[fin.plan.physical(v, lw)]));
-    }
-  out.sorted = sort::gather_and_strip(in_order);
+  out.sorted = sort::gather(
+      block_of,
+      sh.attempts[static_cast<std::size_t>(sh.final_attempt)].layout.slots);
   if (config.record_lineage)
     sim::audit_lineage(out.report.lineage, out.sorted);
   return out;

@@ -179,7 +179,7 @@ class NodeCtx {
   /// restores the enclosing phase. Charges no time.
   PhaseSpan span(Phase p);
   /// Like span(), but a no-op when an enclosing span already set a phase —
-  /// used by library kernels (sort/, collectives) so that a caller's
+  /// used by library kernels (sort/spmd_bitonic) so that a caller's
   /// step-level tag wins over the kernel's generic one.
   PhaseSpan span_if_unattributed(Phase p);
 
@@ -325,7 +325,7 @@ struct RunReport {
 class Machine {
  public:
   /// A node program factory: invoked once per healthy node.
-  using Program = std::function<Task<void>(NodeCtx&)>;
+  using Program = std::function<Task(NodeCtx&)>;
 
   Machine(cube::Dim n, fault::FaultSet faults,
           fault::FaultModel model = fault::FaultModel::Partial,
@@ -415,7 +415,7 @@ class Machine {
   struct NodeState {
     explicit NodeState(NodeCtx c) : ctx(std::move(c)) {}
     NodeCtx ctx;
-    Task<void> task;
+    Task task;
     // Pending messages in arrival order. Matching a (src, tag) channel
     // scans front-to-back, which preserves per-channel FIFO; the vector's
     // capacity persists across steps, so steady-state delivery allocates

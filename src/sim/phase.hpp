@@ -2,9 +2,9 @@
 // microsecond of a run can be attributed to one phase of the paper's
 // algorithm (Steps 1-8 of §3) or of the online-recovery protocol. The
 // ambient phase of a node is set by RAII `PhaseSpan`s (sim/machine.hpp)
-// opened by the algorithm layer; library kernels (spmd_bitonic,
-// collectives) tag themselves only when the caller left the phase
-// unattributed, so the algorithm's step-level tags always win.
+// opened by the algorithm layer; library kernels (spmd_bitonic) tag
+// themselves only when the caller left the phase unattributed, so the
+// algorithm's step-level tags always win.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +20,8 @@ enum class Phase : std::uint8_t {
   MergeExchange,     ///< Steps 4-7: inter-subcube merge-split exchanges
   Resort,            ///< Step 8: intra-subcube re-sort after each exchange
   Gather,            ///< final gather back through the entry node
-  Collective,        ///< generic collective (broadcast/scatter/gather/...)
+  Collective,        ///< a node program's own collective; no library kernel
+                     ///< tags it, but metrics JSON keeps one slice per phase
   RecoverySort,      ///< recovery: the resilient sort attempt itself
   RecoveryCheckin,   ///< recovery: roll-call check-in
   RecoveryVerdict,   ///< recovery: verdict distribution / wait

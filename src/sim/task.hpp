@@ -1,80 +1,54 @@
 // Minimal coroutine task type for SPMD node programs.
 //
-// Every processor of the simulated multicomputer runs one `Task<void>`
-// program; blocking operations (message receive) suspend the coroutine and
-// hand control back to the deterministic scheduler. Sub-routines that
-// communicate are themselves Task<T> and are composed with `co_await`, using
+// Every processor of the simulated multicomputer runs one `Task` program;
+// blocking operations (message receive) suspend the coroutine and hand
+// control back to the deterministic scheduler. Sub-routines that
+// communicate are themselves Tasks and are composed with `co_await`, using
 // symmetric transfer so deep call chains cost no stack.
+//
+// A Task returns no value: results travel through caller-owned references
+// (a node's block, its ExchangeScratch). GCC 12.2 at -O2 miscompiles the
+// co_return value hand-off of value-returning coroutines, so keeping this
+// type void-only leaves no value path to miscompile;
+// tests/test_coro_miscompile.cpp keeps the standalone repro.
 #pragma once
 
 #include <coroutine>
 #include <exception>
-#include <optional>
 #include <utility>
 
 #include "util/contracts.hpp"
 
 namespace ftsort::sim {
 
-template <typename T>
-class Task;
-
-namespace detail {
-
-struct PromiseBase {
-  std::coroutine_handle<> continuation = std::noop_coroutine();
-  std::exception_ptr exception;
-
-  std::suspend_always initial_suspend() noexcept { return {}; }
-
-  struct FinalAwaiter {
-    bool await_ready() noexcept { return false; }
-    template <typename Promise>
-    std::coroutine_handle<> await_suspend(
-        std::coroutine_handle<Promise> h) noexcept {
-      // Resume whoever co_awaited us; top-level tasks fall back to a noop
-      // handle, returning control to the scheduler.
-      return h.promise().continuation;
-    }
-    void await_resume() noexcept {}
-  };
-  FinalAwaiter final_suspend() noexcept { return {}; }
-
-  void unhandled_exception() { exception = std::current_exception(); }
-};
-
-template <typename T>
-struct Promise : PromiseBase {
-  std::optional<T> value;
-  Task<T> get_return_object();
-  // The noinline is load-bearing, not a pessimisation: GCC 12.2 at -O2
-  // miscompiles the co_return hand-off when the emplace into the frame's
-  // optional is inlined into the coroutine body — the stored value reads
-  // back as garbage after the continuation resumes (reproduced with a
-  // standalone 200-line test; suppressed by -fno-tree-pre or
-  // -fno-tree-vectorize, i.e. an optimiser frame-layout bug, not UB).
-  // Forcing a call boundary makes the frame address escape and pins the
-  // stores. Costs one near call per value-returning co_return, which is
-  // never on the exchange hot path (those are Task<void>). The reference
-  // overloads also save a move versus the old by-value signature.
-  [[gnu::noinline]] void return_value(T&& v) { value.emplace(std::move(v)); }
-  [[gnu::noinline]] void return_value(const T& v) { value.emplace(v); }
-};
-
-template <>
-struct Promise<void> : PromiseBase {
-  Task<void> get_return_object();
-  void return_void() {}
-};
-
-}  // namespace detail
-
 /// An owning handle to a lazily-started coroutine. Move-only. Await it to
 /// run it to completion; or `start()` it from a scheduler and poll `done()`.
-template <typename T = void>
 class [[nodiscard]] Task {
  public:
-  using promise_type = detail::Promise<T>;
+  struct promise_type {
+    std::coroutine_handle<> continuation = std::noop_coroutine();
+    std::exception_ptr exception;
+
+    Task get_return_object() {
+      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+
+    struct FinalAwaiter {
+      bool await_ready() noexcept { return false; }
+      std::coroutine_handle<> await_suspend(
+          std::coroutine_handle<promise_type> h) noexcept {
+        // Resume whoever co_awaited us; top-level tasks fall back to a noop
+        // handle, returning control to the scheduler.
+        return h.promise().continuation;
+      }
+      void await_resume() noexcept {}
+    };
+    FinalAwaiter final_suspend() noexcept { return {}; }
+
+    void return_void() {}
+    void unhandled_exception() { exception = std::current_exception(); }
+  };
   using Handle = std::coroutine_handle<promise_type>;
 
   Task() = default;
@@ -102,15 +76,11 @@ class [[nodiscard]] Task {
     handle_.resume();
   }
 
-  /// Rethrow any exception the finished task captured; return its value.
-  T take_result() {
+  /// Rethrow any exception the finished task captured.
+  void take_result() {
     FTSORT_REQUIRE(done() && valid());
     if (handle_.promise().exception)
       std::rethrow_exception(handle_.promise().exception);
-    if constexpr (!std::is_void_v<T>) {
-      FTSORT_INVARIANT(handle_.promise().value.has_value());
-      return std::move(*handle_.promise().value);
-    }
   }
 
   /// Awaiter: suspends the caller, transfers control into this task, and
@@ -124,11 +94,9 @@ class [[nodiscard]] Task {
         handle.promise().continuation = caller;
         return handle;
       }
-      T await_resume() {
+      void await_resume() {
         if (handle.promise().exception)
           std::rethrow_exception(handle.promise().exception);
-        if constexpr (!std::is_void_v<T>)
-          return std::move(*handle.promise().value);
       }
     };
     return Awaiter{handle_};
@@ -144,19 +112,5 @@ class [[nodiscard]] Task {
 
   Handle handle_ = nullptr;
 };
-
-namespace detail {
-
-template <typename T>
-Task<T> Promise<T>::get_return_object() {
-  return Task<T>(std::coroutine_handle<Promise<T>>::from_promise(*this));
-}
-
-inline Task<void> Promise<void>::get_return_object() {
-  return Task<void>(
-      std::coroutine_handle<Promise<void>>::from_promise(*this));
-}
-
-}  // namespace detail
 
 }  // namespace ftsort::sim

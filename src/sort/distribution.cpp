@@ -1,6 +1,7 @@
 #include "sort/distribution.hpp"
 
 #include <algorithm>
+#include <ranges>
 
 #include "util/contracts.hpp"
 
@@ -25,13 +26,46 @@ Distribution distribute_evenly(std::span<const Key> keys,
   return dist;
 }
 
-std::vector<Key> gather_and_strip(
-    std::span<const std::vector<Key>> blocks) {
+Placement scatter(std::span<const Key> keys,
+                  std::span<const cube::NodeId> slots,
+                  std::uint32_t num_nodes) {
+  Distribution dist =
+      distribute_evenly(keys, static_cast<std::uint32_t>(slots.size()));
+  Placement placed{dist.block_size, std::vector<std::vector<Key>>(num_nodes)};
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    placed.block_of[slots[i]] = std::move(dist.blocks[i]);
+  return placed;
+}
+
+namespace {
+
+/// Concatenation of `blocks` (any multi-pass range of key vectors) minus
+/// the dummy keys, into storage reserved up front.
+std::vector<Key> concat_stripped(const auto& blocks) {
+  std::size_t total = 0;
+  for (const std::vector<Key>& block : blocks) total += block.size();
   std::vector<Key> out;
-  for (const auto& block : blocks)
-    for (Key key : block)
+  out.reserve(total);
+  for (const std::vector<Key>& block : blocks)
+    for (const Key key : block)
       if (key != sim::kDummyKey) out.push_back(key);
   return out;
+}
+
+}  // namespace
+
+std::vector<Key> gather(std::span<const std::vector<Key>> block_of,
+                        std::span<const cube::NodeId> slots) {
+  return concat_stripped(
+      slots | std::views::transform(
+                  [block_of](cube::NodeId u) -> const std::vector<Key>& {
+                    return block_of[u];
+                  }));
+}
+
+std::vector<Key> gather_and_strip(
+    std::span<const std::vector<Key>> blocks) {
+  return concat_stripped(blocks);
 }
 
 std::vector<Key> gen_uniform(std::size_t count, util::Rng& rng) {

@@ -3,12 +3,16 @@
 // The host scatters M unsorted keys over the live processors in equal
 // blocks, padding the tail with dummy (+∞) keys exactly as the paper does;
 // gathering concatenates blocks in logical order and strips the dummies.
+// Every sorter names its live processors once, as a *slot list*: machine
+// addresses in output order. Block i goes to slots[i], and the result is
+// read back from the slots in the same order.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "hypercube/address.hpp"
 #include "sim/message.hpp"
 #include "util/rng.hpp"
 
@@ -24,6 +28,24 @@ struct Distribution {
 
 Distribution distribute_evenly(std::span<const Key> keys,
                                std::uint32_t live_count);
+
+/// Blocks placed on a machine: `block_of[u]` is node u's block, empty for a
+/// node that holds no slot.
+struct Placement {
+  std::size_t block_size = 0;
+  std::vector<std::vector<Key>> block_of;
+};
+
+/// distribute_evenly over `slots`, block i placed on machine node
+/// slots[i] of a `num_nodes`-node machine.
+Placement scatter(std::span<const Key> keys,
+                  std::span<const cube::NodeId> slots,
+                  std::uint32_t num_nodes);
+
+/// The blocks of `slots`, in slot order, concatenated with the dummy keys
+/// dropped: the output of a sort whose result lies in slot order.
+std::vector<Key> gather(std::span<const std::vector<Key>> block_of,
+                        std::span<const cube::NodeId> slots);
 
 /// Concatenate blocks in order and drop dummy keys. The result of a correct
 /// sort is ascending with all dummies trailing, so stripping preserves

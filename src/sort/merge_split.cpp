@@ -1,7 +1,6 @@
 #include "sort/merge_split.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "sort/merge_split_kernels.hpp"
 #include "util/contracts.hpp"
@@ -16,44 +15,14 @@ bool simd_kernels_available() {
 #endif
 }
 
-namespace {
-
-// -1 = "not chosen yet": the first query resolves the compile-time default
-// (FTSORT_SIMD_KERNELS_DEFAULT builds start on Simd when the CPU allows)
-// without touching __builtin_cpu_supports during static initialisation.
-constexpr int kBackendUnset = -1;
-std::atomic<int> g_backend{kBackendUnset};
-
-KernelBackend default_backend() {
-#if FTSORT_SIMD_KERNELS_DEFAULT
-  return simd_kernels_available() ? KernelBackend::Simd
-                                  : KernelBackend::Scalar;
-#else
-  return KernelBackend::Scalar;
-#endif
-}
-
-bool use_simd() {
-  const int b = g_backend.load(std::memory_order_relaxed);
-  if (b == kBackendUnset) return default_backend() == KernelBackend::Simd;
-  return static_cast<KernelBackend>(b) == KernelBackend::Simd;
-}
-
-}  // namespace
-
-KernelBackend set_kernel_backend(KernelBackend requested) {
-  const KernelBackend effective =
-      (requested == KernelBackend::Simd && simd_kernels_available())
-          ? KernelBackend::Simd
-          : KernelBackend::Scalar;
-  g_backend.store(static_cast<int>(effective), std::memory_order_relaxed);
-  return effective;
-}
-
 KernelBackend active_kernel_backend() {
-  const int b = g_backend.load(std::memory_order_relaxed);
-  if (b == kBackendUnset) return default_backend();
-  return static_cast<KernelBackend>(b);
+  // A function-local static: the CPU query runs on first use, never during
+  // static initialisation, where the CPU feature table may not be filled in
+  // yet.
+  static const KernelBackend backend = simd_kernels_available()
+                                           ? KernelBackend::Simd
+                                           : KernelBackend::Scalar;
+  return backend;
 }
 
 ExchangeProtocol resolve_protocol(ExchangeProtocol configured,
@@ -149,7 +118,7 @@ void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
                       SplitHalf keep, std::vector<Key>& out,
                       std::uint64_t& comparisons) {
 #if FTSORT_SIMD_KERNELS
-  if (use_simd()) {
+  if (active_kernel_backend() == KernelBackend::Simd) {
     detail::merge_split_into_simd(mine, theirs, keep, out, comparisons);
     return;
   }
@@ -162,7 +131,7 @@ void pairwise_select_rev_into(std::span<const Key> a, std::span<const Key> b,
                               std::vector<Key>& returned,
                               std::uint64_t& comparisons) {
 #if FTSORT_SIMD_KERNELS
-  if (use_simd()) {
+  if (active_kernel_backend() == KernelBackend::Simd) {
     detail::pairwise_select_rev_into_simd(a, b, keep, kept, returned,
                                           comparisons);
     return;

@@ -79,10 +79,8 @@ enum class KernelBackend {
 /// and this CPU supports them (AVX2).
 bool simd_kernels_available();
 
-/// Select the process-global kernel backend. Requests for Simd degrade to
-/// Scalar when unavailable; returns the backend actually in effect.
-KernelBackend set_kernel_backend(KernelBackend requested);
-
+/// The backend every kernel call runs on, fixed once per process by the
+/// CPU: Simd exactly when simd_kernels_available(), Scalar otherwise.
 KernelBackend active_kernel_backend();
 
 /// Merge-split kernel: given own ascending block `mine` and the partner's

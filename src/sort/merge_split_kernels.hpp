@@ -1,9 +1,11 @@
 // Internal entry points behind the KernelBackend dispatch in
-// merge_split.cpp. The `_scalar` kernels are the reference loops (defined
-// in merge_split.cpp); the `_simd` kernels live in merge_split_simd.cpp,
-// which is the only translation unit compiled with vector ISA flags — keep
-// every call to them behind `simd_kernels_available()` so no AVX2
-// instruction can execute on a CPU without it.
+// merge_split.cpp, also called directly — side by side — by the
+// equivalence tests and bench_harness's kernel micros. The `_scalar`
+// kernels are the reference loops (defined in merge_split.cpp); the `_simd`
+// kernels live in merge_split_simd.cpp, which is the only translation unit
+// compiled with vector ISA flags — keep every call to them behind
+// `simd_kernels_available()` so no AVX2 instruction can execute on a CPU
+// without it.
 //
 // Contract shared by both backends, enforced by tests/test_merge_split.cpp:
 // byte-identical output AND identical comparison counts on every input.

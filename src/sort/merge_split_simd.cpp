@@ -3,7 +3,7 @@
 // This is the only translation unit compiled with vector ISA flags
 // (-mavx2; see src/sort/CMakeLists.txt) — nothing here may run unless
 // simd_kernels_available() said yes, which merge_split.cpp's dispatch
-// guarantees.
+// (active_kernel_backend) guarantees.
 //
 // The merge kernel is an Inoue-style block merge: keep two sorted
 // 4-vectors in registers, run a bitonic merge network over them (3 levels

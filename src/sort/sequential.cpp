@@ -40,11 +40,6 @@ void heapsort(std::span<Key> data, std::uint64_t& comparisons) {
   }
 }
 
-void heapsort(std::span<Key> data) {
-  std::uint64_t ignored = 0;
-  heapsort(data, ignored);
-}
-
 namespace {
 
 void mergesort_impl(std::span<Key> data, std::span<Key> scratch,
@@ -157,33 +152,19 @@ void merge_sorted_into(std::span<const Key> a, std::span<const Key> b,
   while (j < b.size()) dst[k++] = b[j++];
 }
 
-std::vector<Key> merge_sorted(std::span<const Key> a, std::span<const Key> b,
-                              std::uint64_t& comparisons) {
-  std::vector<Key> out;
-  merge_sorted_into(a, b, out, comparisons);
-  return out;
-}
-
-namespace {
-
-/// Shared shape-detection prologue of the `sort_unimodal` overloads.
-/// Returns true when the two monotone runs still need merging; otherwise
-/// the sequence was handled in place (trivial, all-equal, or monotone —
-/// the latter reversed if descending).
-bool unimodal_turn(std::vector<Key>& data, std::uint64_t& comparisons,
-                   std::size_t& turn, bool& rising_start) {
-  if (data.size() < 2) return false;
+void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
+                   std::uint64_t& comparisons) {
+  const std::size_t n = data.size();
+  if (n < 2) return;
   // Detect the shape from the first strict change of direction. A peak
   // sequence splits into ascending + descending; a valley into descending
   // + ascending.
-  const std::size_t n = data.size();
-  turn = n;  // index where the second run starts
-  rising_start = true;
+  std::size_t turn = n;  // index where the second run starts
   std::size_t k = 1;
   while (k < n && data[k] == data[k - 1]) ++k;
-  if (k == n) return false;  // all equal
+  if (k == n) return;  // all equal
   ++comparisons;
-  rising_start = data[k] > data[k - 1];
+  const bool rising_start = data[k] > data[k - 1];
   for (; k < n; ++k) {
     ++comparisons;
     if (data[k] == data[k - 1]) continue;
@@ -195,40 +176,10 @@ bool unimodal_turn(std::vector<Key>& data, std::uint64_t& comparisons,
   }
   if (turn == n) {  // already monotone
     if (!rising_start) std::reverse(data.begin(), data.end());
-    return false;
+    return;
   }
-  return true;
-}
-
-}  // namespace
-
-void sort_unimodal(std::vector<Key>& data, std::uint64_t& comparisons) {
-  std::size_t turn = 0;
-  bool rising_start = true;
-  if (!unimodal_turn(data, comparisons, turn, rising_start)) return;
-  std::vector<Key> first(data.begin(),
-                         data.begin() + static_cast<std::ptrdiff_t>(turn));
-  std::vector<Key> second(data.begin() + static_cast<std::ptrdiff_t>(turn),
-                          data.end());
-  if (rising_start) {
-    // Peak: first ascending, second descending.
-    std::reverse(second.begin(), second.end());
-  } else {
-    // Valley: first descending, second ascending.
-    std::reverse(first.begin(), first.end());
-  }
-  data = merge_sorted(first, second, comparisons);
-}
-
-void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
-                   std::uint64_t& comparisons) {
-  std::size_t turn = 0;
-  bool rising_start = true;
-  if (!unimodal_turn(data, comparisons, turn, rising_start)) return;
   // Merge the two monotone runs straight out of `data`, reading the
-  // descending run backwards — same merge (and comparison sequence) as the
-  // allocating overload, minus the two reversed copies.
-  const std::size_t n = data.size();
+  // descending run backwards instead of materialising reversed copies.
   scratch.resize(n);
   const Key* const src = data.data();
   Key* const dst = scratch.data();
@@ -244,21 +195,21 @@ void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
   const auto b_at = [&](std::size_t j) {
     return rising_start ? src[n - 1 - j] : src[turn + j];
   };
-  std::size_t k = 0;
+  std::size_t out = 0;
   while (ai < a_len && bj < b_len) {
     ++comparisons;
     const Key a = a_at(ai);
     const Key b = b_at(bj);
     if (b < a) {
-      dst[k++] = b;
+      dst[out++] = b;
       ++bj;
     } else {
-      dst[k++] = a;
+      dst[out++] = a;
       ++ai;
     }
   }
-  while (ai < a_len) dst[k++] = a_at(ai++);
-  while (bj < b_len) dst[k++] = b_at(bj++);
+  while (ai < a_len) dst[out++] = a_at(ai++);
+  while (bj < b_len) dst[out++] = b_at(bj++);
   std::swap(data, scratch);
 }
 

@@ -19,9 +19,6 @@ using sim::Key;
 /// accumulated into `comparisons`.
 void heapsort(std::span<Key> data, std::uint64_t& comparisons);
 
-/// Convenience overload that drops the count.
-void heapsort(std::span<Key> data);
-
 /// Top-down merge sort (stable, ~n log n comparisons, n extra space).
 /// The paper prescribes heapsort for Step 3; this is the ablation
 /// alternative with a lower comparison count.
@@ -37,26 +34,18 @@ enum class LocalSort { Heapsort, Mergesort, Quicksort };
 void local_sort(LocalSort algorithm, std::span<Key> data,
                 std::uint64_t& comparisons);
 
-/// Stable two-way merge of ascending runs into one ascending vector.
-std::vector<Key> merge_sorted(std::span<const Key> a, std::span<const Key> b,
-                              std::uint64_t& comparisons);
-
-/// Scratch-buffer variant of `merge_sorted`: merges into caller-owned `out`
-/// (resized, capacity reused across calls). `out` must not alias the
-/// inputs. Identical output and comparison count to `merge_sorted`.
+/// Stable two-way merge of ascending runs into caller-owned `out` (resized,
+/// capacity reused across calls). `out` must not alias the inputs.
 void merge_sorted_into(std::span<const Key> a, std::span<const Key> b,
                        std::vector<Key>& out, std::uint64_t& comparisons);
 
 /// Sort a *unimodal* sequence — one that rises then falls (peak) or falls
 /// then rises (valley); both shapes arise from pairwise min/max selections
 /// in the half-exchange protocol. O(n) with at most n extra comparisons.
-void sort_unimodal(std::vector<Key>& data, std::uint64_t& comparisons);
-
-/// Scratch-buffer variant: merges the two monotone runs of `data` directly
-/// into `scratch` (reading one of them backwards instead of materialising
-/// reversed copies) and swaps the result back into `data`. Identical output
-/// and comparison count to the allocating overload; zero allocations once
-/// `scratch` is warm.
+/// Merges the two monotone runs of `data` directly into `scratch` (reading
+/// one of them backwards instead of materialising reversed copies) and
+/// swaps the result back into `data`; zero allocations once `scratch` is
+/// warm.
 void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
                    std::uint64_t& comparisons);
 

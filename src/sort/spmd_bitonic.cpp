@@ -23,9 +23,9 @@ std::uint32_t bitonic_tag_span(cube::Dim s) {
 
 namespace {
 
-sim::Task<void> half_exchange(sim::NodeCtx& ctx, cube::NodeId partner,
-                              sim::Tag tag, std::vector<Key>& block,
-                              ExchangeScratch& scratch, SplitHalf keep) {
+sim::Task half_exchange(sim::NodeCtx& ctx, cube::NodeId partner,
+                        sim::Tag tag, std::vector<Key>& block,
+                        ExchangeScratch& scratch, SplitHalf keep) {
   // Pairing: with both blocks ascending, the b smallest of A ∪ B are
   // { min(A[k], B[b-1-k]) } and the b largest { max(A[k], B[b-1-k]) }.
   // The Lower side evaluates pairs k in [h, b), the Upper side k in [0, h),
@@ -97,7 +97,7 @@ sim::Task<void> half_exchange(sim::NodeCtx& ctx, cube::NodeId partner,
 
 }  // namespace
 
-sim::Task<void> exchange_merge_split_into(
+sim::Task exchange_merge_split_into(
     sim::NodeCtx& ctx, cube::NodeId partner, sim::Tag tag,
     std::vector<Key>& block, ExchangeScratch& scratch, SplitHalf keep,
     ExchangeProtocol protocol) {
@@ -124,15 +124,6 @@ sim::Task<void> exchange_merge_split_into(
   co_return;
 }
 
-sim::Task<std::vector<Key>> exchange_merge_split(
-    sim::NodeCtx& ctx, cube::NodeId partner, sim::Tag tag,
-    std::vector<Key> block, SplitHalf keep, ExchangeProtocol protocol) {
-  ExchangeScratch scratch;
-  co_await exchange_merge_split_into(ctx, partner, tag, block, scratch, keep,
-                                     protocol);
-  co_return std::move(block);
-}
-
 std::uint32_t bitonic_merge_tag_span(cube::Dim s) {
   return static_cast<std::uint32_t>(s) * 2 + 1;
 }
@@ -140,11 +131,10 @@ std::uint32_t bitonic_merge_tag_span(cube::Dim s) {
 namespace {
 
 /// The plain s-substep blockwise bitonic merge (mirrored when descending).
-sim::Task<void> merge_network(sim::NodeCtx& ctx, const LogicalCube& lc,
-                              cube::NodeId me_logical,
-                              std::vector<Key>& block, bool ascending,
-                              ExchangeProtocol protocol, sim::Tag tag_base,
-                              ExchangeScratch& scratch) {
+sim::Task merge_network(sim::NodeCtx& ctx, const LogicalCube& lc,
+                        cube::NodeId me_logical, std::vector<Key>& block,
+                        bool ascending, ExchangeProtocol protocol,
+                        sim::Tag tag_base, ExchangeScratch& scratch) {
   sim::Tag tag = tag_base;
   for (cube::Dim j = lc.s - 1; j >= 0; --j, tag += 2) {
     const cube::NodeId partner_logical = cube::neighbor(me_logical, j);
@@ -161,22 +151,18 @@ sim::Task<void> merge_network(sim::NodeCtx& ctx, const LogicalCube& lc,
 
 }  // namespace
 
-sim::Task<void> block_bitonic_merge(sim::NodeCtx& ctx,
-                                    const LogicalCube& lc,
-                                    cube::NodeId me_logical,
-                                    std::vector<Key>& block, bool ascending,
-                                    SplitHalf content_side,
-                                    ExchangeProtocol protocol,
-                                    sim::Tag tag_base,
-                                    ExchangeScratch* scratch) {
+sim::Task block_bitonic_merge(sim::NodeCtx& ctx, const LogicalCube& lc,
+                              cube::NodeId me_logical,
+                              std::vector<Key>& block, bool ascending,
+                              SplitHalf content_side,
+                              ExchangeProtocol protocol, sim::Tag tag_base,
+                              ExchangeScratch& scratch) {
   FTSORT_REQUIRE(cube::valid_node(me_logical, lc.s));
   FTSORT_REQUIRE(!lc.is_dead(me_logical));
   FTSORT_REQUIRE(lc.phys[me_logical] == ctx.id());
   FTSORT_REQUIRE(is_ascending(block));
 
   const sim::PhaseSpan span = ctx.span_if_unattributed(sim::Phase::Resort);
-  ExchangeScratch local;
-  ExchangeScratch& sc = scratch != nullptr ? *scratch : local;
 
   // Without a hole any direction is sound; with the dead node the merge
   // direction must match the content side (see header).
@@ -184,14 +170,14 @@ sim::Task<void> block_bitonic_merge(sim::NodeCtx& ctx,
   const bool direct = !lc.dead0 || (ascending == compatible_asc);
   if (direct) {
     co_await merge_network(ctx, lc, me_logical, block, ascending, protocol,
-                           tag_base, sc);
+                           tag_base, scratch);
     co_return;
   }
 
   // Merge in the sound direction, then reverse block order across live
   // addresses with the involution w <-> 2^s - w (never touches logical 0).
   co_await merge_network(ctx, lc, me_logical, block, compatible_asc,
-                         protocol, tag_base, sc);
+                         protocol, tag_base, scratch);
   const cube::NodeId mirror =
       static_cast<cube::NodeId>(lc.size()) - me_logical;
   if (mirror != me_logical) {
@@ -206,12 +192,10 @@ sim::Task<void> block_bitonic_merge(sim::NodeCtx& ctx,
   co_return;
 }
 
-sim::Task<void> block_bitonic_sort(sim::NodeCtx& ctx, const LogicalCube& lc,
-                                   cube::NodeId me_logical,
-                                   std::vector<Key>& block, bool ascending,
-                                   ExchangeProtocol protocol,
-                                   sim::Tag tag_base,
-                                   ExchangeScratch* scratch) {
+sim::Task block_bitonic_sort(sim::NodeCtx& ctx, const LogicalCube& lc,
+                             cube::NodeId me_logical, std::vector<Key>& block,
+                             bool ascending, ExchangeProtocol protocol,
+                             sim::Tag tag_base, ExchangeScratch& scratch) {
   FTSORT_REQUIRE(cube::valid_node(me_logical, lc.s));
   FTSORT_REQUIRE(!lc.is_dead(me_logical));
   FTSORT_REQUIRE(lc.phys[me_logical] == ctx.id());
@@ -219,8 +203,6 @@ sim::Task<void> block_bitonic_sort(sim::NodeCtx& ctx, const LogicalCube& lc,
 
   const sim::PhaseSpan span =
       ctx.span_if_unattributed(sim::Phase::SubcubeSort);
-  ExchangeScratch local;
-  ExchangeScratch& sc = scratch != nullptr ? *scratch : local;
 
   const cube::Dim s = lc.s;
   sim::Tag tag = tag_base;
@@ -241,7 +223,7 @@ sim::Task<void> block_bitonic_sort(sim::NodeCtx& ctx, const LogicalCube& lc,
                                  ? SplitHalf::Lower
                                  : SplitHalf::Upper;
       co_await exchange_merge_split_into(ctx, lc.phys[partner_logical], tag,
-                                         block, sc, keep, protocol);
+                                         block, scratch, keep, protocol);
     }
   }
   co_return;

@@ -58,28 +58,20 @@ struct ExchangeScratch {
 /// ascending. Both sides must call it with complementary `keep` and the
 /// same `tag` (tag and tag+1 are used). All temporary storage comes from
 /// `scratch`.
-sim::Task<void> exchange_merge_split_into(
+sim::Task exchange_merge_split_into(
     sim::NodeCtx& ctx, cube::NodeId partner_phys, sim::Tag tag,
     std::vector<Key>& block, ExchangeScratch& scratch, SplitHalf keep,
     ExchangeProtocol protocol);
 
-/// Value-returning convenience form (tests, baselines, walkthroughs): same
-/// exchange with a private scratch.
-sim::Task<std::vector<Key>> exchange_merge_split(
-    sim::NodeCtx& ctx, cube::NodeId partner_phys, sim::Tag tag,
-    std::vector<Key> block, SplitHalf keep, ExchangeProtocol protocol);
-
 /// The SPMD sort. `me_logical` is the caller's logical address (must be
 /// live); `block` is its sorted ascending block and is replaced by the
 /// node's slice of the result. All live blocks must have equal size.
-/// `scratch` (optional) lets the caller reuse exchange storage across
-/// multiple sorts/merges; when null a sort-local scratch is used.
-sim::Task<void> block_bitonic_sort(sim::NodeCtx& ctx, const LogicalCube& lc,
-                                   cube::NodeId me_logical,
-                                   std::vector<Key>& block, bool ascending,
-                                   ExchangeProtocol protocol,
-                                   sim::Tag tag_base,
-                                   ExchangeScratch* scratch = nullptr);
+/// `scratch` is the caller's exchange storage, reusable across sorts and
+/// merges.
+sim::Task block_bitonic_sort(sim::NodeCtx& ctx, const LogicalCube& lc,
+                             cube::NodeId me_logical, std::vector<Key>& block,
+                             bool ascending, ExchangeProtocol protocol,
+                             sim::Tag tag_base, ExchangeScratch& scratch);
 
 /// Number of distinct tags block_bitonic_merge consumes (two per substep
 /// plus one for the reversal swap).
@@ -99,13 +91,11 @@ std::uint32_t bitonic_merge_tag_span(cube::Dim s);
 /// direction the merge runs in the compatible direction and finishes with
 /// the block reversal swap w <-> (2^s - w), a permutation among live
 /// addresses only.
-sim::Task<void> block_bitonic_merge(sim::NodeCtx& ctx,
-                                    const LogicalCube& lc,
-                                    cube::NodeId me_logical,
-                                    std::vector<Key>& block, bool ascending,
-                                    SplitHalf content_side,
-                                    ExchangeProtocol protocol,
-                                    sim::Tag tag_base,
-                                    ExchangeScratch* scratch = nullptr);
+sim::Task block_bitonic_merge(sim::NodeCtx& ctx, const LogicalCube& lc,
+                              cube::NodeId me_logical,
+                              std::vector<Key>& block, bool ascending,
+                              SplitHalf content_side,
+                              ExchangeProtocol protocol, sim::Tag tag_base,
+                              ExchangeScratch& scratch);
 
 }  // namespace ftsort::sort

@@ -78,7 +78,7 @@ TEST(FailureInjection, LostMessageDetectedAsDeadlock) {
   // Receiver waits for a tag the sender never uses: deadlock, reported
   // with the blocked node and channel.
   sim::Machine machine(1, fault::FaultSet(1));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) {
       ctx.send(1, /*tag=*/1, {42});
     } else {
@@ -100,7 +100,7 @@ TEST(FailureInjection, UnconsumedMessageFailsTheRun) {
   // A protocol that finishes while mail is still queued violates the
   // machine's completeness postcondition.
   sim::Machine machine(1, fault::FaultSet(1));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) ctx.send(1, 1, {1});
     co_return;  // node 1 never receives
   };
@@ -111,12 +111,13 @@ TEST(FailureInjection, WrongPayloadSizeCaughtByProtocolChecks) {
   // The half-exchange checks its phase sizes; a mismatched partner block
   // (protocol misuse) is rejected rather than silently mis-sorting.
   sim::Machine machine(1, fault::FaultSet(1));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     std::vector<sim::Key> block =
         ctx.id() == 0 ? std::vector<sim::Key>{1, 2, 3, 4}
                       : std::vector<sim::Key>{5, 6};  // wrong size
-    block = co_await sort::exchange_merge_split(
-        ctx, ctx.id() ^ 1u, 0, std::move(block),
+    sort::ExchangeScratch scratch;
+    co_await sort::exchange_merge_split_into(
+        ctx, ctx.id() ^ 1u, 0, block, scratch,
         ctx.id() == 0 ? sort::SplitHalf::Lower : sort::SplitHalf::Upper,
         sort::ExchangeProtocol::HalfExchange);
   };
@@ -138,7 +139,7 @@ TEST(ErrorPaths, SorterRejectsDisconnectedLinkConfiguration) {
 
 TEST(ErrorPaths, MachineRejectsReentrantRun) {
   sim::Machine machine(0, fault::FaultSet(0));
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
     (void)ctx;
     co_return;
   };

@@ -1,25 +1,22 @@
-// Standalone repro for the GCC 12.2 -O2 co_return miscompile that forced
-// the [[gnu::noinline]] workaround on sim::detail::Promise<T>::return_value
-// (sim/task.hpp): when the emplace into the coroutine frame's
-// std::optional is inlined into the coroutine body, the stored value can
-// read back as garbage after the continuation resumes (suppressed by
-// -fno-tree-pre / -fno-tree-vectorize — an optimiser frame-layout bug,
-// not UB).
+// Toolchain canary for the GCC 12.2 -O2 co_return miscompile: when the
+// emplace of a co_returned value into the coroutine frame's std::optional
+// is inlined into the coroutine body, the stored value can read back as
+// garbage after the continuation resumes (suppressed by -fno-tree-pre /
+// -fno-tree-vectorize — an optimiser frame-layout bug, not UB). sim::Task
+// (sim/task.hpp) is void-only, so the repo has no value hand-off left to
+// miscompile; this file keeps the repro for anyone who brings one back.
 //
-// This file clones the repo's Task type *without* the workaround and
-// drives the exact hand-off pattern: a value-returning co_return handed
-// to a continuation via symmetric transfer, resumed from a scheduler
-// loop. The guard is compile-time:
+// It clones a value-returning Task type with no workaround and drives the
+// exact hand-off pattern: a value-returning co_return handed to a
+// continuation via symmetric transfer, resumed from a scheduler loop. The
+// guard is compile-time:
 //
 //   * On GCC <= 12 with optimisation, a corrupted read SKIPs (known
-//     toolchain bug, documented, workaround stays); a clean read still
-//     passes — the repro is inlining-heuristic dependent, and a pass
-//     here does NOT license removing the workaround while the big
-//     coroutine bodies in sim/ still tickle it.
-//   * On GCC >= 13 (or any other compiler) the checks are hard: if this
-//     test passes there, the toolchain has moved and the
-//     [[gnu::noinline]] in sim/task.hpp is a candidate for retirement
-//     (see ROADMAP "GCC coroutine bug tracking").
+//     toolchain bug); a clean read still passes — the repro is
+//     inlining-heuristic dependent, and a pass here does NOT make
+//     value-returning coroutines safe on this toolchain.
+//   * On GCC >= 13 (or any other compiler) the checks are hard: a pass
+//     there means the toolchain has moved past the bug.
 //
 // The file is also the first consumer of the wall-clock watchdog
 // (sim/watchdog.hpp): the second test wedges this same driver loop on
@@ -70,8 +67,8 @@ template <typename T>
 struct MiniPromise : MiniPromiseBase {
   std::optional<T> value;
   MiniTask<T> get_return_object();
-  // Deliberately NO [[gnu::noinline]]: this is the configuration
-  // sim/task.hpp works around.
+  // Deliberately NO [[gnu::noinline]] (the call boundary that hides the
+  // bug): this is the configuration a value-returning task would ship.
   void return_value(T&& v) { value.emplace(std::move(v)); }
   void return_value(const T& v) { value.emplace(v); }
 };
@@ -221,16 +218,9 @@ TEST(CoroMiscompile, ValueCoReturnSurvivesContinuationResume) {
       GTEST_SKIP() << "GCC " << __GNUC__ << "." << __GNUC_MINOR__
                    << " -O co_return miscompile still reproduces (got "
                    << got << ", want " << want
-                   << "); the [[gnu::noinline]] workaround in sim/task.hpp "
-                      "must stay";
+                   << "); keep sim::Task void-only on this toolchain";
     }
     EXPECT_EQ(got, want) << "rounds=" << rounds;
-  }
-  if (!kKnownBuggyToolchain) {
-    // Clean pass on a toolchain outside the known-buggy range: the
-    // workaround in sim/task.hpp is a retirement candidate — see the
-    // ROADMAP item before touching it.
-    SUCCEED();
   }
 }
 

@@ -16,7 +16,7 @@ namespace {
 // Node 0 awaits (1, 9); node 1 awaits (2, 8); nodes 2 and 3 exit at once.
 // Nothing is ever sent: a genuine deadlock with two distinct blocked waits.
 sim::Machine::Program stalled_program() {
-  return [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  return [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) {
       co_await ctx.recv(1, 9);
     } else if (ctx.id() == 1) {
@@ -69,7 +69,7 @@ TEST(Deadlock, ThreadedExecutorReportsTheSameBlockedSet) {
 TEST(Deadlock, PartialWaitChainIsFullyListed) {
   // A chain: 0 waits on 1, 1 waits on 2, 2 waits on 3, 3 exits. All three
   // blocked nodes must appear.
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() < 3) co_await ctx.recv(ctx.id() + 1, 4);
     co_return;
   };
@@ -128,7 +128,7 @@ TEST(Deadlock, InjectedDeathWithoutRecoveryDeadlocksDeterministically) {
 // diagnosis naming the injected kill as root cause with the transitively
 // stalled set — byte-identical on both executors.
 TEST(Deadlock, PhaseTagAndRootCauseAreIdenticalAcrossExecutors) {
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) {
       const sim::PhaseSpan span = ctx.span(sim::Phase::MergeExchange);
       co_await ctx.recv(1, 7);

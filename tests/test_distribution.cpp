@@ -74,6 +74,42 @@ TEST(GatherAndStrip, DropsAllDummies) {
   EXPECT_EQ(gather_and_strip(blocks), (std::vector<Key>{1, 2, 3}));
 }
 
+// Host-side scatter/gather keyed by a slot list (machine addresses in
+// output order), on an 8-node machine whose slots skip nodes 0 and 5.
+const std::vector<cube::NodeId> kSlots{6, 1, 3, 7, 2, 4};
+
+TEST(Scatter, EveryRankGetsItsBlock) {
+  const auto keys = gen_sorted(17);
+  const Placement placed = scatter(keys, kSlots, 8);
+  const Distribution dist = distribute_evenly(keys, 6);
+  EXPECT_EQ(placed.block_size, dist.block_size);
+  ASSERT_EQ(placed.block_of.size(), 8u);
+  for (std::size_t i = 0; i < kSlots.size(); ++i)
+    EXPECT_EQ(placed.block_of[kSlots[i]], dist.blocks[i]) << "slot " << i;
+  EXPECT_TRUE(placed.block_of[0].empty());
+  EXPECT_TRUE(placed.block_of[5].empty());
+}
+
+TEST(Gather, RootCollectsInLogicalOrder) {
+  std::vector<std::vector<Key>> block_of(8);
+  for (std::size_t i = 0; i < kSlots.size(); ++i)
+    block_of[kSlots[i]] = {static_cast<Key>(2 * i),
+                           static_cast<Key>(2 * i + 1)};
+  block_of[0] = {99};  // not a slot: never read
+  block_of[kSlots.back()].back() = sim::kDummyKey;
+  EXPECT_EQ(gather(block_of, kSlots),
+            (std::vector<Key>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+}
+
+TEST(GatherScatter, RoundTrip) {
+  util::Rng rng(5);
+  for (const std::size_t count : {0u, 1u, 5u, 6u, 53u}) {
+    const auto keys = gen_uniform(count, rng);
+    const Placement placed = scatter(keys, kSlots, 8);
+    EXPECT_EQ(gather(placed.block_of, kSlots), keys) << "count " << count;
+  }
+}
+
 TEST(Generators, UniformStaysBelowDummy) {
   util::Rng rng(2);
   for (Key k : gen_uniform(1000, rng)) {

@@ -29,7 +29,7 @@ namespace {
 TEST(LinkStatsRegistry, PathWalkChargesEachTraversedLink) {
   sim::Machine machine(3, fault::FaultSet(3));  // Q_3, fault-free
   machine.link_stats().enable(machine.size(), machine.dim());
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) {
       const std::vector<sim::Key> payload{1, 2, 3, 4, 5};
       ctx.send(7, 9, std::span<const sim::Key>(payload));

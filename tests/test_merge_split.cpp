@@ -303,21 +303,17 @@ TEST(ResolveProtocol, AutoEngagesOnlyUnderCutThrough) {
 // Scalar-vs-SIMD kernel equivalence. The vectorized kernels must be
 // indistinguishable from the scalar oracle: byte-identical output AND an
 // identical comparison count, over random, duplicate-heavy, presorted,
-// disjoint-range, and odd-sized inputs. On hosts without AVX2 the Simd
-// request degrades to Scalar and these sweeps compare scalar to itself —
-// still a valid (if vacuous) run, so no skip.
+// disjoint-range, and odd-sized inputs. The sweeps call both detail::
+// bodies directly; they skip where the vector body is not compiled in or
+// the CPU lacks AVX2.
 
-/// Restores the process-global kernel backend on scope exit so a failing
-/// ASSERT cannot leak a Simd default into unrelated tests.
-class KernelBackendGuard {
- public:
-  KernelBackendGuard() : prev_(active_kernel_backend()) {}
-  ~KernelBackendGuard() { set_kernel_backend(prev_); }
+TEST(KernelBackends, CpuPicksTheBackend) {
+  EXPECT_EQ(active_kernel_backend(), simd_kernels_available()
+                                         ? KernelBackend::Simd
+                                         : KernelBackend::Scalar);
+}
 
- private:
-  KernelBackend prev_;
-};
-
+#if FTSORT_SIMD_KERNELS
 /// One ascending input drawn from an adversarial family.
 std::vector<Key> sorted_family(int family, std::size_t n, util::Rng& rng) {
   std::vector<Key> v;
@@ -355,7 +351,7 @@ std::vector<Key> sorted_family(int family, std::size_t n, util::Rng& rng) {
 }
 
 TEST(KernelBackends, MergeSplitScalarAndSimdMatchBitForBit) {
-  KernelBackendGuard guard;
+  if (!simd_kernels_available()) GTEST_SKIP() << "no AVX2 on this CPU";
   util::Rng rng(77);
   std::vector<Key> ref;
   std::vector<Key> out;
@@ -370,10 +366,8 @@ TEST(KernelBackends, MergeSplitScalarAndSimdMatchBitForBit) {
           for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
             std::uint64_t c_ref = 0;
             std::uint64_t c_out = 0;
-            set_kernel_backend(KernelBackend::Scalar);
-            merge_split_into(a, b, keep, ref, c_ref);
-            set_kernel_backend(KernelBackend::Simd);
-            merge_split_into(a, b, keep, out, c_out);
+            detail::merge_split_into_scalar(a, b, keep, ref, c_ref);
+            detail::merge_split_into_simd(a, b, keep, out, c_out);
             ASSERT_EQ(out, ref) << "na=" << na << " nb=" << nb
                                 << " fa=" << fa << " fb=" << fb;
             ASSERT_EQ(c_out, c_ref) << "na=" << na << " nb=" << nb
@@ -386,7 +380,7 @@ TEST(KernelBackends, MergeSplitScalarAndSimdMatchBitForBit) {
 }
 
 TEST(KernelBackends, PairwiseScalarAndSimdMatchBitForBit) {
-  KernelBackendGuard guard;
+  if (!simd_kernels_available()) GTEST_SKIP() << "no AVX2 on this CPU";
   util::Rng rng(78);
   std::vector<Key> kept_ref;
   std::vector<Key> ret_ref;
@@ -405,10 +399,9 @@ TEST(KernelBackends, PairwiseScalarAndSimdMatchBitForBit) {
       for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
         std::uint64_t c_ref = 0;
         std::uint64_t c_out = 0;
-        set_kernel_backend(KernelBackend::Scalar);
-        pairwise_select_rev_into(a, b, keep, kept_ref, ret_ref, c_ref);
-        set_kernel_backend(KernelBackend::Simd);
-        pairwise_select_rev_into(a, b, keep, kept, ret, c_out);
+        detail::pairwise_select_rev_into_scalar(a, b, keep, kept_ref, ret_ref,
+                                                c_ref);
+        detail::pairwise_select_rev_into_simd(a, b, keep, kept, ret, c_out);
         ASSERT_EQ(kept, kept_ref) << "rev n=" << n;
         ASSERT_EQ(ret, ret_ref) << "rev n=" << n;
         ASSERT_EQ(c_out, c_ref) << "rev n=" << n;
@@ -416,17 +409,7 @@ TEST(KernelBackends, PairwiseScalarAndSimdMatchBitForBit) {
     }
   }
 }
-
-TEST(KernelBackends, SimdRequestDegradesCleanlyWhenUnavailable) {
-  KernelBackendGuard guard;
-  const KernelBackend effective = set_kernel_backend(KernelBackend::Simd);
-  EXPECT_EQ(effective, simd_kernels_available() ? KernelBackend::Simd
-                                                : KernelBackend::Scalar);
-  EXPECT_EQ(active_kernel_backend(), effective);
-  EXPECT_EQ(set_kernel_backend(KernelBackend::Scalar),
-            KernelBackend::Scalar);
-  EXPECT_EQ(active_kernel_backend(), KernelBackend::Scalar);
-}
+#endif  // FTSORT_SIMD_KERNELS
 
 }  // namespace
 }  // namespace ftsort::sort

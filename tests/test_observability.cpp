@@ -59,7 +59,7 @@ TEST(ObservabilityTrace, SpansNestAndRestoreAmbientPhase) {
   sim::Machine machine(1, fault::FaultSet(1));  // Q_1: two nodes
   machine.trace().enable();
   machine.metrics().enable(machine.size());
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     EXPECT_EQ(ctx.phase(), sim::Phase::Unattributed);
     {
       const sim::PhaseSpan outer = ctx.span(sim::Phase::LocalSort);
@@ -102,7 +102,7 @@ TEST(ObservabilityTrace, SpansNestAndRestoreAmbientPhase) {
   EXPECT_EQ(ends, 4u);
 
   sim::Machine plain(1, fault::FaultSet(1));
-  const auto bare = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto bare = [](sim::NodeCtx& ctx) -> sim::Task {
     ctx.charge_compares(18);
     co_return;
   };
@@ -215,7 +215,7 @@ TEST(ObservabilityMetrics, OffByDefaultLeavesReportEmpty) {
 
 TEST(ObservabilityPool, PoolDeltaIsPerRunWhilePoolIsCumulative) {
   sim::Machine machine(2, fault::FaultSet(2));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) {
       // The span overload copies through the sender's buffer pool (the
       // vector&& overload adopts storage and would bypass it).

@@ -15,12 +15,21 @@ std::vector<Key> sorted_copy(std::vector<Key> v) {
   return v;
 }
 
+/// merge_sorted_into a fresh vector, for value-style assertions.
+std::vector<Key> merged(std::span<const Key> a, std::span<const Key> b,
+                        std::uint64_t& comparisons) {
+  std::vector<Key> out;
+  merge_sorted_into(a, b, out, comparisons);
+  return out;
+}
+
 TEST(Heapsort, SortsRandomInputs) {
   util::Rng rng(1);
   for (std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 1000u}) {
     auto keys = gen_uniform(n, rng);
     const auto expected = sorted_copy(keys);
-    heapsort(keys);
+    std::uint64_t comparisons = 0;
+    heapsort(keys, comparisons);
     EXPECT_EQ(keys, expected) << "n=" << n;
   }
 }
@@ -30,7 +39,8 @@ TEST(Heapsort, SortsAdversarialPatterns) {
   for (auto keys : {gen_sorted(100), gen_reverse(100), gen_organ_pipe(101),
                     gen_few_distinct(100, 3, rng)}) {
     const auto expected = sorted_copy(keys);
-    heapsort(keys);
+    std::uint64_t comparisons = 0;
+    heapsort(keys, comparisons);
     EXPECT_EQ(keys, expected);
   }
 }
@@ -120,8 +130,7 @@ TEST(MergeSorted, MergesAndCounts) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> a{1, 3, 5};
   const std::vector<Key> b{2, 4, 6};
-  EXPECT_EQ(merge_sorted(a, b, comparisons),
-            (std::vector<Key>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(merged(a, b, comparisons), (std::vector<Key>{1, 2, 3, 4, 5, 6}));
   EXPECT_LE(comparisons, 5u);
 }
 
@@ -129,8 +138,8 @@ TEST(MergeSorted, HandlesEmptySides) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> a{1, 2};
   const std::vector<Key> empty;
-  EXPECT_EQ(merge_sorted(a, empty, comparisons), a);
-  EXPECT_EQ(merge_sorted(empty, a, comparisons), a);
+  EXPECT_EQ(merged(a, empty, comparisons), a);
+  EXPECT_EQ(merged(empty, a, comparisons), a);
   EXPECT_EQ(comparisons, 0u);
 }
 
@@ -138,53 +147,58 @@ TEST(MergeSorted, StableForTies) {
   std::uint64_t comparisons = 0;
   const std::vector<Key> a{2, 2};
   const std::vector<Key> b{2};
-  EXPECT_EQ(merge_sorted(a, b, comparisons), (std::vector<Key>{2, 2, 2}));
+  EXPECT_EQ(merged(a, b, comparisons), (std::vector<Key>{2, 2, 2}));
 }
 
 TEST(SortUnimodal, PeakShapes) {
   std::uint64_t comparisons = 0;
+  std::vector<Key> scratch;
   std::vector<Key> v{1, 4, 9, 7, 2};
-  sort_unimodal(v, comparisons);
+  sort_unimodal(v, scratch, comparisons);
   EXPECT_EQ(v, (std::vector<Key>{1, 2, 4, 7, 9}));
 }
 
 TEST(SortUnimodal, ValleyShapes) {
   std::uint64_t comparisons = 0;
+  std::vector<Key> scratch;
   std::vector<Key> v{9, 5, 1, 3, 8};
-  sort_unimodal(v, comparisons);
+  sort_unimodal(v, scratch, comparisons);
   EXPECT_EQ(v, (std::vector<Key>{1, 3, 5, 8, 9}));
 }
 
 TEST(SortUnimodal, MonotoneInputsPassThrough) {
   std::uint64_t comparisons = 0;
+  std::vector<Key> scratch;
   std::vector<Key> asc{1, 2, 3};
-  sort_unimodal(asc, comparisons);
+  sort_unimodal(asc, scratch, comparisons);
   EXPECT_EQ(asc, (std::vector<Key>{1, 2, 3}));
   std::vector<Key> desc{3, 2, 1};
-  sort_unimodal(desc, comparisons);
+  sort_unimodal(desc, scratch, comparisons);
   EXPECT_EQ(desc, (std::vector<Key>{1, 2, 3}));
 }
 
 TEST(SortUnimodal, PlateausAndTies) {
   std::uint64_t comparisons = 0;
+  std::vector<Key> scratch;
   std::vector<Key> v{1, 3, 3, 3, 2, 2};
-  sort_unimodal(v, comparisons);
+  sort_unimodal(v, scratch, comparisons);
   EXPECT_EQ(v, (std::vector<Key>{1, 2, 2, 3, 3, 3}));
   std::vector<Key> equal{5, 5, 5};
-  sort_unimodal(equal, comparisons);
+  sort_unimodal(equal, scratch, comparisons);
   EXPECT_EQ(equal, (std::vector<Key>{5, 5, 5}));
 }
 
 TEST(SortUnimodal, TinyInputs) {
   std::uint64_t comparisons = 0;
+  std::vector<Key> scratch;
   std::vector<Key> empty;
-  sort_unimodal(empty, comparisons);
+  sort_unimodal(empty, scratch, comparisons);
   EXPECT_TRUE(empty.empty());
   std::vector<Key> one{7};
-  sort_unimodal(one, comparisons);
+  sort_unimodal(one, scratch, comparisons);
   EXPECT_EQ(one, std::vector<Key>{7});
   std::vector<Key> two{9, 1};
-  sort_unimodal(two, comparisons);
+  sort_unimodal(two, scratch, comparisons);
   EXPECT_EQ(two, (std::vector<Key>{1, 9}));
 }
 
@@ -208,11 +222,12 @@ TEST(SortUnimodal, RandomMinMaxPairSequences) {
                    b[static_cast<std::size_t>(i)]);
     }
     std::uint64_t comparisons = 0;
+    std::vector<Key> scratch;
     auto mins_expected = sorted_copy(mins);
-    sort_unimodal(mins, comparisons);
+    sort_unimodal(mins, scratch, comparisons);
     EXPECT_EQ(mins, mins_expected);
     auto maxs_expected = sorted_copy(maxs);
-    sort_unimodal(maxs, comparisons);
+    sort_unimodal(maxs, scratch, comparisons);
     EXPECT_EQ(maxs, maxs_expected);
     // Linear cost: at most ~2n comparisons per call.
     EXPECT_LE(comparisons, 4u * 33u + 8u);

@@ -9,41 +9,53 @@ namespace {
 
 fault::FaultSet no_faults(cube::Dim n) { return fault::FaultSet(n); }
 
-TEST(Task, RunsToCompletionAndReturnsValue) {
-  auto coro = []() -> Task<int> { co_return 42; };
-  Task<int> t = coro();
-  EXPECT_FALSE(t.done());
-  t.start();
-  EXPECT_TRUE(t.done());
-  EXPECT_EQ(t.take_result(), 42);
-}
-
 TEST(Task, PropagatesExceptions) {
-  auto coro = []() -> Task<int> {
+  bool started = false;
+  auto coro = [](bool& flag) -> Task {
+    flag = true;
     throw std::runtime_error("boom");
-    co_return 0;
+    co_return;
   };
-  Task<int> t = coro();
+  Task t = coro(started);
+  EXPECT_FALSE(started);  // lazily started
   t.start();
+  EXPECT_TRUE(started);
   EXPECT_TRUE(t.done());
   EXPECT_THROW(t.take_result(), std::runtime_error);
 }
 
 TEST(Task, NestedAwaitPassesValues) {
-  auto inner = []() -> Task<int> { co_return 7; };
-  auto outer = [&]() -> Task<int> {
-    const int x = co_await inner();
-    co_return x * 3;
+  // Results travel through caller-owned references; an inner task's
+  // exception surfaces at the outer co_await.
+  auto inner = [](int& out, bool fail) -> Task {
+    if (fail) throw std::runtime_error("inner");
+    out = 7;
+    co_return;
   };
-  Task<int> t = outer();
+  auto outer = [&](int& out, bool& caught) -> Task {
+    int x = 0;
+    co_await inner(x, false);
+    out = x * 3;
+    try {
+      co_await inner(x, true);
+    } catch (const std::runtime_error&) {
+      caught = true;
+    }
+  };
+  int result = 0;
+  bool caught = false;
+  Task t = outer(result, caught);
   t.start();
-  EXPECT_EQ(t.take_result(), 21);
+  EXPECT_TRUE(t.done());
+  t.take_result();
+  EXPECT_EQ(result, 21);
+  EXPECT_TRUE(caught);
 }
 
 TEST(Machine, PingPongDeliversPayloadAndAdvancesClocks) {
   Machine machine(1, no_faults(1));
   std::vector<Key> got;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       ctx.send(1, 5, {10, 20, 30});
       Message reply = co_await ctx.recv(1, 6);
@@ -69,7 +81,7 @@ TEST(Machine, RecvBeforeSendSuspendsAndResumes) {
   // only after receiving from node 1).
   Machine machine(1, no_faults(1));
   bool done0 = false;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       Message msg = co_await ctx.recv(1, 1);  // suspends: nothing sent yet
       EXPECT_EQ(msg.payload.size(), 1u);
@@ -85,7 +97,7 @@ TEST(Machine, RecvBeforeSendSuspendsAndResumes) {
 TEST(Machine, FifoPerChannel) {
   Machine machine(1, no_faults(1));
   std::vector<Key> order;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       ctx.send(1, 1, {1});
       ctx.send(1, 1, {2});
@@ -104,7 +116,7 @@ TEST(Machine, FifoPerChannel) {
 TEST(Machine, TagsSeparateChannels) {
   Machine machine(1, no_faults(1));
   std::vector<Key> got;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       ctx.send(1, /*tag=*/2, {222});
       ctx.send(1, /*tag=*/1, {111});
@@ -123,7 +135,7 @@ TEST(Machine, MultiHopChargesStoreAndForward) {
   // Q_2, send 0 -> 3: two hops under e-cube routing.
   Machine machine(2, no_faults(2));
   SimTime arrival = 0;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       ctx.send(3, 1, {1, 2});
     } else if (ctx.id() == 3) {
@@ -142,7 +154,7 @@ TEST(Machine, PartialFaultRoutesThroughFaultyNode) {
   // Q_2 with node 1 faulty: 0 -> 3 still two hops (VERTEX-style).
   Machine machine(2, fault::FaultSet(2, {1}), fault::FaultModel::Partial);
   int hops = 0;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       ctx.send(3, 1, {1});
     } else if (ctx.id() == 3) {
@@ -160,7 +172,7 @@ TEST(Machine, TotalFaultDetoursAndCostsMore) {
   // still 2 hops here; make it cost more with two faults in Q_3.
   Machine machine(3, fault::FaultSet(3, {1, 2}), fault::FaultModel::Total);
   int hops = 0;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       ctx.send(3, 1, {1});
     } else if (ctx.id() == 3) {
@@ -175,7 +187,7 @@ TEST(Machine, TotalFaultDetoursAndCostsMore) {
 
 TEST(Machine, ChargeComparesAccumulates) {
   Machine machine(0, no_faults(0));
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     ctx.charge_compares(10);
     ctx.charge_compares(5);
     co_return;
@@ -187,7 +199,7 @@ TEST(Machine, ChargeComparesAccumulates) {
 
 TEST(Machine, ChargeTimeRejectsNegative) {
   Machine machine(0, no_faults(0));
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     ctx.charge_time(-1.0);
     co_return;
   };
@@ -198,7 +210,7 @@ TEST(Machine, RecvClockIsMaxOfLocalAndArrival) {
   // Receiver does heavy local work first: clock should not regress.
   Machine machine(1, no_faults(1));
   SimTime at_recv = 0;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       ctx.send(1, 1, {1});
     } else {
@@ -215,7 +227,7 @@ TEST(Machine, RecvClockIsMaxOfLocalAndArrival) {
 
 TEST(Machine, DeadlockDetected) {
   Machine machine(1, no_faults(1));
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     // Both nodes wait for a message that never comes.
     Message msg = co_await ctx.recv(ctx.id() ^ 1u, 9);
     (void)msg;
@@ -225,7 +237,7 @@ TEST(Machine, DeadlockDetected) {
 
 TEST(Machine, NodeExceptionAnnotatedWithNodeId) {
   Machine machine(1, no_faults(1));
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 1) throw std::runtime_error("bad node");
     co_return;
   };
@@ -240,7 +252,7 @@ TEST(Machine, NodeExceptionAnnotatedWithNodeId) {
 
 TEST(Machine, SendToFaultyNodeRejected) {
   Machine machine(2, fault::FaultSet(2, {3}));
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) ctx.send(3, 1, {1});
     co_return;
   };
@@ -249,7 +261,7 @@ TEST(Machine, SendToFaultyNodeRejected) {
 
 TEST(Machine, SendToSelfRejected) {
   Machine machine(1, no_faults(1));
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     ctx.send(ctx.id(), 1, {1});
     co_return;
   };
@@ -259,7 +271,7 @@ TEST(Machine, SendToSelfRejected) {
 TEST(Machine, FaultyNodesRunNoProgram) {
   Machine machine(2, fault::FaultSet(2, {0, 1}));
   int instantiations = 0;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     ++instantiations;
     (void)ctx;
     co_return;
@@ -270,7 +282,7 @@ TEST(Machine, FaultyNodesRunNoProgram) {
 
 TEST(Machine, ReusableForMultipleRuns) {
   Machine machine(1, no_faults(1));
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) ctx.send(1, 1, {1});
     else { Message m = co_await ctx.recv(0, 1); (void)m; }
   };
@@ -284,7 +296,7 @@ TEST(Machine, StartupCostAddsPerHop) {
   CostModel cost{0.0, 0.0, 100.0};  // startup only
   Machine machine(2, no_faults(2), fault::FaultModel::Partial, cost);
   SimTime arrival = 0;
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       ctx.send(3, 1, std::vector<Key>{});
     } else if (ctx.id() == 3) {
@@ -301,7 +313,7 @@ TEST(Machine, StartupCostAddsPerHop) {
 TEST(Machine, TraceRecordsSendRecvCompute) {
   Machine machine(1, no_faults(1));
   machine.trace().enable();
-  const auto program = [&](NodeCtx& ctx) -> Task<void> {
+  const auto program = [&](NodeCtx& ctx) -> Task {
     if (ctx.id() == 0) {
       ctx.charge_compares(3);
       ctx.send(1, 1, {1, 2});

@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/ft_sorter.hpp"
 #include "sort/distribution.hpp"
-#include "sort/single_fault.hpp"
 #include "sort/spmd_bitonic.hpp"
 #include "util/rng.hpp"
 
@@ -36,9 +36,10 @@ RunResult run_sort(cube::Dim s, bool dead0, std::size_t block_size,
   fault::FaultSet faults =
       dead0 ? fault::FaultSet(s, {0}) : fault::FaultSet(s);
   sim::Machine machine(s, faults);
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
+    ExchangeScratch scratch;
     co_await block_bitonic_sort(ctx, lc, ctx.id(), blocks[ctx.id()],
-                                ascending, protocol, 0);
+                                ascending, protocol, 0, scratch);
   };
   RunResult result;
   result.report = machine.run(program);
@@ -135,9 +136,10 @@ TEST(BlockBitonic, PreservesKeyMultiset) {
     all.insert(all.end(), b.begin(), b.end());
   }
   sim::Machine machine(3, fault::FaultSet(3));
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
+    ExchangeScratch scratch;
     co_await block_bitonic_sort(ctx, lc, ctx.id(), blocks[ctx.id()], true,
-                                ExchangeProtocol::HalfExchange, 0);
+                                ExchangeProtocol::HalfExchange, 0, scratch);
   };
   machine.run(program);
   std::vector<Key> after;
@@ -175,14 +177,26 @@ TEST(BlockBitonic, TagSpanFormula) {
   EXPECT_EQ(bitonic_merge_tag_span(3), 7u);
 }
 
+// §2.1's single-fault bitonic sort is Steps 1-8 with m = 0: with at most
+// one fault the plan keeps the whole cube as one subcube, re-indexes the
+// fault to logical 0, and the sorter runs only Step 3.
+core::SortOutcome single_fault_sort(
+    cube::Dim n, const fault::FaultSet& faults, std::span<const Key> keys,
+    fault::FaultModel model = fault::FaultModel::Partial) {
+  core::SortConfig cfg;
+  cfg.model = model;
+  const core::FaultTolerantSorter sorter(n, faults, cfg);
+  EXPECT_EQ(sorter.plan().m(), 0);
+  return sorter.sort(keys);
+}
+
 TEST(SingleFaultSort, EveryFaultLocationQ4) {
   util::Rng rng(11);
   const auto keys = gen_uniform(93, rng);
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
   for (cube::NodeId f = 0; f < 16; ++f) {
-    const auto result =
-        single_fault_bitonic_sort(4, fault::FaultSet(4, {f}), keys);
+    const auto result = single_fault_sort(4, fault::FaultSet(4, {f}), keys);
     EXPECT_EQ(result.sorted, expected) << "fault at " << f;
   }
 }
@@ -192,7 +206,7 @@ TEST(SingleFaultSort, FaultFreeMatches) {
   const auto keys = gen_uniform(128, rng);
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
-  const auto result = single_fault_bitonic_sort(4, fault::FaultSet(4), keys);
+  const auto result = single_fault_sort(4, fault::FaultSet(4), keys);
   EXPECT_EQ(result.sorted, expected);
   EXPECT_EQ(result.block_size, 8u);
 }
@@ -200,8 +214,7 @@ TEST(SingleFaultSort, FaultFreeMatches) {
 TEST(SingleFaultSort, FaultyCubeUsesLargerBlocks) {
   util::Rng rng(13);
   const auto keys = gen_uniform(128, rng);
-  const auto faulty =
-      single_fault_bitonic_sort(4, fault::FaultSet(4, {3}), keys);
+  const auto faulty = single_fault_sort(4, fault::FaultSet(4, {3}), keys);
   EXPECT_EQ(faulty.block_size, 9u);  // ceil(128 / 15)
 }
 
@@ -209,26 +222,17 @@ TEST(SingleFaultSort, TotalFaultModelCostsAtLeastPartial) {
   util::Rng rng(14);
   const auto keys = gen_uniform(200, rng);
   const fault::FaultSet faults(4, {5});
-  const auto partial = single_fault_bitonic_sort(
-      4, faults, keys, fault::FaultModel::Partial);
-  const auto total = single_fault_bitonic_sort(
-      4, faults, keys, fault::FaultModel::Total);
+  const auto partial =
+      single_fault_sort(4, faults, keys, fault::FaultModel::Partial);
+  const auto total =
+      single_fault_sort(4, faults, keys, fault::FaultModel::Total);
   EXPECT_EQ(partial.sorted, total.sorted);
   EXPECT_GE(total.report.makespan, partial.report.makespan);
 }
 
-TEST(SingleFaultSort, RejectsTwoFaults) {
-  util::Rng rng(15);
-  const auto keys = gen_uniform(16, rng);
-  EXPECT_THROW(
-      single_fault_bitonic_sort(3, fault::FaultSet(3, {1, 2}), keys),
-      ContractViolation);
-}
-
 TEST(SingleFaultSort, EmptyInput) {
   const std::vector<Key> none;
-  const auto result =
-      single_fault_bitonic_sort(3, fault::FaultSet(3, {0}), none);
+  const auto result = single_fault_sort(3, fault::FaultSet(3, {0}), none);
   EXPECT_TRUE(result.sorted.empty());
 }
 
@@ -237,8 +241,7 @@ TEST(SingleFaultSort, FewerKeysThanNodes) {
   const auto keys = gen_uniform(5, rng);
   auto expected = keys;
   std::sort(expected.begin(), expected.end());
-  const auto result =
-      single_fault_bitonic_sort(4, fault::FaultSet(4, {7}), keys);
+  const auto result = single_fault_sort(4, fault::FaultSet(4, {7}), keys);
   EXPECT_EQ(result.sorted, expected);
   EXPECT_EQ(result.block_size, 1u);
 }

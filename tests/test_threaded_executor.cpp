@@ -15,7 +15,7 @@ namespace {
 
 TEST(ThreadedExecutor, PingPongMatchesSequential) {
   const auto make_program = [](std::vector<sim::Key>& sink) {
-    return [&sink](sim::NodeCtx& ctx) -> sim::Task<void> {
+    return [&sink](sim::NodeCtx& ctx) -> sim::Task {
       if (ctx.id() == 0) {
         ctx.send(1, 1, {5, 6, 7});
         sim::Message reply = co_await ctx.recv(1, 2);
@@ -44,7 +44,7 @@ TEST(ThreadedExecutor, AllToAllExchangeCompletes) {
   const cube::Dim n = 4;
   sim::Machine machine(n, fault::FaultSet(n));
   std::vector<std::uint64_t> sums(cube::num_nodes(n), 0);
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
     for (cube::NodeId v = 0; v < cube::num_nodes(n); ++v)
       if (v != ctx.id())
         ctx.send(v, 7, {static_cast<sim::Key>(ctx.id())});
@@ -63,7 +63,7 @@ TEST(ThreadedExecutor, AllToAllExchangeCompletes) {
 
 TEST(ThreadedExecutor, StallDetection) {
   sim::Machine machine(1, fault::FaultSet(1));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     sim::Message msg = co_await ctx.recv(ctx.id() ^ 1u, 9);  // never sent
     (void)msg;
   };
@@ -74,7 +74,7 @@ TEST(ThreadedExecutor, StallDetection) {
 
 TEST(ThreadedExecutor, NodeExceptionPropagates) {
   sim::Machine machine(1, fault::FaultSet(1));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 1) throw std::runtime_error("thread boom");
     co_return;
   };
@@ -112,7 +112,7 @@ TEST(ThreadedExecutor, SixtyFourThreadsSortQ6) {
 
 TEST(ThreadedExecutor, MachineReusableAcrossExecutors) {
   sim::Machine machine(1, fault::FaultSet(1));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) ctx.send(1, 1, {1});
     else {
       sim::Message m = co_await ctx.recv(0, 1);

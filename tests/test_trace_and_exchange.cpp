@@ -1,5 +1,5 @@
 // Coverage for the event trace, machine edge cases, and the
-// exchange_merge_split primitive against its pure-kernel reference.
+// exchange_merge_split_into primitive against its pure-kernel reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,7 +41,7 @@ TEST(Trace, ClearDropsEvents) {
 
 TEST(MachineEdge, RecvFromFaultySourceIsRejected) {
   sim::Machine machine(2, fault::FaultSet(2, {1}));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) {
       sim::Message m = co_await ctx.recv(1, 0);  // 1 is faulty
       (void)m;
@@ -53,7 +53,7 @@ TEST(MachineEdge, RecvFromFaultySourceIsRejected) {
 TEST(MachineEdge, ZeroComparisonsChargeIsFree) {
   sim::Machine machine(0, fault::FaultSet(0));
   machine.trace().enable();
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     ctx.charge_compares(0);
     co_return;
   };
@@ -65,7 +65,7 @@ TEST(MachineEdge, ZeroComparisonsChargeIsFree) {
 
 TEST(MachineEdge, FaultyNodesReportZeroClock) {
   sim::Machine machine(2, fault::FaultSet(2, {2}));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     ctx.charge_compares(5);
     co_return;
   };
@@ -77,7 +77,7 @@ TEST(MachineEdge, FaultyNodesReportZeroClock) {
 TEST(MachineEdge, EmptyPayloadMessagesWork) {
   sim::Machine machine(1, fault::FaultSet(1));
   bool received = false;
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) {
       ctx.send(1, 0, std::vector<Key>{});
     } else {
@@ -91,24 +91,20 @@ TEST(MachineEdge, EmptyPayloadMessagesWork) {
   EXPECT_DOUBLE_EQ(report.makespan, 0.0);  // zero keys, zero startup
 }
 
-/// Run exchange_merge_split on a 1-cube and return both sides' blocks.
+/// Run exchange_merge_split_into on a 1-cube and return both sides' blocks.
 std::pair<std::vector<Key>, std::vector<Key>> run_exchange(
     std::vector<Key> a, std::vector<Key> b,
     sort::ExchangeProtocol protocol) {
   sim::Machine machine(1, fault::FaultSet(1));
-  std::vector<Key> out0;
-  std::vector<Key> out1;
-  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
-    if (ctx.id() == 0) {
-      out0 = co_await sort::exchange_merge_split(
-          ctx, 1, 0, a, sort::SplitHalf::Lower, protocol);
-    } else {
-      out1 = co_await sort::exchange_merge_split(
-          ctx, 0, 0, b, sort::SplitHalf::Upper, protocol);
-    }
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
+    sort::ExchangeScratch scratch;
+    co_await sort::exchange_merge_split_into(
+        ctx, ctx.id() ^ 1u, 0, ctx.id() == 0 ? a : b, scratch,
+        ctx.id() == 0 ? sort::SplitHalf::Lower : sort::SplitHalf::Upper,
+        protocol);
   };
   machine.run(program);
-  return {out0, out1};
+  return {a, b};
 }
 
 TEST(Exchange, MatchesPureKernelReference) {
@@ -168,13 +164,13 @@ TEST(Exchange, DeterministicTiming) {
   sim::RunReport second;
   for (sim::RunReport* report : {&first, &second}) {
     sim::Machine machine(1, fault::FaultSet(1));
-    const auto program = [&](sim::NodeCtx& ctx) -> sim::Task<void> {
+    const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
       auto block = ctx.id() == 0 ? a : b;
-      auto out = co_await sort::exchange_merge_split(
-          ctx, ctx.id() ^ 1u, 0, std::move(block),
+      sort::ExchangeScratch scratch;
+      co_await sort::exchange_merge_split_into(
+          ctx, ctx.id() ^ 1u, 0, block, scratch,
           ctx.id() == 0 ? sort::SplitHalf::Lower : sort::SplitHalf::Upper,
           sort::ExchangeProtocol::HalfExchange);
-      (void)out;
     };
     *report = machine.run(program);
   }

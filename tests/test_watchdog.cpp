@@ -157,7 +157,7 @@ TEST(WatchdogMachine, ThreadedTripNamesTheWedgedNodeAndDumps) {
   const std::string dump = testing::TempDir() + "wd_threaded_dump.json";
   sim::Machine machine(1, no_faults(1));  // Q_1: nodes 0 and 1
   machine.set_watchdog(trippy_config(dump));
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) std::this_thread::sleep_for(700ms);
     co_return;
   };
@@ -189,7 +189,7 @@ TEST(WatchdogMachine, ThreadedTripNamesTheWedgedNodeAndDumps) {
 TEST(WatchdogMachine, SequentialTripThrowsWatchdogErrorNotDeadlock) {
   sim::Machine machine(1, no_faults(1));
   machine.set_watchdog(trippy_config());
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) std::this_thread::sleep_for(700ms);
     co_return;
   };
@@ -202,7 +202,7 @@ TEST(WatchdogMachine, HealthyRunReportsZeroTripsAndArmedConfig) {
   cfg.enabled = true;       // generous deadline: must never trip
   cfg.deadline_ms = 60'000;
   machine.set_watchdog(cfg);
-  const auto program = [](sim::NodeCtx& ctx) -> sim::Task<void> {
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
     if (ctx.id() == 0) {
       ctx.send(1, 1, {7});
     } else {

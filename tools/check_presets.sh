@@ -2,7 +2,7 @@
 # Configure and build every configure preset in CMakePresets.json, in the
 # order listed, each into its own binaryDir (build, build-release, ...).
 # Stops with a non-zero exit at the first preset that fails to configure
-# or build. Deliberately not a ctest: five full builds take far longer
+# or build. Deliberately not a ctest: four full builds take far longer
 # than the tier-1 suite.
 #
 # Usage: tools/check_presets.sh

@@ -44,7 +44,10 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
+
+#include <sched.h>
 
 #include "core/ft_sorter.hpp"
 #include "fault/scenario.hpp"
@@ -580,6 +583,28 @@ bool check_simd_twins(const std::vector<ParsedScenario>& current) {
   return ok;
 }
 
+/// Host stamp for the history line: the CPUs this process may run on (its
+/// affinity mask, which a container or `taskset` may narrow) and the
+/// 1-minute load average, as JSON members. Wall times from different
+/// hosts or loads are not one trend; `ftdiag history` names the mix.
+std::string host_stamp() {
+  cpu_set_t set;
+  const unsigned nproc = sched_getaffinity(0, sizeof set, &set) == 0
+                             ? static_cast<unsigned>(CPU_COUNT(&set))
+                             : std::thread::hardware_concurrency();
+  std::ostringstream os;
+  os << "\"nproc\": " << nproc << ", \"loadavg\": ";
+  double load = 0.0;
+  if (getloadavg(&load, 1) == 1) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2f", load);
+    os << buf;
+  } else {
+    os << "null";
+  }
+  return os.str();
+}
+
 int harness_main(int argc, char** argv) {
   bool smoke = false;
   std::string out_path = "BENCH_sort.json";
@@ -801,7 +826,7 @@ int harness_main(int argc, char** argv) {
 #else
          << "debug"
 #endif
-         << "\", \"scenarios\": [";
+         << "\", " << host_stamp() << ", \"scenarios\": [";
     for (std::size_t i = 0; i < all.size(); ++i) {
       const Metrics& m = all[i];
       char makespan[64];

@@ -8,23 +8,37 @@ namespace ftsort::sort {
 
 namespace {
 
-/// Restore the max-heap property below `root` within data[0 .. size).
-void sift_down(std::span<Key> data, std::size_t root, std::size_t size,
-               std::uint64_t& comparisons) {
-  while (true) {
-    const std::size_t left = 2 * root + 1;
-    if (left >= size) return;
-    std::size_t largest = left;
-    const std::size_t right = left + 1;
-    if (right < size) {
-      ++comparisons;
-      if (data[right] > data[left]) largest = right;
+/// Sift `key` down from the hole at `root` within data[0 .. size): each
+/// larger child moves up one level into the hole until a child is <= key,
+/// then the key fills the hole. The comparisons, their order and their
+/// count are those of the swap-per-level textbook loop: two at a parent
+/// with two children (the larger child, ties going left, then child <=
+/// key) and one at the lone-left-child parent that exists when `size` is
+/// even. The child choice is arithmetic, not a branch: on random keys it
+/// is a coin flip no predictor learns. Returns the comparison count.
+std::uint64_t sift_down(Key* data, std::size_t root, std::size_t size,
+                        const Key key) {
+  std::uint64_t comparisons = 0;
+  std::size_t child = 2 * root + 2;  // the right child
+  for (; child < size; child = 2 * root + 2) {
+    child -= static_cast<std::size_t>(data[child - 1] >= data[child]);
+    comparisons += 2;
+    if (data[child] <= key) {
+      data[root] = key;
+      return comparisons;
     }
-    ++comparisons;
-    if (data[largest] <= data[root]) return;
-    std::swap(data[root], data[largest]);
-    root = largest;
+    data[root] = data[child];
+    root = child;
   }
+  if (child == size) {  // the lone left child, in the last slot
+    ++comparisons;
+    if (data[size - 1] > key) {
+      data[root] = data[size - 1];
+      root = size - 1;
+    }
+  }
+  data[root] = key;
+  return comparisons;
 }
 
 }  // namespace
@@ -32,12 +46,16 @@ void sift_down(std::span<Key> data, std::size_t root, std::size_t size,
 void heapsort(std::span<Key> data, std::uint64_t& comparisons) {
   const std::size_t n = data.size();
   if (n < 2) return;
-  for (std::size_t i = n / 2; i-- > 0;)
-    sift_down(data, i, n, comparisons);
+  Key* const d = data.data();
+  std::uint64_t count = 0;
+  for (std::size_t i = n / 2; i-- > 0;) count += sift_down(d, i, n, d[i]);
   for (std::size_t end = n; end-- > 1;) {
-    std::swap(data[0], data[end]);
-    sift_down(data, 0, end, comparisons);
+    // Move the maximum to the back; the key it displaces sifts from the root.
+    const Key key = d[end];
+    d[end] = d[0];
+    count += sift_down(d, 0, end, key);
   }
+  comparisons += count;
 }
 
 namespace {
@@ -144,10 +162,9 @@ void merge_sorted_into(std::span<const Key> a, std::span<const Key> b,
   std::size_t i = 0;
   std::size_t j = 0;
   std::size_t k = 0;
-  while (i < a.size() && j < b.size()) {
-    ++comparisons;
+  while (i < a.size() && j < b.size())
     dst[k++] = (b[j] < a[i]) ? b[j++] : a[i++];
-  }
+  comparisons += k;  // one per key placed while both runs held keys
   while (i < a.size()) dst[k++] = a[i++];
   while (j < b.size()) dst[k++] = b[j++];
 }
@@ -163,10 +180,10 @@ void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
   std::size_t k = 1;
   while (k < n && data[k] == data[k - 1]) ++k;
   if (k == n) return;  // all equal
-  ++comparisons;
+  std::uint64_t count = 1;  // the direction
   const bool rising_start = data[k] > data[k - 1];
   for (; k < n; ++k) {
-    ++comparisons;
+    ++count;
     if (data[k] == data[k - 1]) continue;
     const bool rising_here = data[k] > data[k - 1];
     if (rising_here != rising_start) {
@@ -174,6 +191,7 @@ void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
       break;
     }
   }
+  comparisons += count;
   if (turn == n) {  // already monotone
     if (!rising_start) std::reverse(data.begin(), data.end());
     return;
@@ -197,7 +215,6 @@ void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
   };
   std::size_t out = 0;
   while (ai < a_len && bj < b_len) {
-    ++comparisons;
     const Key a = a_at(ai);
     const Key b = b_at(bj);
     if (b < a) {
@@ -208,6 +225,7 @@ void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
       ++ai;
     }
   }
+  comparisons += out;  // one per key placed while both runs held keys
   while (ai < a_len) dst[out++] = a_at(ai++);
   while (bj < b_len) dst[out++] = b_at(bj++);
   std::swap(data, scratch);

@@ -537,6 +537,46 @@ TEST(FtdiagHistory, SkipsCorruptLinesWithACountAndNeverFails) {
       << res.text;
 }
 
+TEST(FtdiagHistory, NotesAGroupWhoseSamplesSpanHosts) {
+  // bench_harness stamps each line with the host's usable CPUs; lines
+  // from before the stamp count as "unknown". Mixed stamps keep one
+  // group and one gate, plus a note naming the values on wall times.
+  const auto stamped = [](const char* nproc) {
+    std::string line = history_line("smoke", "release", 100.0, 5e6);
+    line.insert(1, std::string(R"("nproc": )") + nproc + ", ");
+    return line;
+  };
+  const std::string mixed = history_line("smoke", "release", 100.0, 5e6) +
+                            stamped("4") + stamped("4") + stamped("16");
+  const tools::HistoryResult res =
+      tools::history_trends(mixed, "wall_ns", 3, 20.0);
+  ASSERT_TRUE(res.ok) << res.error;
+  ASSERT_EQ(res.trends.size(), 1u);
+  EXPECT_EQ(res.trends[0].entries, 4u);
+  EXPECT_EQ(res.regressions, 0u);
+  EXPECT_EQ(res.trends[0].nprocs,
+            (std::vector<std::string>{"unknown", "4", "16"}));
+  EXPECT_NE(res.text.find("note: samples span nproc unknown, 4, 16"),
+            std::string::npos)
+      << res.text;
+
+  // One host throughout: no note.
+  const tools::HistoryResult same = tools::history_trends(
+      stamped("4") + stamped("4"), "wall_ns", 3, 20.0);
+  ASSERT_TRUE(same.ok) << same.error;
+  EXPECT_EQ(same.text.find("note:"), std::string::npos) << same.text;
+
+  // Simulated metrics do not depend on the host: no note on them.
+  for (const char* simulated : {"makespan", "comparisons"}) {
+    const tools::HistoryResult sim =
+        tools::history_trends(mixed, simulated, 3, 20.0);
+    ASSERT_TRUE(sim.ok) << sim.error;
+    for (const tools::HistoryTrend& t : sim.trends)
+      EXPECT_TRUE(t.nprocs.empty()) << simulated;
+    EXPECT_EQ(sim.text.find("note:"), std::string::npos) << sim.text;
+  }
+}
+
 TEST(FtdiagHistory, ExitCodesMatchTheCliContract) {
   std::string stable;
   std::string drifted;

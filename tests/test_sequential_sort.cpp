@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "sort/distribution.hpp"
+#include "sort/merge_split.hpp"
 #include "sort/sequential.hpp"
 #include "util/rng.hpp"
 
@@ -21,6 +24,286 @@ std::vector<Key> merged(std::span<const Key> a, std::span<const Key> b,
   std::vector<Key> out;
   merge_sorted_into(a, b, out, comparisons);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Exact-count oracle. The simulator charges t_c per comparison, so every
+// simulated time depends on the kernels' counts: the library kernels must
+// make the comparisons of the textbook loops below, call for call, not
+// merely stay within a bound. These are the straightforward swap-per-level
+// heapsort and the merge loops that bump the caller's counter per
+// comparison, kept here only as oracles.
+
+void textbook_sift_down(std::span<Key> data, std::size_t root,
+                        std::size_t size, std::uint64_t& comparisons) {
+  while (true) {
+    const std::size_t left = 2 * root + 1;
+    if (left >= size) return;
+    std::size_t largest = left;
+    const std::size_t right = left + 1;
+    if (right < size) {
+      ++comparisons;
+      if (data[right] > data[left]) largest = right;
+    }
+    ++comparisons;
+    if (data[largest] <= data[root]) return;
+    std::swap(data[root], data[largest]);
+    root = largest;
+  }
+}
+
+void textbook_heapsort(std::span<Key> data, std::uint64_t& comparisons) {
+  const std::size_t n = data.size();
+  if (n < 2) return;
+  for (std::size_t i = n / 2; i-- > 0;)
+    textbook_sift_down(data, i, n, comparisons);
+  for (std::size_t end = n; end-- > 1;) {
+    std::swap(data[0], data[end]);
+    textbook_sift_down(data, 0, end, comparisons);
+  }
+}
+
+void textbook_merge_sorted_into(std::span<const Key> a,
+                                std::span<const Key> b, std::vector<Key>& out,
+                                std::uint64_t& comparisons) {
+  out.resize(a.size() + b.size());
+  Key* const dst = out.data();
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::size_t k = 0;
+  while (i < a.size() && j < b.size()) {
+    ++comparisons;
+    dst[k++] = (b[j] < a[i]) ? b[j++] : a[i++];
+  }
+  while (i < a.size()) dst[k++] = a[i++];
+  while (j < b.size()) dst[k++] = b[j++];
+}
+
+void textbook_sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
+                            std::uint64_t& comparisons) {
+  const std::size_t n = data.size();
+  if (n < 2) return;
+  std::size_t turn = n;
+  std::size_t k = 1;
+  while (k < n && data[k] == data[k - 1]) ++k;
+  if (k == n) return;
+  ++comparisons;
+  const bool rising_start = data[k] > data[k - 1];
+  for (; k < n; ++k) {
+    ++comparisons;
+    if (data[k] == data[k - 1]) continue;
+    const bool rising_here = data[k] > data[k - 1];
+    if (rising_here != rising_start) {
+      turn = k;
+      break;
+    }
+  }
+  if (turn == n) {
+    if (!rising_start) std::reverse(data.begin(), data.end());
+    return;
+  }
+  scratch.resize(n);
+  const Key* const src = data.data();
+  Key* const dst = scratch.data();
+  std::size_t ai = 0;
+  std::size_t bj = 0;
+  const std::size_t a_len = turn;
+  const std::size_t b_len = n - turn;
+  const auto a_at = [&](std::size_t i) {
+    return rising_start ? src[i] : src[a_len - 1 - i];
+  };
+  const auto b_at = [&](std::size_t j) {
+    return rising_start ? src[n - 1 - j] : src[turn + j];
+  };
+  std::size_t out = 0;
+  while (ai < a_len && bj < b_len) {
+    ++comparisons;
+    const Key a = a_at(ai);
+    const Key b = b_at(bj);
+    if (b < a) {
+      dst[out++] = b;
+      ++bj;
+    } else {
+      dst[out++] = a;
+      ++ai;
+    }
+  }
+  while (ai < a_len) dst[out++] = a_at(ai++);
+  while (bj < b_len) dst[out++] = b_at(bj++);
+  std::swap(data, scratch);
+}
+
+// Both sides start from a nonzero counter: the kernels add to it.
+constexpr std::uint64_t kCounterStart = 7;
+
+::testing::AssertionResult same_result(const std::vector<Key>& got,
+                                       std::uint64_t got_count,
+                                       const std::vector<Key>& want,
+                                       std::uint64_t want_count) {
+  if (got != want) return ::testing::AssertionFailure() << "output differs";
+  if (got_count != want_count)
+    return ::testing::AssertionFailure()
+           << "count " << got_count - kCounterStart << ", textbook "
+           << want_count - kCounterStart;
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult heapsort_matches(const std::vector<Key>& input) {
+  std::vector<Key> got = input;
+  std::vector<Key> want = input;
+  std::uint64_t got_count = kCounterStart;
+  std::uint64_t want_count = kCounterStart;
+  heapsort(got, got_count);
+  textbook_heapsort(want, want_count);
+  return same_result(got, got_count, want, want_count);
+}
+
+::testing::AssertionResult merge_matches(const std::vector<Key>& a,
+                                         const std::vector<Key>& b) {
+  std::vector<Key> got;
+  std::vector<Key> want;
+  std::uint64_t got_count = kCounterStart;
+  std::uint64_t want_count = kCounterStart;
+  merge_sorted_into(a, b, got, got_count);
+  textbook_merge_sorted_into(a, b, want, want_count);
+  return same_result(got, got_count, want, want_count);
+}
+
+::testing::AssertionResult unimodal_matches(const std::vector<Key>& input) {
+  std::vector<Key> got = input;
+  std::vector<Key> want = input;
+  std::vector<Key> scratch;
+  std::uint64_t got_count = kCounterStart;
+  std::uint64_t want_count = kCounterStart;
+  sort_unimodal(got, scratch, got_count);
+  textbook_sort_unimodal(want, scratch, want_count);
+  return same_result(got, got_count, want, want_count);
+}
+
+constexpr std::size_t kMaxOracleSize = 600;
+// Key ranges from all-equal to the full 48-bit range of gen_uniform.
+constexpr std::uint64_t kKeyRanges[] = {1, 3, 1000, std::uint64_t{1} << 48};
+
+std::vector<Key> random_keys(std::size_t n, std::uint64_t range,
+                             util::Rng& rng) {
+  std::vector<Key> keys(n);
+  for (Key& key : keys) key = static_cast<Key>(rng.below(range));
+  return keys;
+}
+
+std::vector<Key> sorted_random_keys(std::size_t n, std::uint64_t range,
+                                    util::Rng& rng) {
+  return sorted_copy(random_keys(n, range, rng));
+}
+
+/// A peak of n keys from [0, range): a plateau of its first key, an
+/// ascending run, a plateau of its top, a descending run and a plateau of
+/// its last key, each plateau possibly empty. `valley` mirrors it.
+std::vector<Key> plateau_unimodal(std::size_t n, std::uint64_t range,
+                                  bool valley, util::Rng& rng) {
+  const std::size_t start = rng.below(n / 4 + 1);
+  const std::size_t turn = rng.below(n / 4 + 1);
+  const std::size_t end = rng.below(n / 4 + 1);
+  const std::size_t runs = n - start - turn - end;
+  const std::size_t rise_len = rng.below(runs + 1);
+  std::vector<Key> rise = sorted_random_keys(rise_len, range, rng);
+  std::vector<Key> fall = sorted_random_keys(runs - rise_len, range, rng);
+  std::reverse(fall.begin(), fall.end());
+  const Key first = rise.empty() ? (fall.empty() ? 0 : fall.front())
+                                 : rise.front();
+  const Key top = std::max(rise.empty() ? first : rise.back(),
+                           fall.empty() ? first : fall.front());
+  const Key last = fall.empty() ? top : fall.back();
+  std::vector<Key> keys(start, first);
+  keys.insert(keys.end(), rise.begin(), rise.end());
+  keys.insert(keys.end(), turn, top);
+  keys.insert(keys.end(), fall.begin(), fall.end());
+  keys.insert(keys.end(), end, last);
+  if (valley)
+    for (Key& key : keys) key = static_cast<Key>(range - 1) - key;
+  return keys;
+}
+
+TEST(ExactCountOracle, HeapsortMatchesTextbookOnEverySize) {
+  util::Rng rng(31);
+  for (std::size_t n = 0; n <= kMaxOracleSize; ++n) {
+    for (const std::uint64_t range : kKeyRanges)
+      ASSERT_TRUE(heapsort_matches(random_keys(n, range, rng)))
+          << "n=" << n << " range=" << range;
+    const std::vector<Key> shaped[] = {
+        gen_sorted(n), gen_reverse(n), gen_organ_pipe(n),
+        gen_few_distinct(n, 3, rng), gen_nearly_sorted(n, n / 16 + 1, rng)};
+    for (const auto& keys : shaped)
+      ASSERT_TRUE(heapsort_matches(keys)) << "n=" << n;
+  }
+}
+
+TEST(ExactCountOracle, MergeMatchesTextbookOnEverySize) {
+  util::Rng rng(32);
+  for (std::size_t n = 0; n <= kMaxOracleSize; ++n) {
+    for (const std::uint64_t range : kKeyRanges) {
+      const std::size_t na = rng.below(n + 1);
+      const auto a = sorted_random_keys(na, range, rng);
+      const auto b = sorted_random_keys(n - na, range, rng);
+      ASSERT_TRUE(merge_matches(a, b)) << "n=" << n << " range=" << range;
+      ASSERT_TRUE(merge_matches(b, a)) << "n=" << n << " range=" << range;
+    }
+    // Disjoint runs: one side runs out first without ever winning.
+    const auto low = gen_sorted(n / 2);
+    auto high = gen_sorted(n - n / 2);
+    for (Key& key : high) key += static_cast<Key>(n);
+    ASSERT_TRUE(merge_matches(low, high)) << "n=" << n;
+    ASSERT_TRUE(merge_matches(high, low)) << "n=" << n;
+  }
+}
+
+TEST(ExactCountOracle, UnimodalMatchesTextbookWithPlateaus) {
+  util::Rng rng(33);
+  for (std::size_t n = 0; n <= kMaxOracleSize; ++n) {
+    for (const std::uint64_t range : kKeyRanges) {
+      for (const bool valley : {false, true}) {
+        ASSERT_TRUE(unimodal_matches(plateau_unimodal(n, range, valley, rng)))
+            << "n=" << n << " range=" << range << " valley=" << valley;
+      }
+    }
+    ASSERT_TRUE(unimodal_matches(gen_organ_pipe(n))) << "n=" << n;
+    ASSERT_TRUE(unimodal_matches(gen_sorted(n))) << "n=" << n;
+    ASSERT_TRUE(unimodal_matches(gen_reverse(n))) << "n=" << n;
+  }
+}
+
+TEST(ExactCountOracle, HalfExchangeSidesMatchTextbook) {
+  // Both sides of the half-exchange protocol on sorted blocks A (Lower)
+  // and B (Upper) of b keys: the Lower side evaluates pairs [h, b), the
+  // Upper side [0, h); each repairs its kept and received unimodal halves
+  // and merges them.
+  util::Rng rng(34);
+  for (std::size_t b = 0; b <= kMaxOracleSize; ++b) {
+    for (const std::uint64_t range : kKeyRanges) {
+      const auto lower_block = sorted_random_keys(b, range, rng);
+      const auto upper_block = sorted_random_keys(b, range, rng);
+      const std::size_t h = b / 2;
+      const std::span<const Key> lower(lower_block);
+      const std::span<const Key> upper(upper_block);
+      std::vector<Key> lower_kept, to_upper, upper_kept, to_lower;
+      std::uint64_t select = 0;
+      pairwise_select_rev_into(lower.subspan(h), upper.first(b - h),
+                               SplitHalf::Lower, lower_kept, to_upper, select);
+      pairwise_select_rev_into(lower.first(h), upper.last(h), SplitHalf::Upper,
+                               upper_kept, to_lower, select);
+      for (auto* side : {&lower_kept, &to_lower, &upper_kept, &to_upper})
+        ASSERT_TRUE(unimodal_matches(*side)) << "b=" << b
+                                             << " range=" << range;
+      std::vector<Key> scratch;
+      std::uint64_t repair = 0;
+      for (auto* side : {&lower_kept, &to_lower, &upper_kept, &to_upper})
+        sort_unimodal(*side, scratch, repair);
+      ASSERT_TRUE(merge_matches(lower_kept, to_lower))
+          << "b=" << b << " range=" << range;
+      ASSERT_TRUE(merge_matches(upper_kept, to_upper))
+          << "b=" << b << " range=" << range;
+    }
+  }
 }
 
 TEST(Heapsort, SortsRandomInputs) {

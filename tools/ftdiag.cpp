@@ -896,10 +896,14 @@ HistoryResult history_trends(const std::string& jsonl,
   struct Group {
     std::string scenario, mode, build;
     std::vector<double> samples;  ///< file order == time order
+    std::vector<std::string> nprocs;  ///< distinct host stamps
   };
   std::vector<Group> groups;
   std::map<std::string, std::size_t> index;
   std::string first_error;  ///< why the first skipped line was skipped
+  // Only wall times depend on the host; makespan and comparisons are
+  // simulated, so their trends carry no host note.
+  const bool host_timed = metric == "wall_ns";
 
   std::size_t begin = 0;
   std::size_t line_no = 0;
@@ -929,6 +933,13 @@ HistoryResult history_trends(const std::string& jsonl,
     }
     const std::string& mode = parsed.value["mode"].string();
     const std::string& build = parsed.value["build"].string();
+    // The host stamp does not split groups; it only annotates a wall-time
+    // trend whose samples came from differently sized hosts.
+    const Value& nproc_value = parsed.value["nproc"];
+    const std::string nproc =
+        nproc_value.is_number()
+            ? std::to_string(std::llround(nproc_value.number()))
+            : "unknown";
     bool any = false;
     for (const Value& obj : scenarios.items()) {
       const std::string& name = obj["name"].string();
@@ -940,11 +951,15 @@ HistoryResult history_trends(const std::string& jsonl,
       if (it == index.end()) {
         gi = groups.size();
         index.emplace(key, gi);
-        groups.push_back({name, mode, build, {}});
+        groups.push_back({name, mode, build, {}, {}});
       } else {
         gi = it->second;
       }
-      groups[gi].samples.push_back(value.number());
+      Group& g = groups[gi];
+      g.samples.push_back(value.number());
+      if (host_timed && std::find(g.nprocs.begin(), g.nprocs.end(),
+                                  nproc) == g.nprocs.end())
+        g.nprocs.push_back(nproc);
       any = true;
     }
     if (any)
@@ -990,6 +1005,7 @@ HistoryResult history_trends(const std::string& jsonl,
                       : (t.recent != 0.0 ? 100.0 : 0.0);
     t.regression = std::fabs(t.drift_pct) > threshold_pct;
     t.sparkline = sparkline(g.samples);
+    t.nprocs = g.nprocs;
     out << "  " << t.scenario << " [" << t.mode << "/" << t.build
         << "] n=" << n << " baseline ";
     put_us(out, t.baseline);
@@ -1000,6 +1016,12 @@ HistoryResult history_trends(const std::string& jsonl,
     out << ") " << t.sparkline;
     if (t.regression) out << " REGRESSION";
     out << "\n";
+    if (t.nprocs.size() > 1) {
+      out << "    note: samples span nproc";
+      for (std::size_t i = 0; i < t.nprocs.size(); ++i)
+        out << (i == 0 ? " " : ", ") << t.nprocs[i];
+      out << "\n";
+    }
     if (t.regression) ++res.regressions;
     res.trends.push_back(std::move(t));
   }

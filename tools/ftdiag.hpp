@@ -156,6 +156,10 @@ struct HistoryTrend {
   double drift_pct = 0.0;   ///< (recent - baseline) / baseline, percent
   bool regression = false;  ///< |drift_pct| beyond the threshold
   std::string sparkline;    ///< one block glyph per sample, min..max scaled
+  /// Distinct host `nproc` stamps of the samples, first-appearance order;
+  /// "unknown" for lines written before bench_harness stamped them.
+  /// Collected for `wall_ns` only, the one host-dependent metric.
+  std::vector<std::string> nprocs;
 };
 
 struct HistoryResult {
@@ -201,7 +205,10 @@ LineageCliResult lineage_report(const std::string& json, long key,
 /// against the median of everything before the window; the gate is
 /// symmetric, like diff_json, because the simulator metrics are
 /// deterministic. Corrupt or truncated lines (a crashed bench run, a
-/// partial append) are skipped and counted, never fatal.
+/// partial append) are skipped and counted, never fatal. For `wall_ns`,
+/// a group whose samples carry more than one host `nproc` stamp gets a
+/// note naming them (unstamped lines count as "unknown"); the gate
+/// ignores it.
 HistoryResult history_trends(const std::string& jsonl,
                              const std::string& metric, std::size_t last_k,
                              double threshold_pct);

@@ -40,10 +40,11 @@ enum class Step8Mode {
   BitonicMerge,
 };
 
-/// Which executor drives the node programs. Both produce identical
-/// results and logical times; Threaded runs one OS thread per processor
-/// (true MIMD concurrency), Sequential a deterministic single-threaded
-/// scheduler.
+/// Which executor drives the node programs. Both run one scheduler loop
+/// and produce identical results and logical times; Sequential runs it on
+/// the calling thread alone (deterministic event order), Threaded on a
+/// small worker pool whose node programs compute in parallel (true MIMD
+/// concurrency).
 enum class Executor { Sequential, Threaded };
 
 struct SortConfig {
@@ -74,9 +75,10 @@ struct SortConfig {
   /// logical results and golden report fields are unaffected.
   std::size_t trace_capacity = 0;
   /// Host-side (wall-clock) scheduler and buffer-pool profiling: populates
-  /// RunReport::host with per-shard mutex waits, cv wakeups, resume and
-  /// quiescence counters. Charged outside simulated time, so enabling it
-  /// never changes logical results. Mainly useful with Executor::Threaded.
+  /// RunReport::host with per-worker machine-lock waits, idle-worker
+  /// sleeps, resume and quiescence counters. Charged outside simulated
+  /// time, so enabling it never changes logical results. Mainly useful
+  /// with Executor::Threaded.
   bool profile_host = false;
   /// Populate RunReport::metrics / RunReport::phases with per-node,
   /// per-phase counters (sim/metrics.hpp). The critical-path makespan
@@ -120,7 +122,8 @@ struct SortConfig {
   bool online_recovery = false;
   RecoveryConfig recovery;
   /// Wall-clock watchdog over the run's host execution (sim/watchdog.hpp):
-  /// heartbeat counters per executor shard, a monitor thread, and a
+  /// one heartbeat slot per node (threaded) or for the scheduler
+  /// (sequential), a monitor thread, and a
   /// black-box dump + WatchdogError when host progress stops past the
   /// deadline. Lives entirely outside simulated time — golden reports and
   /// executor equivalence are byte-identical with it armed. Off by default.

@@ -14,13 +14,13 @@
 //  * When the receiver drops the handle — or swaps its storage out with
 //    `release_into` — the storage travels back to the pool it came from.
 //
-// Pools are therefore written by at most two threads (the owning node when
-// checking out, the receiving node when returning), so the internal mutex
-// is essentially uncontended; it exists so the MIMD executor's cross-thread
-// returns are race-free. Statistics count every checkout, every checkout
-// that had to touch the heap (`fresh` when the free list was empty, `grows`
-// when a recycled buffer was too small), and every return, giving the
-// benchmark harness an exact allocation ledger.
+// Receivers return storage from node code, outside any NodeCtx call and so
+// outside the threaded executor's machine lock; the pool's own mutex makes
+// those returns race-free. It is essentially uncontended (the owning node
+// checks out, the receiving node returns). Statistics count every
+// checkout, every checkout that had to touch the heap (`fresh` when the
+// free list was empty, `grows` when a recycled buffer was too small), and
+// every return, giving the benchmark harness an exact allocation ledger.
 #pragma once
 
 #include <atomic>

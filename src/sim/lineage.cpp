@@ -63,7 +63,6 @@ std::uint64_t Lineage::mint(cube::NodeId node, Key value, Phase phase) {
 
 void Lineage::assign_block(cube::NodeId node, std::span<const Key> block) {
   if (!enabled_) return;
-  const std::lock_guard<std::mutex> guard(mutex_);
   for (const Key v : block) mint(node, v, Phase::Scatter);
 }
 
@@ -71,7 +70,6 @@ void Lineage::charge_send(cube::NodeId src,
                           std::span<const cube::NodeId> path,
                           std::span<const Key> payload) {
   if (!enabled_ || path.size() < 2) return;
-  const std::lock_guard<std::mutex> guard(mutex_);
   const auto& hold_map = holding_[src];
   // Resolve each payload word to an id once (k-th occurrence of a value →
   // k-th smallest held id), then charge every link of the walk.
@@ -97,7 +95,6 @@ void Lineage::note_retain(cube::NodeId me, cube::NodeId partner,
                           std::uint32_t tag, std::span<const Key> kept,
                           Phase phase, std::int32_t witness_step) {
   if (!enabled_) return;
-  const std::lock_guard<std::mutex> guard(mutex_);
   if (!resolved_.insert(pair_key(me, partner, tag)).second)
     return;  // the partner already resolved this pair-step
   const cube::NodeId lower = std::min(me, partner);
@@ -159,7 +156,6 @@ void Lineage::note_rescatter(const std::vector<std::vector<Key>>& blocks,
                              std::span<const SalvageInfo> salvage,
                              Phase phase) {
   if (!enabled_) return;
-  const std::lock_guard<std::mutex> guard(mutex_);
   std::map<cube::NodeId, const SalvageInfo*> dead;
   for (const SalvageInfo& s : salvage) dead[s.dead] = &s;
 
@@ -230,7 +226,6 @@ void Lineage::note_rescatter(const std::vector<std::vector<Key>>& blocks,
 }
 
 LineageSnapshot Lineage::snapshot() const {
-  const std::lock_guard<std::mutex> guard(mutex_);
   LineageSnapshot snap;
   snap.enabled = enabled_;
   if (!enabled_) return snap;

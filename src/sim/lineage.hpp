@@ -39,7 +39,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <set>
 #include <span>
 #include <tuple>
@@ -178,11 +177,10 @@ void audit_lineage(LineageSnapshot& snap, std::span<const Key> output);
 /// The provenance registry. Enable + assign before a run
 /// (Machine::lineage()); Machine snapshots it into RunReport::lineage.
 /// Unlike the other registries it is NOT reset by instantiate_programs —
-/// scatter assignment happens host-side before the run starts.
-///
-/// All mutation funnels through one mutex: lineage is a diagnostic layer,
-/// not a hot path, and a single lock keeps the pair-resolution protocol
-/// trivially atomic on the threaded executor.
+/// scatter assignment happens host-side before the run starts. During a
+/// run every hook is called on the sequential executor's one thread or
+/// under the threaded executor's machine lock, which keeps the
+/// pair-resolution protocol atomic.
 class Lineage {
  public:
   struct SalvageInfo {
@@ -219,8 +217,8 @@ class Lineage {
   /// later call is an idempotent no-op. When `witness_step >= 0` the
   /// resolution also stamps every id in the pair's pool with the opposite
   /// node as its freshest witness at that step (recovery's witness
-  /// capture) — stamping at resolution time, under the same lock as the
-  /// partition, is what keeps the stamp executor-order independent.
+  /// capture) — stamping at resolution time, together with the partition,
+  /// is what keeps the stamp executor-order independent.
   void note_retain(cube::NodeId me, cube::NodeId partner, std::uint32_t tag,
                    std::span<const Key> kept, Phase phase,
                    std::int32_t witness_step = -1);
@@ -265,7 +263,6 @@ class Lineage {
 
   bool enabled_ = false;
   cube::Dim dim_ = 0;
-  mutable std::mutex mutex_;
   std::vector<Rec> recs_;  ///< index = id
   /// Per node: value → ascending ids currently held.
   std::vector<std::map<Key, std::vector<std::uint64_t>>> holding_;

@@ -77,12 +77,6 @@ void LinkStats::enable(std::uint32_t num_nodes, cube::Dim n) {
                         std::vector<int>(static_cast<std::size_t>(n), 0));
   reindex_fault_extra_.assign(
       num_nodes, std::vector<int>(static_cast<std::size_t>(n), 0));
-  if (shard_mutex_.size() != num_nodes) {
-    shard_mutex_.clear();
-    shard_mutex_.reserve(num_nodes);
-    for (std::uint32_t u = 0; u < num_nodes; ++u)
-      shard_mutex_.push_back(std::make_unique<std::mutex>());
-  }
   enabled_ = true;
 }
 
@@ -112,7 +106,6 @@ void LinkStats::charge_path(std::span<const cube::NodeId> path,
     LinkCell& cell =
         cells_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
                d];
-    const std::lock_guard<std::mutex> guard(*shard_mutex_[from]);
     ++cell.traversals;
     cell.key_hops += keys;
     ++cell.phase_traversals[phase];
@@ -136,16 +129,7 @@ LinkStatsSnapshot LinkStats::snapshot() const {
   LinkStatsSnapshot snap;
   snap.dim = n_;
   snap.num_nodes = num_nodes_;
-  snap.cells.resize(cells_.size());
-  for (std::uint32_t u = 0; u < num_nodes_; ++u) {
-    const std::lock_guard<std::mutex> guard(*shard_mutex_[u]);
-    for (cube::Dim d = 0; d < n_; ++d) {
-      const std::size_t idx =
-          static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) +
-          static_cast<std::size_t>(d);
-      snap.cells[idx] = cells_[idx];
-    }
-  }
+  snap.cells = cells_;
   snap.reindex_extra = reindex_extra_;
   snap.reindex_fault_extra = reindex_fault_extra_;
   return snap;

@@ -13,10 +13,8 @@
 // messages included — both sides charge at post/send time, before the
 // drop check). Tests enforce this equality exactly, on both executors.
 //
-// Sharding: cells are guarded by one mutex per *source node* (the Trace
-// discipline, not the Metrics one) because a multi-hop message charges
-// intermediate nodes' outgoing links from the sender's thread — thread
-// ownership of rows does not hold here. Determinism survives because every
+// Writes happen on the sequential executor's one thread or under the
+// threaded executor's machine lock. Determinism survives because every
 // counter is an integer (sums are order-independent); derived times (link
 // busy, utilisation) are computed from the integer counters and the
 // CostModel at read time, never accumulated as floating point, so threaded
@@ -26,8 +24,7 @@
 // per-node, per-logical-dimension maximum of the extra hops Step-7
 // exchanges actually paid over the one-hop healthy-neighbour baseline
 // (NodeCtx::note_reindex_hops). `max` is order-independent, so this table
-// is deterministic too; each node writes only its own row from its own
-// execution context. The predicted side (per-candidate Σ max(h_i)) is
+// is deterministic too. The predicted side (per-candidate Σ max(h_i)) is
 // filled by the algorithm layer into ReindexAudit.
 //
 // Off by default, like Metrics and Trace: a disabled registry costs one
@@ -36,8 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -161,16 +156,14 @@ class LinkStats {
 
   /// Charge a message of `keys` payload keys along `path` (router node
   /// sequence, endpoints included): each consecutive pair (a, b) bumps
-  /// directed link (a, dim of a^b). Callers may run on any thread; each
-  /// touched source-node shard is locked for its hop.
+  /// directed link (a, dim of a^b).
   void charge_path(std::span<const cube::NodeId> path, std::uint64_t keys,
                    Phase p);
 
   /// Audit hook: record that node `u` paid `extra_hops` beyond one hop on
   /// a Step-7 exchange along logical dimension `logical_dim`. Keeps the
   /// per-(node, dimension) maximum; `fault_pair` additionally feeds the
-  /// formula-scope table. Must be called from the node's own execution
-  /// context (Metrics' ownership discipline — no lock needed).
+  /// formula-scope table.
   void note_reindex(cube::NodeId u, cube::Dim logical_dim, int extra_hops,
                     bool fault_pair);
 
@@ -181,7 +174,6 @@ class LinkStats {
   cube::Dim n_ = 0;
   std::uint32_t num_nodes_ = 0;
   std::vector<LinkCell> cells_;  ///< row-major [node][dim]
-  std::vector<std::unique_ptr<std::mutex>> shard_mutex_;  ///< per source node
   std::vector<std::vector<int>> reindex_extra_;        ///< [node][dim] max
   std::vector<std::vector<int>> reindex_fault_extra_;  ///< fault pairs only
 };

@@ -1,6 +1,7 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <thread>
 #include <tuple>
@@ -19,7 +20,8 @@ void NodeCtx::charge_compares(std::uint64_t k) {
   if (k == 0) return;
   const SimTime dt = machine_->cost().compare_time(k);
   clock_ += dt;
-  machine_->comparisons_.fetch_add(k, std::memory_order_relaxed);
+  const auto lock = machine_->lock_for(id_);
+  machine_->comparisons_ += k;
   if (machine_->metrics_.enabled()) {
     PhaseCounters& pc = machine_->metrics_.at(id_, phase_);
     pc.comparisons += k;
@@ -35,6 +37,7 @@ void NodeCtx::charge_compares(std::uint64_t k) {
 void NodeCtx::charge_time(SimTime t) {
   FTSORT_REQUIRE(t >= 0.0);
   clock_ += t;
+  const auto lock = machine_->lock_for(id_);
   if (machine_->metrics_.enabled())
     machine_->metrics_.at(id_, phase_).compute_time += t;
   if (machine_->timeline_.enabled())
@@ -53,6 +56,7 @@ bool NodeCtx::link_stats_enabled() const {
 void NodeCtx::note_reindex_hops(cube::Dim logical_dim, int extra_hops,
                                 bool fault_pair) {
   if (!machine_->link_stats_.enabled()) return;
+  const auto lock = machine_->lock_for(id_);
   machine_->link_stats_.note_reindex(id_, logical_dim, extra_hops,
                                      fault_pair);
 }
@@ -64,6 +68,7 @@ bool NodeCtx::lineage_enabled() const {
 void NodeCtx::note_lineage_retain(cube::NodeId partner, Tag tag,
                                   std::span<const Key> kept,
                                   std::int32_t witness_step) {
+  const auto lock = machine_->lock_for(id_);
   machine_->lineage_.note_retain(id_, partner, tag, kept, phase_,
                                  witness_step);
 }
@@ -71,6 +76,7 @@ void NodeCtx::note_lineage_retain(cube::NodeId partner, Tag tag,
 void NodeCtx::note_lineage_rescatter(
     const std::vector<std::vector<Key>>& blocks,
     std::span<const Lineage::SalvageInfo> salvage) {
+  const auto lock = machine_->lock_for(id_);
   machine_->lineage_.note_rescatter(blocks, salvage, phase_);
 }
 
@@ -83,39 +89,57 @@ PhaseSpan NodeCtx::span_if_unattributed(Phase p) {
 PhaseSpan::PhaseSpan(NodeCtx& ctx, Phase p, bool engage)
     : ctx_(ctx), prev_(ctx.phase_), engaged_(engage) {
   if (!engaged_) return;
+  Machine& m = *ctx_.machine_;
   // Recorded before the phase switches so the walk's gap attribution stays
   // with the enclosing phase; the event itself carries the new phase.
-  ctx_.machine_->trace().record(
-      {ctx_.clock_, ctx_.id_, EventKind::SpanBegin, 0, 0, 0, 0, p});
+  if (m.trace_.enabled()) {
+    const auto lock = m.lock_for(ctx_.id_);
+    m.trace_.record(
+        {ctx_.clock_, ctx_.id_, EventKind::SpanBegin, 0, 0, 0, 0, p});
+  }
   ctx_.phase_ = p;
 }
 
 PhaseSpan::~PhaseSpan() {
   if (!engaged_) return;
-  ctx_.machine_->trace().record({ctx_.clock_, ctx_.id_, EventKind::SpanEnd,
-                                0, 0, 0, 0, ctx_.phase_});
+  Machine& m = *ctx_.machine_;
+  if (m.trace_.enabled()) {
+    const auto lock = m.lock_for(ctx_.id_);
+    m.trace_.record({ctx_.clock_, ctx_.id_, EventKind::SpanEnd, 0, 0, 0, 0,
+                     ctx_.phase_});
+  }
   ctx_.phase_ = prev_;
 }
 
 void NodeCtx::send(cube::NodeId dst, Tag tag, std::span<const Key> payload) {
+  // The copy runs outside the machine lock; the pool has its own.
   BufferPool& pool = machine_->pools_[id_];
   std::vector<Key> storage = pool.checkout(payload.size());
   storage.assign(payload.begin(), payload.end());
-  if (machine_->metrics_.enabled())
-    ++machine_->metrics_.at(id_, phase_).pool_checkouts;
-  send(dst, tag, PooledBuffer(&pool, std::move(storage)));
+  send_buffer(dst, tag, PooledBuffer(&pool, std::move(storage)),
+              /*checked_out=*/true);
 }
 
 void NodeCtx::send(cube::NodeId dst, Tag tag, std::vector<Key>&& payload) {
   // Adopt the storage: it enters the sender's pool circulation when the
   // receiver is done with it.
-  send(dst, tag, PooledBuffer(&machine_->pools_[id_], std::move(payload)));
+  send_buffer(dst, tag,
+              PooledBuffer(&machine_->pools_[id_], std::move(payload)),
+              /*checked_out=*/false);
 }
 
 void NodeCtx::send(cube::NodeId dst, Tag tag, PooledBuffer&& payload) {
+  send_buffer(dst, tag, std::move(payload), /*checked_out=*/false);
+}
+
+void NodeCtx::send_buffer(cube::NodeId dst, Tag tag, PooledBuffer&& payload,
+                          bool checked_out) {
   FTSORT_REQUIRE(dst != id_);
   FTSORT_REQUIRE(cube::valid_node(dst, machine_->dim()));
   FTSORT_REQUIRE(!machine_->faults().is_faulty(dst));
+  const auto lock = machine_->lock_for(id_);
+  if (checked_out && machine_->metrics_.enabled())
+    ++machine_->metrics_.at(id_, phase_).pool_checkouts;
   machine_->check_alive(id_);
 
   int hops;
@@ -171,9 +195,6 @@ void NodeCtx::send(cube::NodeId dst, Tag tag, PooledBuffer&& payload) {
 }
 
 bool NodeCtx::RecvAwaiter::await_ready() const noexcept {
-  // The threaded executor must re-check under the mailbox lock inside
-  // await_suspend; the sequential one can short-circuit here.
-  if (ctx.machine_->threaded_) return false;
   return ctx.machine_->has_message(ctx.id_, src, tag);
 }
 
@@ -183,11 +204,11 @@ bool NodeCtx::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
 }
 
 Message NodeCtx::RecvAwaiter::await_resume() {
+  const auto lock = ctx.machine_->lock_for(ctx.id_);
   return ctx.machine_->pop_message(ctx.id_, src, tag);
 }
 
 bool NodeCtx::RecvTimeoutAwaiter::await_ready() const noexcept {
-  if (ctx.machine_->threaded_) return false;
   return ctx.machine_->has_message(ctx.id_, src, tag);
 }
 
@@ -217,29 +238,24 @@ Machine::Machine(cube::Dim n, fault::FaultSet faults,
 
 void Machine::profile_host(bool on) {
   profile_host_ = on;
-  if (on && prof_shards_.size() != size()) {
-    prof_shards_.clear();
-    for (std::uint32_t u = 0; u < size(); ++u)
-      prof_shards_.push_back(std::make_unique<ShardProfile>());
-  }
   for (BufferPool& pool : pools_) pool.set_profiling(on);
 }
 
-std::unique_lock<std::mutex> Machine::lock_shard(NodeState& st,
-                                                 cube::NodeId id) {
-  if (!profile_host_) return std::unique_lock<std::mutex>(st.mutex);
-  std::unique_lock<std::mutex> lk(st.mutex, std::try_to_lock);
+std::unique_lock<std::mutex> Machine::lock(std::size_t worker) {
+  if (workers_ == 1) return {};
+  std::unique_lock<std::mutex> lk(mu_, std::try_to_lock);
   if (lk.owns_lock()) return lk;
+  if (!profile_host_) {
+    lk.lock();
+    return lk;
+  }
   const auto t0 = std::chrono::steady_clock::now();
   lk.lock();
   const auto waited = std::chrono::steady_clock::now() - t0;
-  ShardProfile& prof = *prof_shards_[id];
-  prof.mutex_waits.fetch_add(1, std::memory_order_relaxed);
-  prof.mutex_wait_ns.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
-              .count()),
-      std::memory_order_relaxed);
+  SchedShardProfile& prof = prof_workers_[worker];
+  ++prof.mutex_waits;
+  prof.mutex_wait_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count());
   return lk;
 }
 
@@ -316,23 +332,16 @@ std::size_t Machine::inbox_find(const NodeState& st, std::uint64_t channel) {
 void Machine::check_alive(cube::NodeId id) {
   NodeState& st = state_of(id);
   if (st.ctx.clock_ < st.kill_time) return;
-  if (threaded_) {
-    const std::unique_lock<std::mutex> guard = lock_shard(st, id);
-    st.killed = true;
-  } else {
-    st.killed = true;
-  }
+  st.killed = true;
   trace_.record(
       {st.ctx.clock_, id, EventKind::Kill, 0, 0, 0, 0, st.ctx.phase_});
   throw KilledSignal{};
 }
 
 void Machine::post(Message msg) {
-  messages_.fetch_add(1, std::memory_order_relaxed);
-  keys_sent_.fetch_add(msg.payload.size(), std::memory_order_relaxed);
-  key_hops_.fetch_add(
-      msg.payload.size() * static_cast<std::uint64_t>(msg.hops),
-      std::memory_order_relaxed);
+  ++messages_;
+  keys_sent_ += msg.payload.size();
+  key_hops_ += msg.payload.size() * static_cast<std::uint64_t>(msg.hops);
 
   NodeState& dst = state_of(msg.dst);
   // Dynamic-fault drop rules: dead on arrival, or the direct link between
@@ -343,10 +352,9 @@ void Machine::post(Message msg) {
       cube::hamming(msg.src, msg.dst) == 1 &&
       msg.sent_at >= injector_.link_cut_time(msg.src, msg.dst);
   if (dead_on_arrival || link_cut) {
-    messages_dropped_.fetch_add(1, std::memory_order_relaxed);
-    // Charged to the *sender's* row (post runs on the sender's thread, so
-    // this stays within the per-node write sharding) under the sender's
-    // phase at the send, carried on the message.
+    ++messages_dropped_;
+    // Charged to the *sender's* row under the sender's phase at the send,
+    // carried on the message.
     if (metrics_.enabled())
       ++metrics_.at(msg.src, msg.phase).messages_dropped;
     trace_.record({msg.arrival, msg.dst, EventKind::Drop, msg.src, msg.tag,
@@ -359,31 +367,26 @@ void Machine::post(Message msg) {
   if (timeline_.enabled()) timeline_.note_enqueue(msg.dst, msg.arrival);
 
   const std::uint64_t channel = channel_key(msg.src, msg.tag);
-  if (threaded_) {
-    // Sharded hot path: only the destination's own lock. The sender is by
-    // definition runnable, so quiescence cannot be pending concurrently.
-    const std::unique_lock<std::mutex> guard = lock_shard(dst, msg.dst);
-    dst.inbox.push_back(std::move(msg));
-    deliveries_.fetch_add(1, std::memory_order_release);
-    if (dst.waiting && dst.want_channel == channel) {
-      dst.waiting = false;
-      dst.ready = dst.waiter;
-      dst.waiter = nullptr;
-      progress_.fetch_sub(1, std::memory_order_acq_rel);
-      dst.cv.notify_one();
-    }
+  const cube::NodeId to = msg.dst;
+  dst.inbox.push_back(std::move(msg));
+  if (dst.waiting && dst.want_channel == channel) wake(to);
+}
+
+void Machine::wake(cube::NodeId u) {
+  NodeState& st = *nodes_[u];
+  st.waiting = false;
+  if (st.running) {
+    // Still inside the resume() that suspended it: that worker re-queues
+    // it once resume() returns.
+    st.wake_pending = true;
     return;
   }
-  dst.inbox.push_back(std::move(msg));
-  deliveries_.fetch_add(1, std::memory_order_relaxed);
-  if (dst.waiting && dst.want_channel == channel) {
-    dst.waiting = false;
-    ready_.push_back(dst.waiter);
-    dst.waiter = nullptr;
-  }
+  ready_.push_back(u);
+  if (workers_ > 1) idle_cv_.notify_one();
 }
 
 bool Machine::has_message(cube::NodeId node, cube::NodeId src, Tag tag) {
+  const auto lock = lock_for(node);
   return inbox_find(state_of(node), channel_key(src, tag)) != kNotFound;
 }
 
@@ -394,26 +397,11 @@ bool Machine::register_waiter(cube::NodeId node, cube::NodeId src, Tag tag,
   // outstanding recv can exist per node. Statically faulty processors can
   // never send (only injector victims can die after sending).
   FTSORT_REQUIRE(!faults_.is_faulty(src));
+  const auto lock = lock_for(node);
   NodeState& st = state_of(node);
   const std::uint64_t channel = channel_key(src, tag);
-  if (threaded_) {
-    {
-      const std::unique_lock<std::mutex> guard = lock_shard(st, node);
-      if (inbox_find(st, channel) != kNotFound)
-        return false;  // raced with a sender: resume immediately
-      FTSORT_INVARIANT(!st.waiting);
-      st.waiting = true;
-      st.want_channel = channel;
-      st.waiter = h;
-      st.has_deadline = has_deadline;
-      st.deadline = deadline;
-      // Inside the lock so a racing wake in post() can never observe (and
-      // decrement) a blocked count we have not yet incremented.
-      progress_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    maybe_resolve_quiescence();
-    return true;
-  }
+  // With several workers a sender may have posted since await_ready.
+  if (inbox_find(st, channel) != kNotFound) return false;
   FTSORT_INVARIANT(!st.waiting);
   st.waiting = true;
   st.want_channel = channel;
@@ -425,20 +413,10 @@ bool Machine::register_waiter(cube::NodeId node, cube::NodeId src, Tag tag,
 
 Message Machine::pop_message(cube::NodeId node, cube::NodeId src, Tag tag) {
   NodeState& st = state_of(node);
-  const std::uint64_t channel = channel_key(src, tag);
-  Message msg;
-  if (threaded_) {
-    const std::unique_lock<std::mutex> guard = lock_shard(st, node);
-    const std::size_t k = inbox_find(st, channel);
-    FTSORT_INVARIANT(k != kNotFound);
-    msg = std::move(st.inbox[k]);
-    st.inbox.erase(st.inbox.begin() + static_cast<std::ptrdiff_t>(k));
-  } else {
-    const std::size_t k = inbox_find(st, channel);
-    FTSORT_INVARIANT(k != kNotFound);
-    msg = std::move(st.inbox[k]);
-    st.inbox.erase(st.inbox.begin() + static_cast<std::ptrdiff_t>(k));
-  }
+  const std::size_t k = inbox_find(st, channel_key(src, tag));
+  FTSORT_INVARIANT(k != kNotFound);
+  Message msg = std::move(st.inbox[k]);
+  st.inbox.erase(st.inbox.begin() + static_cast<std::ptrdiff_t>(k));
   const SimTime before = st.ctx.clock_;
   st.ctx.clock_ = std::max(st.ctx.clock_, msg.arrival);
   if (metrics_.enabled()) {
@@ -461,13 +439,14 @@ Message Machine::pop_message(cube::NodeId node, cube::NodeId src, Tag tag) {
 std::optional<Message> Machine::finish_recv_or_timeout(cube::NodeId node,
                                                        cube::NodeId src,
                                                        Tag tag) {
+  const auto lock = lock_for(node);
   NodeState& st = state_of(node);
   if (st.timed_out) {
     st.timed_out = false;
     st.has_deadline = false;
     const SimTime before = st.ctx.clock_;
     st.ctx.clock_ = std::max(st.ctx.clock_, st.deadline);
-    timeouts_.fetch_add(1, std::memory_order_relaxed);
+    ++timeouts_;
     if (metrics_.enabled()) {
       PhaseCounters& pc = metrics_.at(node, st.ctx.phase_);
       ++pc.timeouts;
@@ -505,14 +484,13 @@ std::string Machine::deadlock_message() const {
   return os.str();
 }
 
-bool Machine::fire_quiescence_event() {
+std::optional<cube::NodeId> Machine::fire_quiescence_event() {
   // Candidate logical events for blocked nodes: recv-timeout expiry at its
   // deadline, and the death of a node whose kill time can now never be
   // outrun. The earliest (time, kind, node) triple fires; kills order
   // after timeouts on exact ties so a node with deadline == kill time
-  // still observes its timeout. At quiescence no node is runnable, so the
-  // states read here are stable; the per-node locks (threaded only)
-  // synchronise with each node thread's last release of its own state.
+  // still observes its timeout. At quiescence no node is runnable or
+  // running, so the states read here are stable.
   NodeState* best = nullptr;
   SimTime best_time = 0.0;
   int best_kind = 0;  // 0 = timeout, 1 = kill
@@ -529,86 +507,32 @@ bool Machine::fire_quiescence_event() {
   };
   for (cube::NodeId u = 0; u < size(); ++u) {
     NodeState* st = nodes_[u].get();
-    if (st == nullptr) continue;
-    std::unique_lock<std::mutex> lock;
-    if (threaded_) lock = std::unique_lock<std::mutex>(st->mutex);
-    if (!st->waiting) continue;
+    if (st == nullptr || !st->waiting) continue;
     if (st->has_deadline) consider(*st, st->deadline, 0, u);
     if (st->kill_time < kNever)
       consider(*st, std::max(st->ctx.clock_, st->kill_time), 1, u);
   }
-  if (best == nullptr) return false;
+  if (best == nullptr) return std::nullopt;
 
   NodeState& st = *best;
-  std::unique_lock<std::mutex> lock;
-  if (threaded_) lock = std::unique_lock<std::mutex>(st.mutex);
   FTSORT_INVARIANT(st.waiting);
-  st.waiting = false;
   if (best_kind == 0) {
     st.timed_out = true;
-    const std::coroutine_handle<> h = st.waiter;
-    st.waiter = nullptr;
-    if (threaded_) {
-      st.ready = h;
-      progress_.fetch_sub(1, std::memory_order_acq_rel);
-      st.cv.notify_one();
-    } else {
-      ready_.push_back(h);
-    }
-    return true;
+    wake(best_node);
+    return best_node;
   }
   // A blocked node dies: its coroutine is abandoned, never resumed.
+  st.waiting = false;
   st.killed = true;
   st.waiter = nullptr;
   trace_.record({st.ctx.clock_, best_node, EventKind::Kill, 0, 0, 0, 0,
                  st.ctx.phase_});
-  if (threaded_) {
-    progress_.fetch_sub(1, std::memory_order_acq_rel);
-    st.cv.notify_one();  // its thread exits via the killed flag
-  }
-  return true;
-}
-
-void Machine::maybe_resolve_quiescence() {
-  const auto quiescent = [this](std::uint64_t packed) {
-    const auto blocked = static_cast<std::size_t>(packed & 0xffffffffu);
-    const auto terminal = static_cast<std::size_t>(packed >> 32);
-    return blocked + terminal >= total_programs_ && blocked > 0;
-  };
-  if (!quiescent(progress_.load(std::memory_order_acquire))) return;
-  const std::lock_guard<std::mutex> guard(sched_mutex_);
-  if (profile_host_)
-    prof_quiescence_checks_.fetch_add(1, std::memory_order_relaxed);
-  if (shutdown_.load(std::memory_order_relaxed)) return;
-  // Re-verify under the lock: a concurrent resolver may have fired an
-  // event (making some node runnable) between our read and the acquire.
-  if (!quiescent(progress_.load(std::memory_order_acquire))) return;
-  if (fire_quiescence_event()) {
-    if (profile_host_)
-      prof_quiescence_events_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Genuine deadlock: report the same blocked set the sequential executor
-  // would, then shut the thread pool down.
-  deadlocked_ = true;
-  deadlock_msg_ = deadlock_message();
-  begin_shutdown();
-}
-
-void Machine::begin_shutdown() {
-  shutdown_.store(true, std::memory_order_release);
-  for (auto& node : nodes_) {
-    if (!node) continue;
-    // Lock-then-notify so a thread between its predicate check and its
-    // cv wait cannot miss the wakeup.
-    const std::lock_guard<std::mutex> guard(node->mutex);
-    node->cv.notify_all();
-  }
+  return best_node;
 }
 
 void Machine::instantiate_programs(const Program& program) {
   messages_ = keys_sent_ = key_hops_ = comparisons_ = 0;
-  messages_dropped_ = timeouts_ = deliveries_ = 0;
+  messages_dropped_ = timeouts_ = 0;
   if (metrics_.enabled()) metrics_.reset();
   if (link_stats_.enabled()) link_stats_.reset();
   if (timeline_.enabled()) timeline_.reset();
@@ -617,25 +541,17 @@ void Machine::instantiate_programs(const Program& program) {
   pool_mark_ = pool_stats();
   trace_run_start_ = trace_.next_seq();
   trace_dropped_mark_ = trace_.dropped();
-  if (profile_host_) {
-    for (auto& shard : prof_shards_) {
-      shard->mutex_waits.store(0, std::memory_order_relaxed);
-      shard->mutex_wait_ns.store(0, std::memory_order_relaxed);
-      shard->cv_waits.store(0, std::memory_order_relaxed);
-      shard->cv_wakeups.store(0, std::memory_order_relaxed);
-      shard->spurious_wakeups.store(0, std::memory_order_relaxed);
-      shard->tasks_resumed.store(0, std::memory_order_relaxed);
-    }
-    prof_quiescence_checks_.store(0, std::memory_order_relaxed);
-    prof_quiescence_events_.store(0, std::memory_order_relaxed);
+  prof_quiescence_checks_ = prof_quiescence_events_ = 0;
+  if (profile_host_)
     for (BufferPool& pool : pools_) pool.reset_contention();
-  }
   ready_.clear();
-  total_programs_ = 0;
-  progress_.store(0, std::memory_order_relaxed);
-  shutdown_.store(false, std::memory_order_relaxed);
+  checked_in_ = 0;
+  next_start_ = 0;
+  busy_ = 0;
+  stop_ = false;
   deadlocked_ = false;
   deadlock_msg_.clear();
+  worker_error_ = nullptr;
   watchdog_stats_ = WatchdogReport{};  // {"enabled": false} stub by default
   for (cube::NodeId u = 0; u < size(); ++u) {
     if (faults_.is_faulty(u)) {
@@ -645,20 +561,103 @@ void Machine::instantiate_programs(const Program& program) {
     nodes_[u] = std::unique_ptr<NodeState>(new NodeState(NodeCtx(*this, u)));
     nodes_[u]->kill_time = injector_.node_kill_time(u);
     nodes_[u]->task = program(nodes_[u]->ctx);
-    ++total_programs_;
   }
 }
 
-void Machine::drain_ready() {
-  while (!ready_.empty()) {
-    // A tripped abort-policy watchdog stops the scheduler at the next
-    // resume boundary (the sequential executor cannot preempt a wedged
-    // coroutine mid-resume); run() turns the latch into the thrown error.
-    if (active_watchdog_ != nullptr && active_watchdog_->tripped()) return;
-    auto h = ready_.front();
-    ready_.pop_front();
-    h.resume();
-    if (active_watchdog_ != nullptr) active_watchdog_->beat(0);
+void Machine::stop_workers() {
+  stop_ = true;
+  if (workers_ > 1) idle_cv_.notify_all();
+}
+
+void Machine::beat(cube::NodeId u) {
+  if (wd_slot_.empty()) {
+    active_watchdog_->beat(0);
+    return;
+  }
+  // The activity word is the node's ambient phase; only the worker that
+  // just resumed the node, or the idle machine, reads it here.
+  const NodeState& st = *nodes_[u];
+  active_watchdog_->beat(wd_slot_[u],
+                         st.task.done() || st.killed
+                             ? Watchdog::kActivityTerminal
+                             : static_cast<std::uint64_t>(st.ctx.phase_));
+}
+
+void Machine::schedule(std::size_t worker) {
+  SchedShardProfile& prof = prof_workers_[worker];
+  const auto halted = [this] {
+    return stop_ ||
+           (active_watchdog_ != nullptr && active_watchdog_->tripped());
+  };
+  auto lk = lock(worker);
+  // Start no node before every worker has checked in: a host that runs a
+  // new thread ahead of its creator would otherwise let the first worker
+  // run a short program alone before the others exist.
+  if (++checked_in_ == workers_) {
+    if (workers_ > 1) idle_cv_.notify_all();
+  } else {
+    ++prof.cv_waits;
+    idle_cv_.wait(lk, [&] { return checked_in_ == workers_ || halted(); });
+    ++(halted() ? prof.spurious_wakeups : prof.cv_wakeups);
+  }
+  while (!halted()) {
+    // A woken node first, so one worker drains every wakeup before it
+    // starts the next node (the sequential order).
+    cube::NodeId u = 0;
+    if (!ready_.empty()) {
+      u = ready_.front();
+      ready_.pop_front();
+    } else {
+      while (next_start_ < size() && !nodes_[next_start_]) ++next_start_;
+      if (next_start_ < size()) {
+        u = next_start_++;
+      } else if (busy_ > 0) {
+        // Others are still resuming nodes: sleep until one of them wakes
+        // a node or the run stops (a tripped watchdog notifies too).
+        ++prof.cv_waits;
+        idle_cv_.wait(lk, [&] { return !ready_.empty() || halted(); });
+        ++(ready_.empty() ? prof.spurious_wakeups : prof.cv_wakeups);
+        continue;
+      } else {
+        // Quiescence: nothing runnable, nothing running, every node
+        // started. Fire the earliest pending logical event, or finish.
+        ++prof_quiescence_checks_;
+        const bool pending = std::any_of(
+            nodes_.begin(), nodes_.end(), [](const auto& node) {
+              return node && !node->task.done() && !node->killed;
+            });
+        if (!pending) {
+          stop_workers();
+          break;
+        }
+        const std::optional<cube::NodeId> fired = fire_quiescence_event();
+        if (!fired) {
+          deadlocked_ = true;
+          deadlock_msg_ = deadlock_message();
+          stop_workers();
+          break;
+        }
+        ++prof_quiescence_events_;
+        if (active_watchdog_ != nullptr) beat(*fired);
+        continue;
+      }
+    }
+    NodeState& st = *nodes_[u];
+    st.running = true;
+    st.worker = worker;
+    ++busy_;
+    const std::coroutine_handle<> h = std::exchange(st.waiter, nullptr);
+    if (lk.owns_lock()) lk.unlock();
+    ++prof.tasks_resumed;
+    if (h)
+      h.resume();
+    else
+      st.task.start();
+    lk = lock(worker);
+    --busy_;
+    st.running = false;
+    if (std::exchange(st.wake_pending, false)) wake(u);
+    if (active_watchdog_ != nullptr) beat(u);
   }
 }
 
@@ -685,12 +684,12 @@ RunReport Machine::collect_report() {
     }
     report.makespan = std::max(report.makespan, st.ctx.now());
   }
-  report.messages = messages_.load();
-  report.keys_sent = keys_sent_.load();
-  report.key_hops = key_hops_.load();
-  report.comparisons = comparisons_.load();
-  report.messages_dropped = messages_dropped_.load();
-  report.timeouts = timeouts_.load();
+  report.messages = messages_;
+  report.keys_sent = keys_sent_;
+  report.key_hops = key_hops_;
+  report.comparisons = comparisons_;
+  report.messages_dropped = messages_dropped_;
+  report.timeouts = timeouts_;
   report.pool = pool_stats();
   report.pool_delta = pool_stats_delta();
   if (metrics_.enabled()) {
@@ -742,21 +741,9 @@ HostProfile Machine::snapshot_host_profile() const {
   HostProfile host;
   if (!profile_host_) return host;
   host.enabled = true;
-  host.shards.resize(size());
-  for (std::size_t u = 0; u < prof_shards_.size(); ++u) {
-    const ShardProfile& p = *prof_shards_[u];
-    SchedShardProfile& out = host.shards[u];
-    out.mutex_waits = p.mutex_waits.load(std::memory_order_relaxed);
-    out.mutex_wait_ns = p.mutex_wait_ns.load(std::memory_order_relaxed);
-    out.cv_waits = p.cv_waits.load(std::memory_order_relaxed);
-    out.cv_wakeups = p.cv_wakeups.load(std::memory_order_relaxed);
-    out.spurious_wakeups = p.spurious_wakeups.load(std::memory_order_relaxed);
-    out.tasks_resumed = p.tasks_resumed.load(std::memory_order_relaxed);
-  }
-  host.quiescence_checks =
-      prof_quiescence_checks_.load(std::memory_order_relaxed);
-  host.quiescence_events =
-      prof_quiescence_events_.load(std::memory_order_relaxed);
+  host.shards = prof_workers_;
+  host.quiescence_checks = prof_quiescence_checks_;
+  host.quiescence_events = prof_quiescence_events_;
   for (const BufferPool& pool : pools_) {
     host.pool_contended += pool.contended();
     host.pool_contended_wait_ns += pool.contended_wait_ns();
@@ -765,21 +752,24 @@ HostProfile Machine::snapshot_host_profile() const {
 }
 
 std::unique_ptr<Watchdog> Machine::arm_watchdog(bool threaded) {
+  wd_slot_.clear();
   if (!watchdog_cfg_.enabled) return nullptr;
   auto wd = std::make_unique<Watchdog>(watchdog_cfg_);
   wd->set_activity_namer([](std::uint64_t act) {
     return std::string(phase_name(static_cast<Phase>(act)));
   });
-  wd_slot_.assign(size(), 0);
   if (threaded) {
+    wd_slot_.assign(size(), 0);
     for (cube::NodeId u = 0; u < size(); ++u)
       if (nodes_[u]) wd_slot_[u] = wd->add_slot("node " + std::to_string(u));
-    // Unwedge the node threads so join() returns and the dump can be
-    // assembled from a quiescent machine.
-    wd->on_trip([this] { begin_shutdown(); });
   } else {
     wd->add_slot("scheduler");
   }
+  // Wake idle workers so they see the trip and leave their loops.
+  wd->on_trip([this] {
+    const std::lock_guard<std::mutex> guard(mu_);
+    idle_cv_.notify_all();
+  });
   wd->start();
   return wd;
 }
@@ -828,181 +818,65 @@ void Machine::throw_watchdog_trip() {
 }
 
 RunReport Machine::run(const Program& program) {
-  FTSORT_REQUIRE(!running_);
-  running_ = true;
-  threaded_ = false;
-  instantiate_programs(program);
-  std::unique_ptr<Watchdog> wd = arm_watchdog(/*threaded=*/false);
-  active_watchdog_ = wd.get();
-  const auto finish_watchdog = [&] {
-    active_watchdog_ = nullptr;
-    if (wd == nullptr) return false;
-    wd->stop();
-    watchdog_stats_ = wd->report();
-    return wd->tripped();
-  };
-
-  try {
-    // Kick each program to its first suspension point; then drain wakeups.
-    for (cube::NodeId u = 0; u < size(); ++u) {
-      if (!nodes_[u]) continue;
-      nodes_[u]->task.start();
-      if (wd != nullptr) wd->beat(0);
-      drain_ready();
-    }
-    drain_ready();
-
-    // Quiescence loop: every remaining program is blocked in a recv. Fire
-    // pending logical events (recv timeouts, deaths of blocked nodes) in
-    // event-time order until everything is terminal, or fail with the
-    // blocked set if no event can make progress.
-    while (true) {
-      if (wd != nullptr && wd->tripped()) break;
-      bool pending = false;
-      for (const auto& node : nodes_) {
-        if (node && !node->task.done() && !node->killed) {
-          pending = true;
-          break;
-        }
-      }
-      if (!pending) break;
-      if (!fire_quiescence_event()) {
-        running_ = false;
-        finish_watchdog();
-        const std::string msg = deadlock_message();
-        for (auto& node : nodes_) node.reset();
-        throw DeadlockError(msg);
-      }
-      if (wd != nullptr) wd->beat(0);
-      drain_ready();
-    }
-  } catch (...) {
-    active_watchdog_ = nullptr;
-    throw;
-  }
-  if (finish_watchdog()) throw_watchdog_trip();
-  return collect_report();
+  return execute(program, /*threaded=*/false);
 }
 
-RunReport Machine::run_threaded(const Program& program,
-                                std::chrono::milliseconds timeout) {
+RunReport Machine::run_threaded(const Program& program) {
+  return execute(program, /*threaded=*/true);
+}
+
+RunReport Machine::execute(const Program& program, bool threaded) {
   FTSORT_REQUIRE(!running_);
   running_ = true;
-  threaded_ = true;
   instantiate_programs(program);
-  std::unique_ptr<Watchdog> wd = arm_watchdog(/*threaded=*/true);
+  workers_ = 1;
+  if (threaded)
+    workers_ = std::max<std::size_t>(
+        1, std::min<std::size_t>(
+               faults_.healthy_count(),
+               std::max(2u, std::thread::hardware_concurrency())));
+  prof_workers_.assign(workers_, SchedShardProfile{});
+  std::unique_ptr<Watchdog> wd = arm_watchdog(threaded);
+  active_watchdog_ = wd.get();
 
-  std::atomic<bool> stalled{false};
-
-  std::vector<std::thread> threads;
-  threads.reserve(total_programs_);
-  for (cube::NodeId u = 0; u < size(); ++u) {
-    if (!nodes_[u]) continue;
-    NodeState& st = *nodes_[u];
-    Watchdog* wdp = wd.get();
-    const std::size_t wslot = wdp != nullptr ? wd_slot_[u] : 0;
-    threads.emplace_back([&st, &stalled, timeout, this, u, wdp, wslot] {
-      ShardProfile* prof =
-          profile_host_ ? prof_shards_[u].get() : nullptr;
-      st.task.start();
-      // Heartbeats are wall-clock-only observability: one relaxed
-      // fetch_add per resume, activity = the node's ambient phase. The
-      // phase field is only ever written by this node's own coroutine,
-      // which runs on this thread.
-      if (wdp != nullptr)
-        wdp->beat(wslot, static_cast<std::uint64_t>(st.ctx.phase_));
-      auto last_epoch = deliveries_.load(std::memory_order_acquire);
-      auto last_change = std::chrono::steady_clock::now();
-      while (!st.task.done()) {
-        std::coroutine_handle<> to_resume = nullptr;
-        bool trigger_shutdown = false;
-        {
-          std::unique_lock<std::mutex> lk = lock_shard(st, u);
-          if (st.killed || shutdown_.load(std::memory_order_relaxed))
-            break;
-          if (st.ready != nullptr) {
-            to_resume = st.ready;
-            st.ready = nullptr;
-          } else {
-            if (prof != nullptr)
-              prof->cv_waits.fetch_add(1, std::memory_order_relaxed);
-            st.cv.wait_for(lk, std::chrono::milliseconds(50), [&] {
-              return st.ready != nullptr || st.killed ||
-                     shutdown_.load(std::memory_order_relaxed);
-            });
-            if (prof != nullptr) {
-              if (st.ready != nullptr)
-                prof->cv_wakeups.fetch_add(1, std::memory_order_relaxed);
-              else
-                prof->spurious_wakeups.fetch_add(1,
-                                                 std::memory_order_relaxed);
-            }
-            if (st.ready == nullptr && !st.killed &&
-                !shutdown_.load(std::memory_order_relaxed)) {
-              // Wall-clock backstop against non-blocking livelock; real
-              // blocking deadlocks resolve instantly at quiescence.
-              const auto epoch =
-                  deliveries_.load(std::memory_order_acquire);
-              const auto now = std::chrono::steady_clock::now();
-              if (epoch != last_epoch) {
-                last_epoch = epoch;
-                last_change = now;
-              } else if (now - last_change > timeout) {
-                stalled.store(true);
-                trigger_shutdown = true;
-              }
-            }
-          }
-        }
-        if (trigger_shutdown) begin_shutdown();
-        if (to_resume != nullptr) {
-          if (prof != nullptr)
-            prof->tasks_resumed.fetch_add(1, std::memory_order_relaxed);
-          to_resume.resume();
-          if (wdp != nullptr)
-            wdp->beat(wslot, static_cast<std::uint64_t>(st.ctx.phase_));
-        }
-      }
-      bool newly_terminal = false;
-      {
-        const std::lock_guard<std::mutex> guard(st.mutex);
-        if (!st.terminal) {
-          st.terminal = true;
-          newly_terminal = true;
-        }
-      }
-      if (newly_terminal) {
-        // An orderly thread exit (task done, killed, or shutdown) is
-        // progress too, and marks this slot so a dump never blames it.
-        if (wdp != nullptr) wdp->beat(wslot, Watchdog::kActivityTerminal);
-        progress_.fetch_add(kTerminalOne, std::memory_order_acq_rel);
-        maybe_resolve_quiescence();
-      }
-    });
+  // Worker 0 is the calling thread. A worker's own failure (not a node
+  // program's: those stay in its Task) stops the run and is rethrown here.
+  const auto work = [this](std::size_t worker) {
+    try {
+      schedule(worker);
+    } catch (...) {
+      const auto lk = lock(worker);
+      if (!worker_error_) worker_error_ = std::current_exception();
+      stop_workers();
+    }
+  };
+  {
+    std::vector<std::jthread> pool;
+    try {
+      for (std::size_t w = 1; w < workers_; ++w) pool.emplace_back(work, w);
+    } catch (...) {
+      // Release the workers already waiting at the start barrier.
+      const auto lk = lock(0);
+      worker_error_ = std::current_exception();
+      stop_workers();
+    }
+    work(0);
   }
-  for (auto& thread : threads) thread.join();
-
-  bool wd_tripped = false;
+  workers_ = 1;
+  active_watchdog_ = nullptr;
   if (wd != nullptr) {
     wd->stop();
     watchdog_stats_ = wd->report();
-    wd_tripped = wd->tripped();
   }
-  threaded_ = false;
-  const bool was_deadlocked = deadlocked_;  // threads joined: plain reads
-  if (stalled.load() || was_deadlocked) {
+  if (worker_error_ || deadlocked_) {
     running_ = false;
-    const std::string msg =
-        was_deadlocked
-            ? deadlock_msg_
-            : "threaded run stalled: no message delivered within "
-              "the timeout while nodes were still blocked";
     for (auto& node : nodes_) node.reset();
-    throw DeadlockError(msg);
+    if (worker_error_) std::rethrow_exception(worker_error_);
+    throw DeadlockError(deadlock_msg_);
   }
-  // A watchdog trip shut the pool down without a logical deadlock record:
-  // the stall was host-level. Dump and throw from the quiescent machine.
-  if (wd_tripped) throw_watchdog_trip();
+  // A watchdog trip without a logical deadlock: the stall was host-level.
+  // Dump and throw from the quiescent machine.
+  if (wd != nullptr && wd->tripped()) throw_watchdog_trip();
   return collect_report();
 }
 

@@ -20,9 +20,10 @@
 // per-node BufferPools, so steady-state message traffic performs no heap
 // allocation; each node's pending messages sit in a flat arrival-ordered
 // vector (per-channel FIFO is preserved because arrival order restricted to
-// one (src, tag) channel is FIFO); and the MIMD executor's scheduler state
-// is sharded per node — the only global rendezvous is quiescence
-// resolution, which runs exactly when no node is runnable.
+// one (src, tag) channel is FIFO). Both executors run one scheduler loop:
+// the sequential one on the calling thread alone, the MIMD one on a small
+// worker pool that shares one machine lock and drops it while a node's
+// coroutine computes.
 //
 // Dynamic faults (sim/fault_injector.hpp): a `FaultInjector` kills nodes
 // and cuts links at scheduled logical times mid-run. Dead nodes halt at
@@ -37,10 +38,9 @@
 // histories.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -112,7 +112,7 @@ class NodeCtx {
     Tag tag;
     bool await_ready() const noexcept;
     /// Returns false (resume immediately) if a message raced in between
-    /// await_ready and suspension — only possible on the threaded executor.
+    /// await_ready and suspension — only possible with several workers.
     bool await_suspend(std::coroutine_handle<> h);
     Message await_resume();
   };
@@ -188,6 +188,11 @@ class NodeCtx {
   friend class PhaseSpan;
   NodeCtx(Machine& machine, cube::NodeId id) : machine_(&machine), id_(id) {}
 
+  /// The three send forms meet here; `checked_out` marks a buffer the span
+  /// form just took from this node's pool.
+  void send_buffer(cube::NodeId dst, Tag tag, PooledBuffer&& payload,
+                   bool checked_out);
+
   Machine* machine_;
   cube::NodeId id_;
   SimTime clock_ = 0.0;
@@ -212,17 +217,17 @@ class PhaseSpan {
   bool engaged_ = false;
 };
 
-/// Wall-clock scheduler counters for one shard (= one node thread) of the
-/// threaded executor. Everything here is host time, never simulated time:
+/// Wall-clock scheduler counters for one shard (= one worker of the
+/// scheduler loop). Everything here is host time, never simulated time:
 /// enabling the profile cannot change logical results, and none of these
 /// fields participate in golden-report or executor-equivalence comparisons.
 struct SchedShardProfile {
-  std::uint64_t mutex_waits = 0;     ///< contended shard-mutex acquisitions
-  std::uint64_t mutex_wait_ns = 0;   ///< wall ns blocked on the shard mutex
-  std::uint64_t cv_waits = 0;        ///< scheduler cv sleeps entered
+  std::uint64_t mutex_waits = 0;     ///< contended machine-lock acquisitions
+  std::uint64_t mutex_wait_ns = 0;   ///< wall ns blocked on the machine lock
+  std::uint64_t cv_waits = 0;        ///< idle-worker sleeps entered
   std::uint64_t cv_wakeups = 0;      ///< sleeps that woke to runnable work
   std::uint64_t spurious_wakeups = 0;  ///< sleeps that woke to nothing
-  std::uint64_t tasks_resumed = 0;   ///< coroutine resumes on this shard
+  std::uint64_t tasks_resumed = 0;   ///< coroutine resumes on this worker
 
   SchedShardProfile& operator+=(const SchedShardProfile& o) {
     mutex_waits += o.mutex_waits;
@@ -237,12 +242,12 @@ struct SchedShardProfile {
 
 /// Host-side execution profile of a run (see Machine::profile_host). The
 /// data that explains wall-clock behaviour the logical metrics cannot see —
-/// e.g. why the threaded executor is ≤1× sequential on a single-core box.
+/// e.g. how long the threaded executor's workers queue on the machine lock.
 struct HostProfile {
   bool enabled = false;  ///< false ⇒ all counters are zero
-  std::vector<SchedShardProfile> shards;  ///< index = node id
-  std::uint64_t quiescence_checks = 0;  ///< sched_mutex_ barrier crossings
-  std::uint64_t quiescence_events = 0;  ///< timeouts/kills fired at barriers
+  std::vector<SchedShardProfile> shards;  ///< index = worker
+  std::uint64_t quiescence_checks = 0;  ///< idle-machine resolutions
+  std::uint64_t quiescence_events = 0;  ///< timeouts/kills fired there
   std::uint64_t pool_contended = 0;     ///< contended BufferPool acquisitions
   std::uint64_t pool_contended_wait_ns = 0;  ///< wall ns blocked on pools
 
@@ -377,12 +382,13 @@ class Machine {
   bool profiling_host() const { return profile_host_; }
 
   /// Arm a wall-clock watchdog for subsequent runs (sim/watchdog.hpp). The
-  /// threaded executor publishes one heartbeat slot per node thread (beat
-  /// per task resume, activity = the node's ambient phase); the sequential
-  /// executor a single "scheduler" slot. On an abort-policy trip the run
-  /// is shut down, the black-box dump written to cfg.dump_path, and
-  /// WatchdogError thrown; a record-policy breach only counts a near-miss
-  /// in RunReport::watchdog. Pass a default (disabled) config to disarm.
+  /// threaded executor publishes one heartbeat slot per healthy node (beat
+  /// per resume, activity = the node's ambient phase, terminal when its
+  /// program ends); the sequential executor a single "scheduler" slot. On
+  /// an abort-policy trip the run is shut down, the black-box dump written
+  /// to cfg.dump_path, and WatchdogError thrown; a record-policy breach
+  /// only counts a near-miss in RunReport::watchdog. Pass a default
+  /// (disabled) config to disarm.
   void set_watchdog(WatchdogConfig cfg) { watchdog_cfg_ = std::move(cfg); }
   const WatchdogConfig& watchdog_config() const { return watchdog_cfg_; }
 
@@ -398,19 +404,19 @@ class Machine {
   /// the first node-program exception (annotated with the node id).
   RunReport run(const Program& program);
 
-  /// MIMD execution: one std::thread per healthy node, blocking mailboxes.
+  /// MIMD execution: the same scheduler loop as `run`, on
+  /// min(healthy nodes, max(2, hardware threads)) workers that share one
+  /// machine lock and release it while a node's coroutine computes.
   /// Results, statistics, and logical times are identical to `run` — the
   /// logical clocks depend only on the message causality, not on host
-  /// scheduling — so this mainly demonstrates that node programs are
-  /// executor-agnostic. Genuine deadlocks are detected at quiescence and
-  /// report the same blocked set as the sequential executor; `timeout` is a
-  /// wall-clock backstop against non-blocking livelock.
-  RunReport run_threaded(const Program& program,
-                         std::chrono::milliseconds timeout =
-                             std::chrono::milliseconds(30'000));
+  /// scheduling — so node programs are executor-agnostic. Genuine deadlocks
+  /// are detected at quiescence and report the same blocked set as the
+  /// sequential executor; a wall-clock stall is the watchdog's to catch.
+  RunReport run_threaded(const Program& program);
 
  private:
   friend class NodeCtx;
+  friend class PhaseSpan;
 
   struct NodeState {
     explicit NodeState(NodeCtx c) : ctx(std::move(c)) {}
@@ -419,13 +425,12 @@ class Machine {
     // Pending messages in arrival order. Matching a (src, tag) channel
     // scans front-to-back, which preserves per-channel FIFO; the vector's
     // capacity persists across steps, so steady-state delivery allocates
-    // nothing. Guarded by `mutex` when threaded.
+    // nothing.
     std::vector<Message> inbox;
-    // Scheduler state: plain on the sequential executor, guarded by this
-    // node's `mutex` on the threaded one (sharded scheduling — the global
-    // sched_mutex_ is only taken at quiescence).
     bool waiting = false;
     std::uint64_t want_channel = 0;
+    /// Where the next resume continues; null until the node first blocks
+    /// (an unstarted node is started instead).
     std::coroutine_handle<> waiter;
     bool has_deadline = false;  ///< waiting via recv_or_timeout
     SimTime deadline = 0.0;     ///< clock + patience at suspension
@@ -433,12 +438,12 @@ class Machine {
     // Dynamic-fault state.
     SimTime kill_time = kNever;
     bool killed = false;  ///< died mid-run (thrown or abandoned)
-    // Threaded-executor state: the mailbox/scheduler lock, the wakeup
-    // channel, and the once-only terminal latch.
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::coroutine_handle<> ready;
-    bool terminal = false;
+    // Worker-pool state. A node woken while a worker is still inside its
+    // resume() is queued only once that resume() returns, so its coroutine
+    // never runs on two workers at once.
+    bool running = false;
+    bool wake_pending = false;
+    std::size_t worker = 0;  ///< profile shard of the worker running it
   };
 
   static std::uint64_t channel_key(cube::NodeId src, Tag tag) {
@@ -449,44 +454,66 @@ class Machine {
   static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
 
   NodeState& state_of(cube::NodeId id);
+  /// The machine lock when the run has several workers; an empty lock on
+  /// the sequential executor. Contended acquisitions are charged to
+  /// `worker`'s profile shard when profiling is on.
+  std::unique_lock<std::mutex> lock(std::size_t worker);
+  /// lock() on behalf of node `u`'s program. Also reached from PhaseSpan
+  /// destructors while a finished run tears its nodes down, after the
+  /// workers have stopped.
+  std::unique_lock<std::mutex> lock_for(cube::NodeId u) {
+    if (workers_ == 1) return {};
+    return lock(nodes_[u]->worker);
+  }
   /// Throws KilledSignal (and records the death) once the node's clock has
-  /// reached its scheduled kill time.
+  /// reached its scheduled kill time. Caller holds the machine lock.
   void check_alive(cube::NodeId id);
+  /// Deliver a sent message. Caller holds the machine lock.
   void post(Message msg);
+  /// Make blocked node `u` runnable. Caller holds the machine lock.
+  void wake(cube::NodeId u);
   bool has_message(cube::NodeId node, cube::NodeId src, Tag tag);
   bool register_waiter(cube::NodeId node, cube::NodeId src, Tag tag,
                        std::coroutine_handle<> h, bool has_deadline,
                        SimTime deadline);
+  /// Take the first message on (src, tag) and charge the receive. Caller
+  /// holds the machine lock.
   Message pop_message(cube::NodeId node, cube::NodeId src, Tag tag);
   std::optional<Message> finish_recv_or_timeout(cube::NodeId node,
                                                 cube::NodeId src, Tag tag);
   std::string deadlock_message() const;
   /// At global quiescence, fire the earliest logical event among pending
-  /// recv timeouts and deaths of blocked nodes. Returns false if none
-  /// exists (a genuine deadlock). Threaded callers hold sched_mutex_; the
-  /// scan takes each node's own lock.
-  bool fire_quiescence_event();
-  /// Threaded bookkeeping: when the packed progress counter shows every
-  /// program blocked or terminal, take sched_mutex_, re-verify, and resolve
-  /// quiescence; on genuine deadlock, record the message and shut down.
-  void maybe_resolve_quiescence();
-  /// Set the shutdown flag and wake every node thread.
-  void begin_shutdown();
+  /// recv timeouts and deaths of blocked nodes and return its node, or
+  /// nullopt if none exists (a genuine deadlock). Caller holds the machine
+  /// lock.
+  std::optional<cube::NodeId> fire_quiescence_event();
   void instantiate_programs(const Program& program);
-  void drain_ready();
+  /// Both executors: run the programs on one worker, or on the threaded
+  /// executor's pool (the calling thread is worker 0), then collect the
+  /// report or throw.
+  RunReport execute(const Program& program, bool threaded);
+  /// The scheduler loop one worker runs until the run ends: resume woken
+  /// nodes in FIFO order, else start the next unstarted node, else — with
+  /// nothing runnable or running — fire a quiescence event or finish.
+  void schedule(std::size_t worker);
+  /// Make every worker leave its loop. Caller holds the machine lock.
+  void stop_workers();
+  /// Beat node `u`'s heartbeat slot (the "scheduler" slot on the
+  /// sequential executor) after it ran or a quiescence event touched it.
+  void beat(cube::NodeId u);
   RunReport collect_report();
   /// Build the armed watchdog for a run, or nullptr when disabled. The
-  /// threaded executor gets one slot per healthy node (wd_slot_[u]) and a
-  /// begin_shutdown on_trip hook; the sequential one a single slot 0.
+  /// threaded executor gets one slot per healthy node (wd_slot_[u]), the
+  /// sequential one a single "scheduler" slot (wd_slot_ empty).
   std::unique_ptr<Watchdog> arm_watchdog(bool threaded);
-  /// Copy the live shard profile atomics into a plain HostProfile
-  /// (enabled==false when profiling is off). Used by collect_report and
-  /// by the watchdog dump, which fires before a report exists.
+  /// Copy the per-worker profile into a plain HostProfile (enabled==false
+  /// when profiling is off). Used by collect_report and by the watchdog
+  /// dump, which fires before a report exists.
   HostProfile snapshot_host_profile() const;
   /// Abort path after a watchdog trip: capture the dump (diagnosis of the
   /// stalled set, host profile, flight-recorder tail, heartbeat table),
   /// write it to the configured path, tear the run down, and throw
-  /// WatchdogError. Requires all node threads joined / quiescent.
+  /// WatchdogError. Requires every worker joined.
   [[noreturn]] void throw_watchdog_trip();
 
   cube::Dim n_;
@@ -508,53 +535,38 @@ class Machine {
   // are destroyed before the pools they return to.
   std::vector<BufferPool> pools_;  // index = address; persists across runs
   std::vector<std::unique_ptr<NodeState>> nodes_;  // index = address
-  std::deque<std::coroutine_handle<>> ready_;
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> keys_sent_{0};
-  std::atomic<std::uint64_t> key_hops_{0};
-  std::atomic<std::uint64_t> comparisons_{0};
-  std::atomic<std::uint64_t> messages_dropped_{0};
-  std::atomic<std::uint64_t> timeouts_{0};
-  std::atomic<std::uint64_t> deliveries_{0};  // progress epoch (threaded)
+  std::uint64_t messages_ = 0;
+  std::uint64_t keys_sent_ = 0;
+  std::uint64_t key_hops_ = 0;
+  std::uint64_t comparisons_ = 0;
+  std::uint64_t messages_dropped_ = 0;
+  std::uint64_t timeouts_ = 0;
   bool running_ = false;
-  bool threaded_ = false;
 
-  // Threaded-executor coordination. `progress_` packs the number of
-  // blocked programs (low 32 bits) and terminal programs (high 32 bits) so
-  // one atomic read yields a consistent pair; every transition into
-  // blocked/terminal checks it against total_programs_ and, on global
-  // quiescence, serialises through sched_mutex_ — the only global lock,
-  // held only when nothing is runnable.
-  std::atomic<std::uint64_t> progress_{0};
-  static constexpr std::uint64_t kTerminalOne = std::uint64_t{1} << 32;
-  std::atomic<bool> shutdown_{false};
-  std::mutex sched_mutex_;
-  std::size_t total_programs_ = 0;
-  bool deadlocked_ = false;     // guarded by sched_mutex_
-  std::string deadlock_msg_;    // guarded by sched_mutex_
+  // Scheduler state. With several workers mu_ guards it, the mailbox and
+  // wait state of every node, the traffic counters above and every registry
+  // write; with one worker nothing is locked.
+  std::mutex mu_;
+  std::condition_variable idle_cv_;  ///< idle workers wait here for work
+  std::size_t workers_ = 1;          ///< workers of this run
+  std::size_t checked_in_ = 0;       ///< workers that entered the loop
+  std::deque<cube::NodeId> ready_;   ///< woken nodes, FIFO
+  cube::NodeId next_start_ = 0;      ///< next node to start
+  std::size_t busy_ = 0;             ///< workers inside a resume()
+  bool stop_ = false;                ///< every worker leaves its loop
+  bool deadlocked_ = false;
+  std::string deadlock_msg_;
+  std::exception_ptr worker_error_;  ///< first error a worker hit
 
-  // Host profiling (see profile_host). Per-shard counters are atomics so
-  // any thread can charge contention to the shard it blocked on; they are
-  // copied into the plain SchedShardProfile in collect_report.
-  struct ShardProfile {
-    std::atomic<std::uint64_t> mutex_waits{0};
-    std::atomic<std::uint64_t> mutex_wait_ns{0};
-    std::atomic<std::uint64_t> cv_waits{0};
-    std::atomic<std::uint64_t> cv_wakeups{0};
-    std::atomic<std::uint64_t> spurious_wakeups{0};
-    std::atomic<std::uint64_t> tasks_resumed{0};
-  };
-  /// Lock a node's shard mutex, charging contended acquisitions to the
-  /// shard's profile when profiling is on (try-lock first, timed fallback).
-  std::unique_lock<std::mutex> lock_shard(NodeState& st, cube::NodeId id);
+  // Host profiling (see profile_host): one shard per worker, written only
+  // by that worker and read after the run.
   bool profile_host_ = false;
-  std::vector<std::unique_ptr<ShardProfile>> prof_shards_;  // index = node
-  std::atomic<std::uint64_t> prof_quiescence_checks_{0};
-  std::atomic<std::uint64_t> prof_quiescence_events_{0};
+  std::vector<SchedShardProfile> prof_workers_;
+  std::uint64_t prof_quiescence_checks_ = 0;
+  std::uint64_t prof_quiescence_events_ = 0;
 
   // Wall-clock watchdog (see set_watchdog). `active_watchdog_` is only
-  // non-null while a run holds an armed watchdog; the sequential executor
-  // reads it between resumes (drain_ready), never from node programs.
+  // non-null while a run holds an armed watchdog.
   WatchdogConfig watchdog_cfg_;
   Watchdog* active_watchdog_ = nullptr;
   std::vector<std::size_t> wd_slot_;  ///< node id -> heartbeat slot

@@ -3,9 +3,9 @@
 // When enabled, every cost-charging site of the Machine (sends, receives,
 // comparisons, drops, timeouts) also bumps the counters of the node's
 // *ambient phase* (see sim/phase.hpp). The registry is a fixed-size
-// per-node table sized once at enable time, and each node program writes
-// only its own row, so the hot path takes no lock and performs no
-// allocation — the same sharding discipline as the threaded scheduler.
+// per-node table sized once at enable time, so the hot path performs no
+// allocation; like every registry it is written on the sequential
+// executor's one thread or under the threaded executor's machine lock.
 // Everything recorded is logical (derived from message causality, never
 // from host scheduling), so per-phase totals are byte-identical across the
 // sequential and threaded executors.
@@ -86,9 +86,8 @@ class Metrics {
     for (NodePhaseCounters& row : nodes_) row.fill(PhaseCounters{});
   }
 
-  /// The (node, phase) cell. Callers must write only from the node's own
-  /// execution context (its thread on the MIMD executor) — that is what
-  /// makes the lock-free sharding sound.
+  /// The (node, phase) cell. On the threaded executor callers hold the
+  /// machine lock.
   PhaseCounters& at(cube::NodeId u, Phase p) {
     return nodes_[u][static_cast<std::size_t>(p)];
   }

@@ -13,30 +13,17 @@ void Timeline::enable(std::uint32_t num_nodes, cube::Dim dim, SimTime tick) {
   enabled_ = true;
   tick_ = tick;
   dim_ = dim;
-  if (nodes_.size() != num_nodes) {
-    nodes_.clear();
-    for (std::uint32_t u = 0; u < num_nodes; ++u)
-      nodes_.push_back(std::make_unique<NodeShard>());
-  }
-  if (dims_.size() != static_cast<std::size_t>(dim)) {
-    dims_.clear();
-    for (cube::Dim d = 0; d < dim; ++d)
-      dims_.push_back(std::make_unique<DimShard>());
-  }
+  nodes_.resize(num_nodes);
+  dims_.resize(static_cast<std::size_t>(dim));
   reset();
 }
 
 void Timeline::disable() { enabled_ = false; }
 
 void Timeline::reset() {
-  for (auto& node : nodes_) {
-    node->queue = Series{};
-    node->pool = Series{};
-    node->phase.clear();
-    node->cursor = 0;
-  }
-  for (auto& d : dims_) d->keys = Series{};
-  dropped_.store(0, std::memory_order_relaxed);
+  std::fill(nodes_.begin(), nodes_.end(), NodeSeries{});
+  std::fill(dims_.begin(), dims_.end(), Series{});
+  dropped_ = 0;
 }
 
 std::size_t Timeline::bucket(SimTime t) const {
@@ -57,63 +44,45 @@ void Timeline::add(Series& s, std::size_t idx, std::int64_t delta) {
 void Timeline::note_enqueue(cube::NodeId dst, SimTime arrival) {
   const std::size_t idx = bucket(arrival);
   if (idx == kTimelineMaxTicks) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return;
   }
-  NodeShard& shard = *nodes_[dst];
-  const std::lock_guard<std::mutex> guard(shard.mutex);
-  add(shard.queue, idx, +1);
+  add(nodes_[dst].queue, idx, +1);
 }
 
 void Timeline::note_dequeue(cube::NodeId dst, SimTime when) {
   const std::size_t idx = bucket(when);
   if (idx == kTimelineMaxTicks) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return;
   }
-  NodeShard& shard = *nodes_[dst];
-  const std::lock_guard<std::mutex> guard(shard.mutex);
-  add(shard.queue, idx, -1);
+  add(nodes_[dst].queue, idx, -1);
 }
 
 void Timeline::note_send(cube::NodeId src, cube::NodeId dst,
                          std::uint64_t keys, SimTime sent_at) {
   const std::size_t idx = bucket(sent_at);
   if (idx == kTimelineMaxTicks) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return;
   }
-  {
-    NodeShard& shard = *nodes_[src];
-    const std::lock_guard<std::mutex> guard(shard.mutex);
-    add(shard.pool, idx, +1);
-  }
+  add(nodes_[src].pool, idx, +1);
   const std::int64_t k = static_cast<std::int64_t>(keys);
-  for (std::uint32_t diff = src ^ dst; diff != 0; diff &= diff - 1) {
-    DimShard& shard = *dims_[static_cast<std::size_t>(std::countr_zero(diff))];
-    const std::lock_guard<std::mutex> guard(shard.mutex);
-    add(shard.keys, idx, +k);
-  }
+  for (std::uint32_t diff = src ^ dst; diff != 0; diff &= diff - 1)
+    add(dims_[static_cast<std::size_t>(std::countr_zero(diff))], idx, +k);
 }
 
 void Timeline::note_delivered(cube::NodeId src, cube::NodeId dst,
                               std::uint64_t keys, SimTime when) {
   const std::size_t idx = bucket(when);
   if (idx == kTimelineMaxTicks) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return;
   }
-  {
-    NodeShard& shard = *nodes_[src];
-    const std::lock_guard<std::mutex> guard(shard.mutex);
-    add(shard.pool, idx, -1);
-  }
+  add(nodes_[src].pool, idx, -1);
   const std::int64_t k = static_cast<std::int64_t>(keys);
-  for (std::uint32_t diff = src ^ dst; diff != 0; diff &= diff - 1) {
-    DimShard& shard = *dims_[static_cast<std::size_t>(std::countr_zero(diff))];
-    const std::lock_guard<std::mutex> guard(shard.mutex);
-    add(shard.keys, idx, -k);
-  }
+  for (std::uint32_t diff = src ^ dst; diff != 0; diff &= diff - 1)
+    add(dims_[static_cast<std::size_t>(std::countr_zero(diff))], idx, -k);
 }
 
 void Timeline::note_dropped(cube::NodeId src, cube::NodeId dst,
@@ -124,16 +93,16 @@ void Timeline::note_dropped(cube::NodeId src, cube::NodeId dst,
 }
 
 void Timeline::note_phase(cube::NodeId u, SimTime now, Phase p) {
-  NodeShard& shard = *nodes_[u];
+  NodeSeries& node = nodes_[u];
   std::size_t upto = bucket(now);
   if (upto == kTimelineMaxTicks) upto = kTimelineMaxTicks - 1;
-  if (shard.cursor > upto) return;
-  if (upto >= shard.phase.size())
-    shard.phase.resize(std::max(upto + 1, shard.phase.size() * 2),
-                       TimelineSnapshot::kIdle);
-  for (std::size_t t = shard.cursor; t <= upto; ++t)
-    shard.phase[t] = static_cast<std::uint8_t>(p);
-  shard.cursor = upto + 1;
+  if (node.cursor > upto) return;
+  if (upto >= node.phase.size())
+    node.phase.resize(std::max(upto + 1, node.phase.size() * 2),
+                      TimelineSnapshot::kIdle);
+  for (std::size_t t = node.cursor; t <= upto; ++t)
+    node.phase[t] = static_cast<std::uint8_t>(p);
+  node.cursor = upto + 1;
 }
 
 TimelineSnapshot Timeline::snapshot() const {
@@ -143,7 +112,7 @@ TimelineSnapshot Timeline::snapshot() const {
   out.tick = tick_;
   out.num_nodes = static_cast<std::uint32_t>(nodes_.size());
   out.dim = dim_;
-  out.dropped = dropped_.load(std::memory_order_relaxed);
+  out.dropped = dropped_;
 
   // Common padded length: the latest tick any series or phase row touched.
   // Deterministic — high-water marks depend only on the (identical) event
@@ -152,12 +121,12 @@ TimelineSnapshot Timeline::snapshot() const {
   const auto cover = [&ticks](const Series& s) {
     if (s.touched) ticks = std::max(ticks, s.max_tick + 1);
   };
-  for (const auto& node : nodes_) {
-    cover(node->queue);
-    cover(node->pool);
-    ticks = std::max(ticks, node->cursor);
+  for (const NodeSeries& node : nodes_) {
+    cover(node.queue);
+    cover(node.pool);
+    ticks = std::max(ticks, node.cursor);
   }
-  for (const auto& d : dims_) cover(d->keys);
+  for (const Series& d : dims_) cover(d);
   out.ticks = ticks;
 
   const auto cumulate = [ticks](const Series& s) {
@@ -169,18 +138,17 @@ TimelineSnapshot Timeline::snapshot() const {
     }
     return row;
   };
-  for (const auto& node : nodes_) {
-    out.queue_depth.push_back(cumulate(node->queue));
-    out.pool_in_use.push_back(cumulate(node->pool));
+  for (const NodeSeries& node : nodes_) {
+    out.queue_depth.push_back(cumulate(node.queue));
+    out.pool_in_use.push_back(cumulate(node.pool));
     std::vector<std::uint8_t> row(ticks, TimelineSnapshot::kIdle);
-    std::copy(node->phase.begin(),
-              node->phase.begin() +
-                  static_cast<std::ptrdiff_t>(
-                      std::min(node->cursor, ticks)),
+    std::copy(node.phase.begin(),
+              node.phase.begin() +
+                  static_cast<std::ptrdiff_t>(std::min(node.cursor, ticks)),
               row.begin());
     out.phase.push_back(std::move(row));
   }
-  for (const auto& d : dims_) out.keys_in_flight.push_back(cumulate(d->keys));
+  for (const Series& d : dims_) out.keys_in_flight.push_back(cumulate(d));
   return out;
 }
 

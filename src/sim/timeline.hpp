@@ -14,27 +14,15 @@
 // of the *logical* time it describes (a message's arrival, a receive's
 // post-wait clock). Bucketed integer sums are order-independent, so the
 // snapshot is byte-identical across the sequential and threaded executors,
-// like every other RunReport field.
-//
-// Write sharding follows the registry conventions (DESIGN.md §7):
-//   * queue-depth rows are guarded by the destination node's shard mutex
-//     (post() runs on the sender's thread);
-//   * pool/in-flight rows are guarded by the *source* node's shard mutex
-//     (delivery runs on the receiver's thread);
-//   * per-dimension key counters get their own mutexes (both endpoints
-//     charge them);
-//   * phase rows are written only from the owning node's thread and need
-//     no lock (the Metrics discipline).
+// like every other RunReport field. Hooks run on the sequential executor's
+// one thread or under the threaded executor's machine lock.
 //
 // The series length is bounded by `kTimelineMaxTicks`; deltas addressed
 // past the cap are counted in `dropped` instead of growing without bound
 // (a recovery run's logical makespan can be ~1e9 µs).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "hypercube/address.hpp"
@@ -176,12 +164,11 @@ class Timeline {
   void note_dropped(cube::NodeId src, cube::NodeId dst, std::uint64_t keys,
                     SimTime arrival);
   /// Record that node `u` was in `p` when its clock reached `now`; fills
-  /// every tick boundary crossed since the node's previous sample. Called
-  /// only from the owning node's thread.
+  /// every tick boundary crossed since the node's previous sample.
   void note_phase(cube::NodeId u, SimTime now, Phase p);
 
   /// Materialise the run's series (prefix sums, common padding). Call
-  /// after the run completes (both executors have joined/drained).
+  /// after the run completes.
   TimelineSnapshot snapshot() const;
 
  private:
@@ -193,17 +180,11 @@ class Timeline {
     std::size_t max_tick = 0;
     bool touched = false;
   };
-  struct NodeShard {
-    std::mutex mutex;           // guards queue + pool
+  struct NodeSeries {
     Series queue;
     Series pool;
-    // Own-thread only: no lock.
     std::vector<std::uint8_t> phase;
     std::size_t cursor = 0;
-  };
-  struct DimShard {
-    std::mutex mutex;
-    Series keys;
   };
 
   /// Bucket index for a logical time, or kTimelineMaxTicks when past the
@@ -214,9 +195,9 @@ class Timeline {
   bool enabled_ = false;
   SimTime tick_ = 0.0;
   cube::Dim dim_ = 0;
-  std::vector<std::unique_ptr<NodeShard>> nodes_;
-  std::vector<std::unique_ptr<DimShard>> dims_;
-  std::atomic<std::uint64_t> dropped_{0};
+  std::vector<NodeSeries> nodes_;
+  std::vector<Series> dims_;  ///< keys in flight per dimension
+  std::uint64_t dropped_ = 0;
 };
 
 }  // namespace ftsort::sim

@@ -23,63 +23,48 @@ const char* kind_name(EventKind k) {
 }  // namespace
 
 void Trace::reshard(std::uint32_t num_shards) {
-  shards_.clear();
-  shards_.reserve(num_shards == 0 ? 1 : num_shards);
-  for (std::uint32_t i = 0; i < std::max<std::uint32_t>(num_shards, 1); ++i)
-    shards_.push_back(std::make_unique<Shard>());
+  rings_.assign(std::max<std::uint32_t>(num_shards, 1), Ring{});
 }
 
-void Trace::record(TraceEvent ev) {
-  if (!enabled_) return;
-  Shard& shard =
-      *shards_[ev.node < shards_.size() ? static_cast<std::size_t>(ev.node) : 0];
-  ev.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> guard(shard.mutex);
-  if (capacity_ == 0 || shard.ring.size() < capacity_) {
-    shard.ring.push_back(ev);
+void Trace::append(TraceEvent ev) {
+  Ring& r = rings_[ev.node < rings_.size() ? static_cast<std::size_t>(ev.node)
+                                           : 0];
+  ev.seq = next_seq_++;
+  if (capacity_ == 0 || r.ring.size() < capacity_) {
+    r.ring.push_back(ev);
     return;
   }
-  // Ring full: overwrite the oldest retained event (append order, which on
-  // each shard tracks seq order up to cross-thread Drop interleaving).
-  if (shard.head >= shard.ring.size()) shard.head = 0;  // after a shrink
-  shard.ring[shard.head] = ev;
-  shard.head = (shard.head + 1) % shard.ring.size();
-  ++shard.dropped;
+  // Ring full: overwrite the oldest retained event.
+  if (r.head >= r.ring.size()) r.head = 0;  // after a shrink
+  r.ring[r.head] = ev;
+  r.head = (r.head + 1) % r.ring.size();
+  ++r.dropped;
 }
 
 void Trace::clear() {
-  for (auto& shard : shards_) {
-    const std::lock_guard<std::mutex> guard(shard->mutex);
-    shard->ring.clear();
-    shard->head = 0;
-    shard->dropped = 0;
+  for (Ring& r : rings_) {
+    r.ring.clear();
+    r.head = 0;
+    r.dropped = 0;
   }
 }
 
 std::size_t Trace::size() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> guard(shard->mutex);
-    total += shard->ring.size();
-  }
+  for (const Ring& r : rings_) total += r.ring.size();
   return total;
 }
 
 std::uint64_t Trace::dropped() const {
   std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> guard(shard->mutex);
-    total += shard->dropped;
-  }
+  for (const Ring& r : rings_) total += r.dropped;
   return total;
 }
 
 std::vector<TraceEvent> Trace::snapshot() const {
   std::vector<TraceEvent> events;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> guard(shard->mutex);
-    events.insert(events.end(), shard->ring.begin(), shard->ring.end());
-  }
+  for (const Ring& r : rings_)
+    events.insert(events.end(), r.ring.begin(), r.ring.end());
   std::sort(events.begin(), events.end(),
             [](const TraceEvent& a, const TraceEvent& b) { return a.seq < b.seq; });
   return events;

@@ -1,8 +1,8 @@
-// Flight recorder for a simulation run: a per-node-sharded, optionally
-// bounded ring of trace events, used by debugging dumps, the demo examples,
-// the observability exporters (sim/exporters.hpp), and the failure
-// explainers (sim/diagnosis.hpp). Disabled by default; recording is O(1)
-// per event when enabled.
+// Flight recorder for a simulation run: per-node, optionally bounded rings
+// of trace events, used by debugging dumps, the demo examples, the
+// observability exporters (sim/exporters.hpp), and the failure explainers
+// (sim/diagnosis.hpp). Disabled by default; recording is O(1) per event
+// when enabled.
 //
 // Besides the raw message/compute events, the trace records *span* events
 // (SpanBegin/SpanEnd) emitted by PhaseSpan (sim/machine.hpp): every event
@@ -10,17 +10,17 @@
 // the Perfetto exporter turns into one labelled track per node and the
 // PhaseBreakdown critical-path walk uses for attribution.
 //
-// Sharding: events land in the shard of the node they describe, under that
-// shard's own mutex — Drop events are recorded by the *sender's* thread
-// onto the destination node's stream, so shards cannot rely on thread
-// ownership the way sim::Metrics does. A global atomic sequence number is
-// stamped on every event inside record(); snapshot() merges the shards
-// back into one stream ordered by that sequence. On the sequential
-// executor the sequence order is exactly the historical append order; on
-// the threaded executor each node's own events keep program order, and a
-// Send is always sequenced before the matching Recv (the send is recorded
-// before the message is posted, and the receive after), which is what the
-// exporter's flow pairing and the PhaseBreakdown walk rely on.
+// Rings: events land in the ring of the node they describe (Drop events
+// are recorded by the sender onto the destination node's ring). Every
+// record() happens on the sequential executor's one thread or under the
+// threaded executor's machine lock, so a plain sequence number stamped in
+// record() orders all events, and snapshot() merges the rings back into one
+// stream by it. On the sequential executor the sequence order is exactly
+// the historical append order; on the threaded executor each node's own
+// events keep program order, and a Send is always sequenced before the
+// matching Recv (the send is recorded before the message is posted, and
+// the receive after), which is what the exporter's flow pairing and the
+// PhaseBreakdown walk rely on.
 //
 // Bounding: set_capacity(N) caps each node's ring at N events; once full,
 // the oldest retained event is overwritten and counted in dropped(). The
@@ -29,10 +29,7 @@
 // byte-identical with the recorder enabled, disabled, or bounded.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -73,25 +70,28 @@ class Trace {
   void enable(bool on = true) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  /// Size the shard array, one shard per node. Events for out-of-range
-  /// node ids fall back to shard 0. Drops all retained events and resets
-  /// the dropped counter; not safe against a concurrent record().
+  /// Size the ring array, one ring per node. Events for out-of-range
+  /// node ids fall back to ring 0. Drops all retained events and resets
+  /// the dropped counter.
   void reshard(std::uint32_t num_shards);
 
   /// Bound each node's ring to `per_node_events` retained events
   /// (0 = unbounded). Applies lazily from the next record(); shrinking
-  /// below a shard's current size evicts its oldest events on the next
-  /// record() into that shard. Not safe against a concurrent record().
+  /// below a ring's current size evicts its oldest events on the next
+  /// record() into that ring.
   void set_capacity(std::size_t per_node_events) { capacity_ = per_node_events; }
   std::size_t capacity() const { return capacity_; }
 
-  void record(TraceEvent ev);
+  /// Stamp and retain `ev`; a disabled trace costs this one check.
+  void record(const TraceEvent& ev) {
+    if (enabled_) append(ev);
+  }
 
   /// Drop all retained events and zero the dropped counter. The global
   /// sequence keeps counting (run-start watermarks stay monotonic).
   void clear();
 
-  /// Retained events across all shards.
+  /// Retained events across all rings.
   std::size_t size() const;
 
   /// Total events evicted by ring overflow since the last clear().
@@ -100,11 +100,10 @@ class Trace {
   /// Sequence number the next record() will stamp; also the count of
   /// events ever recorded. Use as a run-start watermark to slice
   /// snapshot() by `ev.seq >= mark`.
-  std::uint64_t next_seq() const { return next_seq_.load(std::memory_order_relaxed); }
+  std::uint64_t next_seq() const { return next_seq_; }
 
-  /// Consistent copy of the retained events merged across shards in
-  /// global record order (ascending seq), safe against concurrent
-  /// record().
+  /// Copy of the retained events merged across rings in global record
+  /// order (ascending seq).
   std::vector<TraceEvent> snapshot() const;
 
   /// Human-readable dump (one line per event), truncated to `max_lines`.
@@ -113,17 +112,18 @@ class Trace {
  private:
   // One ring per node. `ring` grows up to the capacity; once full `head`
   // is the index of the oldest retained event and new events overwrite it.
-  struct Shard {
-    mutable std::mutex mutex;
+  struct Ring {
     std::vector<TraceEvent> ring;
     std::size_t head = 0;
     std::uint64_t dropped = 0;
   };
 
+  void append(TraceEvent ev);
+
   bool enabled_ = false;
   std::size_t capacity_ = 0;  // 0 = unbounded
-  std::atomic<std::uint64_t> next_seq_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::uint64_t next_seq_ = 0;
+  std::vector<Ring> rings_;
 };
 
 }  // namespace ftsort::sim

@@ -5,12 +5,12 @@
 // deadlock is detected *instantly* at quiescence. What that machinery
 // cannot catch is a stall of the host itself: a miscompiled coroutine that
 // never resumes its continuation (tests/test_coro_miscompile.cpp), a lost
-// cv wakeup in the threaded executor, a worker thread wedged in foreign
-// code. The watchdog applies the paper's own silent-processor idea to the
-// host layer: every execution shard publishes a heartbeat counter it bumps
-// on progress (tasks resumed, trials completed) plus an activity word
-// (current paper phase, trial index), and a monitor thread trips when the
-// *global* beat sum stops advancing past a wall-clock deadline.
+// wakeup in the threaded executor's pool, a worker thread wedged in
+// foreign code. The watchdog applies the paper's own silent-processor idea
+// to the host layer: every execution shard publishes a heartbeat counter
+// it bumps on progress (tasks resumed, trials completed) plus an activity
+// word (current paper phase, trial index), and a monitor thread trips when
+// the *global* beat sum stops advancing past a wall-clock deadline.
 //
 // Determinism discipline: heartbeats and the monitor live entirely in
 // wall-clock land. A beat is one relaxed fetch_add; nothing here reads or
@@ -27,7 +27,7 @@
 // a box slow enough to stretch every beat stretches its own threshold.
 //
 // Trip policy: abort_on_trip=true invokes the owner's on_trip callback
-// (the Machine passes begin_shutdown) and latches tripped(); the owner
+// (the Machine wakes its idle workers) and latches tripped(); the owner
 // assembles the black-box dump (sim::Diagnosis of the stalled set,
 // flight-recorder tail, host profile, the heartbeat table captured here)
 // once its threads are quiescent, writes it via write_watchdog_dump, and
@@ -140,7 +140,8 @@ class Watchdog {
 
   /// Invoked (off the caller's threads, on the monitor) exactly once on an
   /// abort-policy trip, before tripped() latches; owners use it to unwedge
-  /// their threads (Machine::begin_shutdown). Must be set before start().
+  /// their threads (the Machine wakes its idle workers). Must be set
+  /// before start().
   void on_trip(std::function<void()> fn);
 
   /// Launch the monitor thread. No-op when the config is disabled.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <vector>
 
@@ -119,6 +120,42 @@ void run_scenario_fault_free(core::Executor executor) {
                  "0x1.18p+12", "0x1.18p+12", "0x1.18ep+12", "0x1.19ap+12",
                  "0x1.18ep+12", "0x1.198p+12", "0x1.196p+12", "0x1.19p+12"})};
   expect_matches(sorter.sort(keys), g);
+}
+
+// FNV-1a over the bytes of 64-bit words.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t word) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (word >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3u;
+  }
+  return h;
+}
+
+TEST(ReportGolden, SequentialTraceOrder) {
+  // Pins the sequential scheduler's cross-node event order: every field
+  // of every event of the offline-Q3 scenario, in seq order. Captured from
+  // the revision before the scheduler loop was shared with the threaded
+  // executor.
+  util::Rng rng(42);
+  const auto keys = sort::gen_uniform(150, rng);
+  core::SortConfig cfg;
+  cfg.record_trace = true;
+  const core::SortOutcome outcome =
+      core::FaultTolerantSorter(3, fault::FaultSet(3, {2}), cfg).sort(keys);
+  std::uint64_t h = 0xcbf29ce484222325u;
+  for (const sim::TraceEvent& ev : outcome.trace_events) {
+    h = fnv1a(h, ev.seq);
+    h = fnv1a(h, ev.node);
+    h = fnv1a(h, static_cast<std::uint64_t>(ev.kind));
+    h = fnv1a(h, ev.peer);
+    h = fnv1a(h, ev.tag);
+    h = fnv1a(h, ev.keys);
+    h = fnv1a(h, static_cast<std::uint64_t>(ev.hops));
+    h = fnv1a(h, static_cast<std::uint64_t>(ev.phase));
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(ev.time));
+  }
+  EXPECT_EQ(outcome.trace_events.size(), 251u);
+  EXPECT_EQ(h, 4425312449373790709u);
 }
 
 TEST(ReportGolden, OfflineQ3Sequential) {

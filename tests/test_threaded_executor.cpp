@@ -1,8 +1,13 @@
-// Tests for the MIMD (thread-per-node) executor: identical results and
-// logical times to the deterministic scheduler, plus its stall detection.
+// Tests for the MIMD (worker-pool) executor: identical results and logical
+// times to the deterministic scheduler, its stall detection, and the pool's
+// two promises: node programs run concurrently, on a bounded pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "core/ft_sorter.hpp"
 #include "fault/scenario.hpp"
@@ -67,9 +72,7 @@ TEST(ThreadedExecutor, StallDetection) {
     sim::Message msg = co_await ctx.recv(ctx.id() ^ 1u, 9);  // never sent
     (void)msg;
   };
-  EXPECT_THROW(
-      machine.run_threaded(program, std::chrono::milliseconds(200)),
-      sim::DeadlockError);
+  EXPECT_THROW(machine.run_threaded(program), sim::DeadlockError);
 }
 
 TEST(ThreadedExecutor, NodeExceptionPropagates) {
@@ -108,6 +111,44 @@ TEST(ThreadedExecutor, SixtyFourThreadsSortQ6) {
   const auto outcome =
       core::FaultTolerantSorter(6, faults, cfg).sort(keys);
   EXPECT_EQ(outcome.sorted, expected);
+}
+
+TEST(ThreadedExecutor, RunsNodeProgramsConcurrently) {
+  // Each node program arrives, then waits outside any NodeCtx call until
+  // both have arrived: only two coroutines running at once see 2. The
+  // wall-clock limit turns a serialising pool into a failure, not a hang.
+  sim::Machine machine(1, fault::FaultSet(1));
+  std::atomic<int> arrived{0};
+  std::array<int, 2> seen{};
+  const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
+    arrived.fetch_add(1);
+    const auto limit =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < limit)
+      std::this_thread::yield();
+    seen[ctx.id()] = arrived.load();
+    co_return;
+  };
+  machine.run_threaded(program);
+  EXPECT_EQ(seen[0], 2);
+  EXPECT_EQ(seen[1], 2);
+}
+
+TEST(ThreadedExecutor, UsesABoundedWorkerPool) {
+  // The benchmark's plumbing-bound shape: 253 healthy nodes on Q_8.
+  util::Rng rng(1);
+  const auto faults = fault::random_faults(8, 3, rng);
+  const auto keys = sort::gen_uniform(4'096, rng);
+  auto expected = keys;
+  std::sort(expected.begin(), expected.end());
+  core::SortConfig cfg;
+  cfg.executor = core::Executor::Threaded;
+  cfg.profile_host = true;
+  const auto outcome = core::FaultTolerantSorter(8, faults, cfg).sort(keys);
+  EXPECT_EQ(outcome.sorted, expected);
+  EXPECT_EQ(outcome.report.host.shards.size(),
+            std::min<std::size_t>(
+                253, std::max(2u, std::thread::hardware_concurrency())));
 }
 
 TEST(ThreadedExecutor, MachineReusableAcrossExecutors) {

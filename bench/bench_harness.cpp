@@ -213,9 +213,7 @@ Metrics run_end_to_end(const std::string& name, cube::Dim n,
   core::SortOutcome obs_outcome = obs_sorter.sort(keys);
   m.obs = std::move(obs_outcome.report);
   m.trace_events = std::move(obs_outcome.trace_events);
-  for (const sim::Diagnosis::Wait& w : m.obs.diagnosis.waits)
-    if (w.expired && w.time > m.makespan_detect) m.makespan_detect = w.time;
-  m.makespan_detect = std::min(m.makespan_detect, m.makespan);
+  m.makespan_detect = sim::detect_time(m.obs);
   m.makespan_post_recovery = m.makespan - m.makespan_detect;
   return m;
 }
@@ -299,112 +297,88 @@ Metrics run_micro_pairwise(const std::string& name, bool simd,
 }
 
 // ---------------------------------------------------------------------------
-// JSON out. Hand-rolled: the schema is flat and the repo has no JSON
-// writer. read_bench below reads it back; keep the counters in lockstep.
+// JSON out, through util::json::Writer. read_bench below reads it back;
+// keep the counters in lockstep.
+
+/// The real CMake config when the build system provides it (NDEBUG alone
+/// cannot tell RelWithDebInfo from Release); `ftdiag history` groups its
+/// trends by this tag.
+const char* build_type() {
+#ifdef FTSORT_BUILD_TYPE
+  return FTSORT_BUILD_TYPE;
+#elif defined(NDEBUG)
+  return "release";
+#else
+  return "debug";
+#endif
+}
 
 void write_json(const std::string& path, const std::vector<Metrics>& all,
                 bool smoke) {
+  using util::json::Writer;
+  constexpr auto kLines = Writer::Layout::Lines;
   std::ofstream out(path);
-  out << "{\n"
-      << "  \"bench\": \"sort\",\n"
-      // v1 = PR 2 (flat counters + phases); v2 adds the
-      // makespan_detect/makespan_post_recovery split; v3 adds the
-      // per-scenario cost_model block and the micros' kernel_backend tag.
-      << "  \"schema_version\": " << util::kBenchSchemaVersion << ",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      // The real CMake config when the build system provides it (NDEBUG
-      // alone cannot tell RelWithDebInfo from Release); `ftdiag history`
-      // groups its trends by this tag.
-#ifdef FTSORT_BUILD_TYPE
-      << "  \"build\": \"" FTSORT_BUILD_TYPE "\",\n"
-#elif defined(NDEBUG)
-      << "  \"build\": \"release\",\n"
-#else
-      << "  \"build\": \"debug\",\n"
-#endif
-      << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    const Metrics& m = all[i];
-    char makespan[64];
-    char detect[64];
-    char post[64];
-    std::snprintf(makespan, sizeof makespan, "%.17g", m.makespan);
-    std::snprintf(detect, sizeof detect, "%.17g", m.makespan_detect);
-    std::snprintf(post, sizeof post, "%.17g", m.makespan_post_recovery);
-    out << "    {\n"
-        << "      \"name\": \"" << m.name << "\",\n";
+  Writer w(out);
+  // v1 = PR 2 (flat counters + phases); v2 adds the
+  // makespan_detect/makespan_post_recovery split; v3 adds the
+  // per-scenario cost_model block and the micros' kernel_backend tag.
+  w.begin_object(kLines).fields(
+      "bench", "sort", "schema_version", util::kBenchSchemaVersion, "mode",
+      smoke ? "smoke" : "full", "build", build_type());
+  w.key("scenarios").begin_array(kLines);
+  for (const Metrics& m : all) {
+    w.begin_object(kLines).fields("name", m.name);
     if (!m.kernel_backend.empty())
-      out << "      \"kernel_backend\": \"" << m.kernel_backend << "\",\n";
-    out << "      \"wall_ns\": " << m.wall_ns << ",\n"
-        << "      \"makespan\": " << makespan << ",\n"
-        << "      \"makespan_detect\": " << detect << ",\n"
-        << "      \"makespan_post_recovery\": " << post << ",\n"
-        << "      \"comparisons\": " << m.comparisons << ",\n"
-        << "      \"keys_routed\": " << m.keys_routed << ",\n"
-        << "      \"messages\": " << m.messages << ",\n"
-        << "      \"allocations\": " << m.allocations << ",\n"
-        << "      \"pool_heap_allocations\": " << m.pool_heap_allocations
-        << ",\n"
-        << "      \"pool_checkouts\": " << m.pool_checkouts << ",\n"
-        << "      \"link_key_hops\": "
-        << m.obs.links.grand_total().key_hops;
+      w.fields("kernel_backend", m.kernel_backend);
+    w.fields("wall_ns", m.wall_ns, "makespan", m.makespan, "makespan_detect",
+             m.makespan_detect, "makespan_post_recovery",
+             m.makespan_post_recovery, "comparisons", m.comparisons,
+             "keys_routed", m.keys_routed, "messages", m.messages,
+             "allocations", m.allocations, "pool_heap_allocations",
+             m.pool_heap_allocations, "pool_checkouts", m.pool_checkouts,
+             "link_key_hops", m.obs.links.grand_total().key_hops);
     // Cost model the simulated times were charged under — ftdiag refuses
     // to diff scenarios whose models differ.
     if (m.has_cost) {
-      char tc[64];
-      char tt[64];
-      char tsu[64];
-      std::snprintf(tc, sizeof tc, "%.17g", m.cost.t_compare);
-      std::snprintf(tt, sizeof tt, "%.17g", m.cost.t_transfer);
-      std::snprintf(tsu, sizeof tsu, "%.17g", m.cost.t_startup);
-      out << ",\n      \"cost_model\": {\"name\": \"" << m.cost.name()
-          << "\", \"routing\": \"" << m.cost.mode_name()
-          << "\", \"t_compare\": " << tc << ", \"t_transfer\": " << tt
-          << ", \"t_startup\": " << tsu << "}";
+      w.key("cost_model").begin_object();
+      w.fields("name", m.cost.name(), "routing", m.cost.mode_name(),
+               "t_compare", m.cost.t_compare, "t_transfer", m.cost.t_transfer,
+               "t_startup", m.cost.t_startup);
+      w.end();
     }
     // Per-dimension link rollup from the instrumented run: which cube
     // dimension carried the traffic, and how hot its wires ran.
     if (!m.obs.links.empty()) {
       const std::vector<double> util = sim::dimension_utilization(
           m.obs.links, m.obs.cost, m.obs.makespan);
-      out << ",\n      \"link_dimensions\": {";
+      w.key("link_dimensions").begin_object(kLines);
       for (cube::Dim d = 0; d < m.obs.links.dim; ++d) {
         const sim::LinkCell cell = m.obs.links.dim_total(d);
-        char busy[64];
-        char u[64];
-        std::snprintf(busy, sizeof busy, "%.17g",
-                      sim::link_busy_time(cell, m.obs.cost));
-        std::snprintf(u, sizeof u, "%.17g",
-                      util[static_cast<std::size_t>(d)]);
-        out << (d != 0 ? ",\n" : "\n") << "        \""
-            << static_cast<int>(d) << "\": {\"traversals\": "
-            << cell.traversals << ", \"key_hops\": " << cell.key_hops
-            << ", \"busy\": " << busy << ", \"utilization\": " << u << "}";
+        w.key(std::to_string(d)).begin_object();
+        w.fields("traversals", cell.traversals, "key_hops", cell.key_hops,
+                 "busy", sim::link_busy_time(cell, m.obs.cost), "utilization",
+                 util[static_cast<std::size_t>(d)]);
+        w.end();
       }
-      out << "\n      }";
+      w.end();
     }
     // Per-phase columns from the instrumented run. Empty phases are skipped.
     if (!m.obs.metrics.empty()) {
-      out << ",\n      \"phases\": {";
-      bool first_phase = true;
+      w.key("phases").begin_object(kLines);
       for (const sim::PhaseBreakdown::Slice& sl : m.obs.phases.slices) {
         if (sl.counters == sim::PhaseCounters{} && sl.critical_time == 0.0)
           continue;
-        char crit[64];
-        std::snprintf(crit, sizeof crit, "%.17g", sl.critical_time);
-        out << (first_phase ? "\n" : ",\n") << "        \""
-            << sim::phase_name(sl.phase) << "\": {\"comparisons\": "
-            << sl.counters.comparisons
-            << ", \"keys_sent\": " << sl.counters.keys_sent
-            << ", \"messages\": " << sl.counters.messages
-            << ", \"critical_time\": " << crit << "}";
-        first_phase = false;
+        w.key(sim::phase_name(sl.phase)).begin_object();
+        w.fields("comparisons", sl.counters.comparisons, "keys_sent",
+                 sl.counters.keys_sent, "messages", sl.counters.messages,
+                 "critical_time", sl.critical_time);
+        w.end();
       }
-      out << "\n      }";
+      w.end();
     }
-    out << "\n    }" << (i + 1 < all.size() ? "," : "") << "\n";
+    w.end();
   }
-  out << "  ]\n}\n";
+  w.end().end();
 }
 
 // Reader for BENCH_sort.json (write_json above). Every scenario must carry
@@ -585,24 +559,19 @@ bool check_simd_twins(const std::vector<ParsedScenario>& current) {
 
 /// Host stamp for the history line: the CPUs this process may run on (its
 /// affinity mask, which a container or `taskset` may narrow) and the
-/// 1-minute load average, as JSON members. Wall times from different
-/// hosts or loads are not one trend; `ftdiag history` names the mix.
-std::string host_stamp() {
+/// 1-minute load average. Wall times from different hosts or loads are not
+/// one trend; `ftdiag history` names the mix.
+void put_host_stamp(util::json::Writer& w) {
   cpu_set_t set;
   const unsigned nproc = sched_getaffinity(0, sizeof set, &set) == 0
                              ? static_cast<unsigned>(CPU_COUNT(&set))
                              : std::thread::hardware_concurrency();
-  std::ostringstream os;
-  os << "\"nproc\": " << nproc << ", \"loadavg\": ";
+  w.fields("nproc", nproc).key("loadavg");
   double load = 0.0;
-  if (getloadavg(&load, 1) == 1) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", load);
-    os << buf;
-  } else {
-    os << "null";
-  }
-  return os.str();
+  if (getloadavg(&load, 1) == 1)
+    w.fixed(load, 2);
+  else
+    w.null();
 }
 
 int harness_main(int argc, char** argv) {
@@ -817,28 +786,23 @@ int harness_main(int argc, char** argv) {
                                     : out_path.substr(0, slash + 1)) +
         "BENCH_history.jsonl";
     std::ostringstream hist;
-    hist << "{\"bench\": \"sort\", \"mode\": \""
-         << (smoke ? "smoke" : "full") << "\", \"build\": \""
-#ifdef FTSORT_BUILD_TYPE
-         << FTSORT_BUILD_TYPE
-#elif defined(NDEBUG)
-         << "release"
-#else
-         << "debug"
-#endif
-         << "\", " << host_stamp() << ", \"scenarios\": [";
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      const Metrics& m = all[i];
-      char makespan[64];
-      std::snprintf(makespan, sizeof makespan, "%.17g", m.makespan);
-      hist << (i != 0 ? ", " : "") << "{\"name\": \"" << m.name
-           << "\", \"wall_ns\": " << m.wall_ns
-           << ", \"makespan\": " << makespan
-           << ", \"comparisons\": " << m.comparisons << "}";
+    util::json::Writer w(hist);
+    w.begin_object().fields("bench", "sort", "mode", smoke ? "smoke" : "full",
+                            "build", build_type());
+    put_host_stamp(w);
+    w.key("scenarios").begin_array();
+    for (const Metrics& m : all) {
+      w.begin_object();
+      w.fields("name", m.name, "wall_ns", m.wall_ns, "makespan", m.makespan,
+               "comparisons", m.comparisons);
+      w.end();
     }
-    hist << "]}";
+    w.end().end();
+    // The writer ends the document with a newline; the history adds its own.
+    std::string line = hist.str();
+    line.pop_back();
     const util::HistoryAppendResult hres =
-        util::append_history_line(history_path, hist.str());
+        util::append_history_line(history_path, line);
     if (hres.rotated)
       std::printf("history: %s (%zu entries)\n", history_path.c_str(),
                   hres.entries);

@@ -6,19 +6,12 @@
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 #include "util/schema.hpp"
 
 namespace ftsort::campaign {
 
 namespace {
-
-/// %.17g — round-trip exact for doubles, matching the bench/metrics
-/// exporters so every emitted number re-parses to the same bits.
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 /// Nearest-rank quantile of an ascending-sorted vector (no
 /// interpolation: deterministic and insensitive to fp rounding).
@@ -147,88 +140,74 @@ CampaignReport aggregate_campaign(CampaignMeta meta,
 }
 
 void write_campaign_json(std::ostream& os, const CampaignReport& rep) {
-  os << "{\n"
-     << "  \"campaign\": \"fault_mc\",\n"
-     << "  \"schema_version\": " << util::kCampaignSchemaVersion << ",\n"
-     << "  \"n\": " << rep.meta.n << ",\n"
-     << "  \"r_max\": " << rep.meta.r_max << ",\n"
-     << "  \"scenarios\": " << rep.meta.scenarios << ",\n"
-     << "  \"trials\": " << rep.trials.size() << ",\n"
-     << "  \"seed\": " << rep.meta.seed << ",\n"
-     << "  \"num_keys\": " << rep.meta.num_keys << ",\n"
-     << "  \"executor\": \"" << rep.meta.executor << "\",\n"
-     << "  \"link_cut_probability\": " << num(rep.meta.link_cut_probability)
-     << ",\n"
-     << "  \"envelope\": " << num(rep.meta.envelope) << ",\n"
-     << "  \"outcomes\": {";
+  using util::json::Writer;
+  Writer w(os);
+  w.begin_object(Writer::Layout::Lines);
+  w.fields("campaign", "fault_mc", "schema_version",
+           util::kCampaignSchemaVersion, "n", rep.meta.n, "r_max",
+           rep.meta.r_max, "scenarios", rep.meta.scenarios, "trials",
+           rep.trials.size(), "seed", rep.meta.seed, "num_keys",
+           rep.meta.num_keys, "executor", rep.meta.executor,
+           "link_cut_probability", rep.meta.link_cut_probability, "envelope",
+           rep.meta.envelope);
+  w.key("outcomes").begin_object();
   for (std::size_t i = 0; i < core::kRunOutcomeCount; ++i)
-    os << (i ? ", " : "") << "\""
-       << core::run_outcome_name(static_cast<core::RunOutcome>(i))
-       << "\": " << rep.outcomes[i];
-  os << "},\n  \"lineage\": {\"audited\": " << rep.lineage_audited
-     << ", \"ok\": " << rep.lineage_ok << "},\n  \"watchdog\": {\"trips\": "
-     << rep.watchdog_trips
-     << ", \"near_misses\": " << rep.watchdog_near_misses
-     << "},\n  \"partial\": " << (rep.partial ? "true" : "false")
-     << ",\n  \"buckets\": [\n";
-  for (std::size_t i = 0; i < rep.buckets.size(); ++i) {
-    const BucketStats& b = rep.buckets[i];
-    os << "    {\"r\": " << b.r << ", \"trials\": " << b.trials
-       << ", \"completed\": " << b.completed
-       << ", \"recovered\": " << b.recovered
-       << ", \"degraded\": " << b.degraded
-       << ", \"deadlocked\": " << b.deadlocked
-       << ", \"corrupt\": " << b.corrupt << ", \"failed\": " << b.failed
-       << ",\n     \"completion_probability\": "
-       << num(b.completion_probability)
-       << ", \"mean_makespan\": " << num(b.mean_makespan)
-       << ", \"min_makespan\": " << num(b.min_makespan)
-       << ", \"max_makespan\": " << num(b.max_makespan)
-       << ",\n     \"mean_detect\": " << num(b.mean_detect)
-       << ", \"mean_slowdown\": " << num(b.mean_slowdown)
-       << ",\n     \"hotspot_p50\": " << num(b.hotspot_p50)
-       << ", \"hotspot_p90\": " << num(b.hotspot_p90)
-       << ", \"hotspot_max\": " << num(b.hotspot_max)
-       << ",\n     \"detect_latency_p50\": " << num(b.detect_latency_p50)
-       << ", \"detect_latency_p90\": " << num(b.detect_latency_p90)
-       << ",\n     \"rollcall_latency_p50\": " << num(b.rollcall_latency_p50)
-       << ", \"rollcall_latency_p90\": " << num(b.rollcall_latency_p90)
-       << ",\n     \"salvage_latency_p50\": " << num(b.salvage_latency_p50)
-       << ", \"salvage_latency_p90\": " << num(b.salvage_latency_p90)
-       << ",\n     \"restart_latency_p50\": " << num(b.restart_latency_p50)
-       << ", \"restart_latency_p90\": " << num(b.restart_latency_p90)
-       << ",\n     \"roots\": {";
+    w.fields(core::run_outcome_name(static_cast<core::RunOutcome>(i)),
+             rep.outcomes[i]);
+  w.end().key("lineage").begin_object();
+  w.fields("audited", rep.lineage_audited, "ok", rep.lineage_ok);
+  w.end().key("watchdog").begin_object();
+  w.fields("trips", rep.watchdog_trips, "near_misses",
+           rep.watchdog_near_misses);
+  w.end().fields("partial", rep.partial);
+  // One bucket per line group: counts, then each stage's statistics on a
+  // continuation line under the bucket's opening brace.
+  w.key("buckets").begin_array(Writer::Layout::Lines);
+  for (const BucketStats& b : rep.buckets) {
+    w.begin_object();
+    w.fields("r", b.r, "trials", b.trials, "completed", b.completed,
+             "recovered", b.recovered, "degraded", b.degraded, "deadlocked",
+             b.deadlocked, "corrupt", b.corrupt, "failed", b.failed);
+    w.wrap().fields("completion_probability", b.completion_probability,
+                    "mean_makespan", b.mean_makespan, "min_makespan",
+                    b.min_makespan, "max_makespan", b.max_makespan);
+    w.wrap().fields("mean_detect", b.mean_detect, "mean_slowdown",
+                    b.mean_slowdown);
+    w.wrap().fields("hotspot_p50", b.hotspot_p50, "hotspot_p90",
+                    b.hotspot_p90, "hotspot_max", b.hotspot_max);
+    w.wrap().fields("detect_latency_p50", b.detect_latency_p50,
+                    "detect_latency_p90", b.detect_latency_p90);
+    w.wrap().fields("rollcall_latency_p50", b.rollcall_latency_p50,
+                    "rollcall_latency_p90", b.rollcall_latency_p90);
+    w.wrap().fields("salvage_latency_p50", b.salvage_latency_p50,
+                    "salvage_latency_p90", b.salvage_latency_p90);
+    w.wrap().fields("restart_latency_p50", b.restart_latency_p50,
+                    "restart_latency_p90", b.restart_latency_p90);
+    w.wrap().key("roots").begin_object();
     for (std::size_t k = 0; k < kRootKindCount; ++k)
-      os << (k ? ", " : "") << "\"" << root_name(k) << "\": " << b.roots[k];
-    os << "}}" << (i + 1 < rep.buckets.size() ? "," : "") << "\n";
+      w.fields(root_name(k), b.roots[k]);
+    w.end().end();
   }
-  os << "  ],\n  \"trials_detail\": [\n";
-  for (std::size_t i = 0; i < rep.trials.size(); ++i) {
-    const TrialResult& t = rep.trials[i];
-    os << "    {\"index\": " << t.index << ", \"scenario\": " << t.scenario
-       << ", \"r\": " << t.r << ", \"outcome\": \""
-       << core::run_outcome_name(t.outcome) << "\", \"root\": \""
-       << sim::diagnosis_root_kind_name(t.diagnosis.root_kind)
-       << "\", \"makespan\": " << num(t.makespan)
-       << ", \"detect\": " << num(t.detect) << ", \"deaths\": " << t.deaths
-       << ", \"timeouts\": " << t.timeouts
-       << ", \"comparisons\": " << t.comparisons
-       << ", \"messages\": " << t.messages
-       << ", \"key_hops\": " << t.key_hops
-       << ", \"hotspot_share\": " << num(t.hotspot_share)
-       << ", \"detect_latency\": " << num(t.detect_latency)
-       << ", \"rollcall_latency\": " << num(t.rollcall_latency)
-       << ", \"salvage_latency\": " << num(t.salvage_latency)
-       << ", \"restart_latency\": " << num(t.restart_latency)
-       << ", \"lineage_checked\": " << (t.lineage_checked ? "true" : "false")
-       << ", \"lineage_ok\": " << (t.lineage_ok ? "true" : "false")
-       << ", \"lineage_lost\": " << t.lineage_lost
-       << ", \"lineage_duplicated\": " << t.lineage_duplicated
-       << ", \"watchdog_trips\": " << t.watchdog_trips
-       << ", \"watchdog_near_misses\": " << t.watchdog_near_misses << "}"
-       << (i + 1 < rep.trials.size() ? "," : "") << "\n";
+  w.end().key("trials_detail").begin_array(Writer::Layout::Lines);
+  for (const TrialResult& t : rep.trials) {
+    w.begin_object();
+    w.fields("index", t.index, "scenario", t.scenario, "r", t.r, "outcome",
+             core::run_outcome_name(t.outcome), "root",
+             sim::diagnosis_root_kind_name(t.diagnosis.root_kind), "makespan",
+             t.makespan, "detect", t.detect, "deaths", t.deaths, "timeouts",
+             t.timeouts, "comparisons", t.comparisons, "messages",
+             t.messages, "key_hops", t.key_hops, "hotspot_share",
+             t.hotspot_share, "detect_latency", t.detect_latency,
+             "rollcall_latency", t.rollcall_latency, "salvage_latency",
+             t.salvage_latency, "restart_latency", t.restart_latency,
+             "lineage_checked", t.lineage_checked, "lineage_ok",
+             t.lineage_ok, "lineage_lost", t.lineage_lost,
+             "lineage_duplicated", t.lineage_duplicated, "watchdog_trips",
+             t.watchdog_trips, "watchdog_near_misses",
+             t.watchdog_near_misses);
+    w.end();
   }
-  os << "  ]\n}\n";
+  w.end().end();
 }
 
 std::string campaign_summary(const CampaignReport& rep) {

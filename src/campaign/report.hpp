@@ -158,7 +158,8 @@ CampaignReport aggregate_campaign(CampaignMeta meta,
                                   std::vector<TrialResult> trials);
 
 /// Serialize as the util::kCampaignSchemaVersion campaign JSON block.
-/// Byte-stable: fixed key order, %.17g doubles, no locale dependence.
+/// Byte-stable: fixed key order, util::json::Writer numbers (doubles
+/// round-trip exactly), no locale dependence.
 void write_campaign_json(std::ostream& os, const CampaignReport& report);
 
 /// Human-readable per-r summary table (the `ftdiag campaign` rendering

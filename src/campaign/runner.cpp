@@ -276,17 +276,14 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
     sim::WatchdogDumpContext ctx;
     ctx.origin = "campaign";
     if (wd->tripped()) {
-      if (!cfg.watchdog.dump_path.empty())
-        sim::write_watchdog_dump(cfg.watchdog.dump_path, wd_report, ctx);
+      const std::string dump_note =
+          sim::dump_on_trip(cfg.watchdog.dump_path, wd_report, ctx);
       throw sim::WatchdogError(
           "campaign watchdog tripped: no trial completed for " +
               std::to_string(wd_report.stall_ms) + " ms (deadline " +
               std::to_string(wd_report.effective_deadline_ms) + " ms), " +
               std::to_string(done_total.load()) + "/" +
-              std::to_string(trials) + " trials done" +
-              (cfg.watchdog.dump_path.empty()
-                   ? ""
-                   : "; dump: " + cfg.watchdog.dump_path),
+              std::to_string(trials) + " trials done" + dump_note,
           wd_report);
     }
     // Cancelled with a dump path configured: flush the heartbeat table

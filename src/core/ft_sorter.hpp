@@ -67,6 +67,12 @@ struct SortConfig {
   /// paper's T excludes this phase, so it defaults off; switching it on
   /// shows how far host I/O dominates once the cube itself is fast.
   bool charge_host_io = false;
+  // Instruments (sim/instrument.hpp): each record_* flag fills its
+  // RunReport field. All are off by default and record logical results
+  // only, deterministic across executors at zero simulated time; with every
+  // one off, a charge site costs one check.
+  /// The flight recorder (sim/trace.hpp): SortOutcome::trace and
+  /// trace_events, the critical-path walk, and expired-wait diagnosis.
   bool record_trace = false;
   /// Flight-recorder bound: per-node trace ring capacity in events
   /// (0 = unbounded). Lets record_trace stay always-on in long recovery
@@ -82,20 +88,17 @@ struct SortConfig {
   bool profile_host = false;
   /// Populate RunReport::metrics / RunReport::phases with per-node,
   /// per-phase counters (sim/metrics.hpp). The critical-path makespan
-  /// attribution additionally needs record_trace. Deterministic across
-  /// executors; off by default (one branch per charge site when off).
+  /// attribution additionally needs record_trace.
   bool record_metrics = false;
   /// Populate RunReport::links with the per-link traffic matrix and — for
   /// the plain (non-recovery) sort — RunReport::reindex_audit with the §3
   /// heuristic audit (sim/link_stats.hpp): predicted Σ max(h_i) of every
   /// Ψ candidate next to the measured re-index extra hops per dimension.
-  /// Deterministic across executors; off by default.
   bool record_link_stats = false;
   /// Populate RunReport::timeline with the sim-time sampler series
   /// (sim/timeline.hpp): per-node queue depth, in-flight keys per
   /// dimension, pool occupancy, and active phase, bucketed by
-  /// `timeline_tick`. Zero simulated-time cost, deterministic across
-  /// executors; off by default (one branch per charge site when off).
+  /// `timeline_tick`.
   bool record_timeline = false;
   /// Sampler tick width in simulated µs (> 0). The series is capped at
   /// sim::kTimelineMaxTicks buckets; pick a tick near
@@ -104,9 +107,7 @@ struct SortConfig {
   /// Populate RunReport::lineage with per-key provenance (sim/lineage.hpp):
   /// a stable id per input key, custody chains committed at every merge
   /// point, per-dimension hop counts that conserve against LinkStats, and
-  /// the exact no-loss/no-dup audit run against the gathered output. Zero
-  /// simulated-time cost, deterministic across executors; off by default
-  /// (one branch per send and merge site when off).
+  /// the exact no-loss/no-dup audit run against the gathered output.
   bool record_lineage = false;
   /// Mid-run fault schedule (sim/fault_injector.hpp), applied to every run.
   /// Without online_recovery an injected death typically leaves the

@@ -1,7 +1,5 @@
 #include "core/outcome.hpp"
 
-#include <algorithm>
-
 namespace ftsort::core {
 
 const char* run_outcome_name(RunOutcome o) {
@@ -24,13 +22,6 @@ RunOutcome classify_completed(const sim::RunReport& report, bool output_ok) {
   if (report.killed_nodes.empty() && report.timeouts == 0)
     return RunOutcome::CompletedClean;
   return RunOutcome::CompletedRecovered;
-}
-
-sim::SimTime detect_time(const sim::RunReport& report) {
-  sim::SimTime detect = 0.0;
-  for (const sim::Diagnosis::Wait& w : report.diagnosis.waits)
-    if (w.expired && w.time > detect) detect = w.time;
-  return std::min(detect, report.makespan);
 }
 
 }  // namespace ftsort::core

@@ -56,11 +56,8 @@ constexpr bool outcome_completed(RunOutcome o) {
 /// `output_ok` is the caller's verification verdict on the sorted keys.
 RunOutcome classify_completed(const sim::RunReport& report, bool output_ok);
 
-/// Fault-detection share of a report's makespan: the latest expired
-/// recv_or_timeout deadline the diagnosis recorded, clamped to the
-/// makespan (0 for clean runs, or when the trace that records expiries
-/// was disabled). The remainder, makespan - detect_time, is real
-/// post-recovery sort work — the split bench_harness gates separately.
-sim::SimTime detect_time(const sim::RunReport& report);
+/// The detection watermark (sim::detect_time): fault-detection share of a
+/// report's makespan.
+using sim::detect_time;
 
 }  // namespace ftsort::core

@@ -8,6 +8,7 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 
@@ -19,95 +20,53 @@ namespace ftsort::sim {
 
 namespace {
 
-/// Shortest round-trip decimal form, locale-independent.
-void put_double(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
+using util::json::Writer;
+constexpr auto kLines = Writer::Layout::Lines;
+
+/// Open a metadata event; the caller adds its members and closes it.
+Writer& begin_meta(Writer& w, const char* name) {
+  return w.begin_object().fields("name", name, "ph", "M", "pid", 0);
 }
 
-void put_counters(std::ostream& os, const PhaseCounters& pc) {
-  os << "\"messages\": " << pc.messages
-     << ", \"keys_sent\": " << pc.keys_sent
-     << ", \"key_hops\": " << pc.key_hops
-     << ", \"comparisons\": " << pc.comparisons
-     << ", \"recvs\": " << pc.recvs
-     << ", \"keys_received\": " << pc.keys_received
-     << ", \"messages_dropped\": " << pc.messages_dropped
-     << ", \"timeouts\": " << pc.timeouts
-     << ", \"pool_checkouts\": " << pc.pool_checkouts
-     << ", \"send_busy\": ";
-  put_double(os, pc.send_busy);
-  os << ", \"compute_time\": ";
-  put_double(os, pc.compute_time);
-  os << ", \"recv_wait\": ";
-  put_double(os, pc.recv_wait);
-  os << ", \"msg_size_hist\": [";
-  for (std::size_t b = 0; b < kMsgSizeBuckets; ++b)
-    os << (b != 0 ? ", " : "") << pc.msg_size_hist[b];
-  os << "]";
+/// Open a timed event; the caller adds its members and closes it.
+Writer& begin_event(Writer& w, const char* name, const char* cat,
+                    const char* ph, SimTime ts, cube::NodeId tid) {
+  return w.begin_object().fields("name", name, "cat", cat, "ph", ph, "ts",
+                                 ts, "pid", 0, "tid", tid);
 }
 
-/// (src, dst, tag) key for pairing sends with their receives (per-channel
-/// delivery is FIFO, so a queue of pending flow ids per channel suffices).
-std::uint64_t flow_channel(cube::NodeId src, cube::NodeId dst, Tag tag) {
-  return (static_cast<std::uint64_t>(src) << 48) |
-         (static_cast<std::uint64_t>(dst) << 32) |
-         static_cast<std::uint64_t>(tag);
-}
+/// Open the "args" object of the event being written.
+Writer& args(Writer& w) { return w.key("args").begin_object(); }
 
-void put_event_common(std::ostream& os, const char* name, const char* cat,
-                      const char* ph, SimTime ts, cube::NodeId tid) {
-  os << "{\"name\": \"" << name << "\", \"cat\": \"" << cat
-     << "\", \"ph\": \"" << ph << "\", \"ts\": ";
-  put_double(os, ts);
-  os << ", \"pid\": 0, \"tid\": " << tid;
-}
+std::string dim_key(cube::Dim d) { return "dim" + std::to_string(d); }
 
 }  // namespace
 
 void write_chrome_trace(std::ostream& os,
                         const std::vector<TraceEvent>& events,
-                        std::uint32_t num_nodes) {
-  write_chrome_trace(os, events, num_nodes, ChromeTraceOptions{});
-}
-
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<TraceEvent>& events,
                         std::uint32_t num_nodes,
                         const ChromeTraceOptions& opts) {
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  const auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
+  // One event per line, unindented: the trace_events "JSON Array Format".
+  Writer w(os, /*indent=*/0);
+  w.begin_object().fields("displayTimeUnit", "ms").key("traceEvents");
+  w.begin_array(kLines);
   for (std::uint32_t u = 0; u < num_nodes; ++u) {
-    sep();
-    os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
-          "\"tid\": "
-       << u << ", \"args\": {\"name\": \"node " << u << "\"}}";
+    args(begin_meta(w, "thread_name").fields("tid", u));
+    w.fields("name", "node " + std::to_string(u)).end().end();
   }
-  sep();
-  os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, "
-        "\"args\": {\"name\": \"hypercube\"}}";
-  sep();
-  os << "{\"name\": \"trace_dropped\", \"ph\": \"M\", \"pid\": 0, "
-        "\"args\": {\"count\": "
-     << opts.trace_dropped << "}}";
+  args(begin_meta(w, "process_name")).fields("name", "hypercube").end().end();
+  args(begin_meta(w, "trace_dropped"));
+  w.fields("count", opts.trace_dropped).end().end();
   if (opts.lineage != nullptr && opts.lineage->enabled) {
     const LineageSnapshot& lin = *opts.lineage;
-    sep();
-    os << "{\"name\": \"lineage_summary\", \"ph\": \"M\", \"pid\": 0, "
-          "\"args\": {\"assigned\": "
-       << lin.assigned << ", \"dummies\": " << lin.dummies
-       << ", \"audit_checked\": " << (lin.audit.checked ? "true" : "false")
-       << ", \"audit_ok\": " << (lin.audit.ok ? "true" : "false")
-       << ", \"lost\": " << lin.audit.lost.size()
-       << ", \"duplicated\": " << lin.audit.duplicated.size()
-       << ", \"salvaged\": " << lin.audit.salvaged
-       << ", \"witnessed_salvaged\": " << lin.audit.witnessed_salvaged
-       << ", \"untracked_hops\": " << lin.untracked_total() << "}}";
+    args(begin_meta(w, "lineage_summary"));
+    w.fields("assigned", lin.assigned, "dummies", lin.dummies,
+             "audit_checked", lin.audit.checked, "audit_ok", lin.audit.ok,
+             "lost", lin.audit.lost.size(), "duplicated",
+             lin.audit.duplicated.size(), "salvaged", lin.audit.salvaged,
+             "witnessed_salvaged", lin.audit.witnessed_salvaged,
+             "untracked_hops", lin.untracked_total());
+    w.end().end();
   }
 
   // Sim-time sampler tracks (sim/timeline.hpp): one counter sample per
@@ -118,20 +77,14 @@ void write_chrome_trace(std::ostream& os,
     const TimelineSnapshot& tl = *opts.timeline;
     for (std::size_t t = 0; t < tl.ticks; ++t) {
       const SimTime ts = static_cast<double>(t) * tl.tick;
-      sep();
-      put_event_common(os, "timeline_queue_depth", "timeline", "C", ts, 0);
-      os << ", \"args\": {\"messages\": " << tl.total_queue_depth(t) << "}}";
-      sep();
-      put_event_common(os, "timeline_pool_in_use", "timeline", "C", ts, 0);
-      os << ", \"args\": {\"buffers\": " << tl.total_pool_in_use(t) << "}}";
-      sep();
-      put_event_common(os, "timeline_keys_in_flight", "timeline", "C", ts,
-                       0);
-      os << ", \"args\": {";
+      args(begin_event(w, "timeline_queue_depth", "timeline", "C", ts, 0));
+      w.fields("messages", tl.total_queue_depth(t)).end().end();
+      args(begin_event(w, "timeline_pool_in_use", "timeline", "C", ts, 0));
+      w.fields("buffers", tl.total_pool_in_use(t)).end().end();
+      args(begin_event(w, "timeline_keys_in_flight", "timeline", "C", ts, 0));
       for (cube::Dim d = 0; d < tl.dim; ++d)
-        os << (d != 0 ? ", " : "") << "\"dim" << static_cast<int>(d)
-           << "\": " << tl.keys_in_flight[static_cast<std::size_t>(d)][t];
-      os << "}}";
+        w.fields(dim_key(d), tl.keys_in_flight[static_cast<std::size_t>(d)][t]);
+      w.end().end();
     }
   }
 
@@ -147,18 +100,11 @@ void write_chrome_trace(std::ostream& os,
   std::vector<std::uint64_t> in_flight(static_cast<std::size_t>(track_dims),
                                        0);
   std::vector<double> busy(static_cast<std::size_t>(track_dims), 0.0);
-  const auto put_counter = [&](const char* name, SimTime ts, bool time_track) {
-    sep();
-    put_event_common(os, name, "link", "C", ts, 0);
-    os << ", \"args\": {";
-    for (cube::Dim d = 0; d < track_dims; ++d) {
-      os << (d != 0 ? ", " : "") << "\"dim" << static_cast<int>(d) << "\": ";
-      if (time_track)
-        put_double(os, busy[static_cast<std::size_t>(d)]);
-      else
-        os << in_flight[static_cast<std::size_t>(d)];
-    }
-    os << "}}";
+  const auto put_counter = [&](const char* name, SimTime ts, auto& series) {
+    args(begin_event(w, name, "link", "C", ts, 0));
+    for (cube::Dim d = 0; d < track_dims; ++d)
+      w.fields(dim_key(d), series[static_cast<std::size_t>(d)]);
+    w.end().end();
   };
   // Apply one message event to the counters; true when anything changed.
   const auto account = [&](const TraceEvent& ev, bool starting) {
@@ -179,8 +125,8 @@ void write_chrome_trace(std::ostream& os,
       }
       flight_changed = true;
     }
-    if (flight_changed) put_counter("keys_in_flight", ev.time, false);
-    if (busy_changed) put_counter("link_busy_us", ev.time, true);
+    if (flight_changed) put_counter("keys_in_flight", ev.time, in_flight);
+    if (busy_changed) put_counter("link_busy_us", ev.time, busy);
   };
 
   // Flow ids: sends enqueue, receives dequeue (per-channel FIFO matches the
@@ -192,65 +138,54 @@ void write_chrome_trace(std::ostream& os,
   for (const TraceEvent& ev : events) {
     switch (ev.kind) {
       case EventKind::SpanBegin:
-        sep();
-        put_event_common(os, phase_name(ev.phase), "phase", "B", ev.time,
-                         ev.node);
-        os << "}";
-        break;
       case EventKind::SpanEnd:
-        sep();
-        put_event_common(os, phase_name(ev.phase), "phase", "E", ev.time,
-                         ev.node);
-        os << "}";
+        begin_event(w, phase_name(ev.phase), "phase",
+                    ev.kind == EventKind::SpanBegin ? "B" : "E", ev.time,
+                    ev.node)
+            .end();
         break;
       case EventKind::Send: {
         const std::uint64_t id = next_flow++;
-        pending[flow_channel(ev.node, ev.peer, ev.tag)].push_back(id);
-        sep();
-        put_event_common(os, "msg", "msg", "s", ev.time, ev.node);
-        os << ", \"id\": " << id << ", \"args\": {\"tag\": " << ev.tag
-           << ", \"keys\": " << ev.keys << ", \"hops\": " << ev.hops
-           << ", \"dst\": " << ev.peer << "}}";
+        pending[flow_key(ev.node, ev.peer, ev.tag)].push_back(id);
+        args(begin_event(w, "msg", "msg", "s", ev.time, ev.node)
+                 .fields("id", id));
+        w.fields("tag", ev.tag, "keys", ev.keys, "hops", ev.hops, "dst",
+                 ev.peer);
+        w.end().end();
         if (track_dims != 0) account(ev, true);
         break;
       }
       case EventKind::Recv: {
-        auto it = pending.find(flow_channel(ev.peer, ev.node, ev.tag));
+        auto it = pending.find(flow_key(ev.peer, ev.node, ev.tag));
         if (it != pending.end() && !it->second.empty()) {
           const std::uint64_t id = it->second.front();
           it->second.pop_front();
-          sep();
-          put_event_common(os, "msg", "msg", "f", ev.time, ev.node);
-          os << ", \"id\": " << id << ", \"bp\": \"e\", \"args\": "
-                "{\"tag\": "
-             << ev.tag << ", \"keys\": " << ev.keys
-             << ", \"src\": " << ev.peer << "}}";
+          args(begin_event(w, "msg", "msg", "f", ev.time, ev.node)
+                   .fields("id", id, "bp", "e"));
+          w.fields("tag", ev.tag, "keys", ev.keys, "src", ev.peer).end().end();
         }
         if (track_dims != 0) account(ev, false);
         break;
       }
       case EventKind::Drop:
-        sep();
-        put_event_common(os, "drop", "fault", "i", ev.time, ev.node);
-        os << ", \"s\": \"t\", \"args\": {\"src\": " << ev.peer
-           << ", \"tag\": " << ev.tag << ", \"keys\": " << ev.keys << "}}";
+        args(begin_event(w, "drop", "fault", "i", ev.time, ev.node)
+                 .fields("s", "t"));
+        w.fields("src", ev.peer, "tag", ev.tag, "keys", ev.keys).end().end();
         // The dropped payload leaves the wire at its would-be arrival.
         if (track_dims != 0) account(ev, false);
         break;
       case EventKind::Timeout:
         // The phase rides along so offline consumers (ftdiag explain) can
         // reconstruct which paper step the expiry interrupted.
-        sep();
-        put_event_common(os, "timeout", "fault", "i", ev.time, ev.node);
-        os << ", \"s\": \"t\", \"args\": {\"src\": " << ev.peer
-           << ", \"tag\": " << ev.tag << ", \"phase\": \""
-           << phase_name(ev.phase) << "\"}}";
+        args(begin_event(w, "timeout", "fault", "i", ev.time, ev.node)
+                 .fields("s", "t"));
+        w.fields("src", ev.peer, "tag", ev.tag, "phase", phase_name(ev.phase));
+        w.end().end();
         break;
       case EventKind::Kill:
-        sep();
-        put_event_common(os, "kill", "fault", "i", ev.time, ev.node);
-        os << ", \"s\": \"t\", \"args\": {\"phase\": \""
-           << phase_name(ev.phase) << "\"}}";
+        args(begin_event(w, "kill", "fault", "i", ev.time, ev.node)
+                 .fields("s", "t"));
+        w.fields("phase", phase_name(ev.phase)).end().end();
         break;
       case EventKind::Compute:
         // Folded into the enclosing phase slice; a per-comparison-batch
@@ -258,7 +193,7 @@ void write_chrome_trace(std::ostream& os,
         break;
     }
   }
-  os << "\n]}\n";
+  w.end().end();
 }
 
 bool validate_chrome_trace(const std::string& json, std::string* error) {
@@ -344,91 +279,65 @@ void write_metrics_json(std::ostream& os, const RunReport& report) {
   // `"enabled": false` stub when not recorded); v7 adds the wall-clock
   // watchdog block (policy, deadline/interval echo, trip and near-miss
   // counts — an `"enabled": false` stub when not armed).
-  os << "{\n  \"schema_version\": " << util::kMetricsSchemaVersion
-     << ",\n  \"cost_model\": {\"name\": \""
-     << report.cost.name() << "\", \"routing\": \"" << report.cost.mode_name()
-     << "\", \"t_compare\": ";
-  put_double(os, report.cost.t_compare);
-  os << ", \"t_transfer\": ";
-  put_double(os, report.cost.t_transfer);
-  os << ", \"t_startup\": ";
-  put_double(os, report.cost.t_startup);
-  os << "},\n  \"makespan\": ";
-  put_double(os, report.makespan);
-  // Detection watermark: the last recv_or_timeout expiry. Everything before
-  // it is fault detection (timeout-constant dominated); everything after is
-  // real post-recovery sort work.
-  SimTime detect = 0.0;
-  for (const Diagnosis::Wait& w : report.diagnosis.waits)
-    if (w.expired && w.time > detect) detect = w.time;
-  detect = std::min(detect, report.makespan);
-  os << ",\n  \"makespan_detect\": ";
-  put_double(os, detect);
-  os << ",\n  \"makespan_post_recovery\": ";
-  put_double(os, report.makespan - detect);
-  os << ",\n  \"totals\": {\"messages\": " << report.messages
-     << ", \"keys_sent\": " << report.keys_sent
-     << ", \"key_hops\": " << report.key_hops
-     << ", \"comparisons\": " << report.comparisons
-     << ", \"messages_dropped\": " << report.messages_dropped
-     << ", \"timeouts\": " << report.timeouts << "},\n";
-  os << "  \"pool_delta\": {\"checkouts\": " << report.pool_delta.checkouts
-     << ", \"heap_allocations\": " << report.pool_delta.heap_allocations()
-     << ", \"returns\": " << report.pool_delta.returns << "},\n";
-  os << "  \"trace_dropped\": " << report.trace_dropped << ",\n";
+  Writer w(os);
+  w.begin_object(kLines);
+  // Open block `name` with its "enabled" flag; a disabled block is only
+  // that flag, and the caller writes the rest of an enabled one.
+  const auto block = [&w](const char* name, bool enabled) {
+    w.key(name).begin_object().fields("enabled", enabled);
+    if (!enabled) w.end();
+    return enabled;
+  };
+  w.fields("schema_version", util::kMetricsSchemaVersion);
+  w.key("cost_model").begin_object();
+  w.fields("name", report.cost.name(), "routing", report.cost.mode_name(),
+           "t_compare", report.cost.t_compare, "t_transfer",
+           report.cost.t_transfer, "t_startup", report.cost.t_startup);
+  w.end();
+  // Everything before the detection watermark is fault detection
+  // (timeout-constant dominated); everything after is real post-recovery
+  // sort work.
+  const SimTime detect = detect_time(report);
+  w.fields("makespan", report.makespan, "makespan_detect", detect,
+           "makespan_post_recovery", report.makespan - detect);
+  w.key("totals").begin_object();
+  w.fields("messages", report.messages, "keys_sent", report.keys_sent,
+           "key_hops", report.key_hops, "comparisons", report.comparisons,
+           "messages_dropped", report.messages_dropped, "timeouts",
+           report.timeouts);
+  w.end().key("pool_delta").begin_object();
+  w.fields("checkouts", report.pool_delta.checkouts, "heap_allocations",
+           report.pool_delta.heap_allocations(), "returns",
+           report.pool_delta.returns);
+  w.end().fields("trace_dropped", report.trace_dropped);
   const RecoveryLatency& rl = report.recovery_latency;
-  if (!rl.enabled) {
-    os << "  \"recovery_latency\": {\"enabled\": false},\n";
-  } else {
-    os << "  \"recovery_latency\": {\"enabled\": true, \"detection_total\": ";
-    put_double(os, rl.detection_total());
-    os << ", \"roll_call_total\": ";
-    put_double(os, rl.roll_call_total());
-    os << ", \"salvage_total\": ";
-    put_double(os, rl.salvage_total());
-    os << ", \"restart_total\": ";
-    put_double(os, rl.restart_total());
-    os << ",\n    \"episodes\": [";
-    for (std::size_t i = 0; i < rl.episodes.size(); ++i) {
-      const RecoveryEpisode& ep = rl.episodes[i];
-      os << (i != 0 ? ",\n" : "\n") << "      {\"attempt\": " << ep.attempt
-         << ", \"dead\": [";
-      for (std::size_t j = 0; j < ep.dead.size(); ++j)
-        os << (j != 0 ? ", " : "") << ep.dead[j];
-      os << "], \"inject\": ";
-      put_double(os, ep.inject);
-      os << ", \"detect_first\": ";
-      put_double(os, ep.detect_first);
-      os << ", \"detect_confirm\": ";
-      put_double(os, ep.detect_confirm);
-      os << ", \"rollcall_end\": ";
-      put_double(os, ep.rollcall_end);
-      os << ", \"salvage_end\": ";
-      put_double(os, ep.salvage_end);
-      os << ", \"restart_end\": ";
-      put_double(os, ep.restart_end);
-      os << "}";
+  if (block("recovery_latency", rl.enabled)) {
+    w.fields("detection_total", rl.detection_total(), "roll_call_total",
+             rl.roll_call_total(), "salvage_total", rl.salvage_total(),
+             "restart_total", rl.restart_total());
+    w.line().key("episodes").begin_array(kLines);
+    for (const RecoveryEpisode& ep : rl.episodes) {
+      w.begin_object();
+      w.fields("attempt", ep.attempt, "dead", ep.dead, "inject", ep.inject,
+               "detect_first", ep.detect_first, "detect_confirm",
+               ep.detect_confirm, "rollcall_end", ep.rollcall_end,
+               "salvage_end", ep.salvage_end, "restart_end", ep.restart_end);
+      w.end();
     }
-    os << "\n    ]},\n";
+    w.end().end();
   }
   const TimelineSnapshot& tl = report.timeline;
-  if (!tl.enabled) {
-    os << "  \"timeline\": {\"enabled\": false},\n";
-  } else {
-    os << "  \"timeline\": {\"enabled\": true, \"tick\": ";
-    put_double(os, tl.tick);
-    os << ", \"ticks\": " << tl.ticks << ", \"dropped\": " << tl.dropped
-       << ",\n    \"samples\": [";
+  if (block("timeline", tl.enabled)) {
+    w.fields("tick", tl.tick, "ticks", tl.ticks, "dropped", tl.dropped);
+    w.line().key("samples").begin_array(kLines);
     for (std::size_t t = 0; t < tl.ticks; ++t) {
-      os << (t != 0 ? ",\n" : "\n") << "      {\"t\": ";
-      put_double(os, static_cast<double>(t) * tl.tick);
-      os << ", \"queue_depth\": " << tl.total_queue_depth(t)
-         << ", \"pool_in_use\": " << tl.total_pool_in_use(t)
-         << ", \"keys_in_flight\": [";
-      for (cube::Dim d = 0; d < tl.dim; ++d)
-        os << (d != 0 ? ", " : "")
-           << tl.keys_in_flight[static_cast<std::size_t>(d)][t];
-      os << "], \"phase_mix\": {";
+      w.begin_object().fields("t", static_cast<double>(t) * tl.tick,
+                              "queue_depth", tl.total_queue_depth(t),
+                              "pool_in_use", tl.total_pool_in_use(t));
+      w.key("keys_in_flight").begin_array();
+      for (const std::vector<std::int64_t>& series : tl.keys_in_flight)
+        w.value(series[t]);
+      w.end().key("phase_mix").begin_object();
       // Nodes per phase at this tick, enum order, zero counts elided;
       // nodes outside their active interval count as "idle".
       std::size_t idle = 0;
@@ -440,107 +349,71 @@ void write_metrics_json(std::ostream& os, const RunReport& report) {
         else
           ++mix[p];
       }
-      bool first_phase = true;
-      for (std::size_t p = 0; p < kPhaseCount; ++p) {
-        if (mix[p] == 0) continue;
-        os << (first_phase ? "" : ", ") << "\""
-           << phase_name(static_cast<Phase>(p)) << "\": " << mix[p];
-        first_phase = false;
-      }
-      if (idle != 0)
-        os << (first_phase ? "" : ", ") << "\"idle\": " << idle;
-      os << "}}";
+      for (std::size_t p = 0; p < kPhaseCount; ++p)
+        if (mix[p] != 0) w.fields(phase_name(static_cast<Phase>(p)), mix[p]);
+      if (idle != 0) w.fields("idle", idle);
+      w.end().end();
     }
-    os << "\n    ]},\n";
+    w.end().end();
   }
   const LinkStatsSnapshot& links = report.links;
-  if (links.empty()) {
-    os << "  \"links\": {\"enabled\": false},\n";
-  } else {
+  if (block("links", !links.empty())) {
     const LinkCell total = links.grand_total();
-    os << "  \"links\": {\"enabled\": true, \"dim\": "
-       << static_cast<int>(links.dim) << ", \"num_nodes\": " << links.num_nodes
-       << ", \"total\": {\"traversals\": " << total.traversals
-       << ", \"key_hops\": " << total.key_hops << ", \"busy\": ";
-    put_double(os, link_busy_time(total, report.cost));
-    os << "},\n    \"per_dimension\": [";
+    w.fields("dim", links.dim, "num_nodes", links.num_nodes);
+    w.key("total").begin_object();
+    w.fields("traversals", total.traversals, "key_hops", total.key_hops,
+             "busy", link_busy_time(total, report.cost));
+    w.end().line().key("per_dimension").begin_array(kLines);
     const std::vector<double> util =
         dimension_utilization(links, report.cost, report.makespan);
     for (cube::Dim d = 0; d < links.dim; ++d) {
       const LinkCell cell = links.dim_total(d);
-      os << (d != 0 ? ",\n" : "\n") << "      {\"dim\": "
-         << static_cast<int>(d) << ", \"traversals\": " << cell.traversals
-         << ", \"key_hops\": " << cell.key_hops << ", \"busy\": ";
-      put_double(os, link_busy_time(cell, report.cost));
-      os << ", \"utilization\": ";
-      put_double(os, util[static_cast<std::size_t>(d)]);
-      os << "}";
+      w.begin_object();
+      w.fields("dim", d, "traversals", cell.traversals, "key_hops",
+               cell.key_hops, "busy", link_busy_time(cell, report.cost),
+               "utilization", util[static_cast<std::size_t>(d)]);
+      w.end();
     }
-    os << "\n    ]},\n";
+    w.end().end();
   }
   const ReindexAudit& audit = report.reindex_audit;
-  if (!audit.enabled) {
-    os << "  \"reindex_audit\": {\"enabled\": false},\n";
-  } else {
-    const auto put_int_array = [&](const std::vector<int>& v) {
-      os << "[";
-      for (std::size_t i = 0; i < v.size(); ++i)
-        os << (i != 0 ? ", " : "") << v[i];
-      os << "]";
-    };
-    os << "  \"reindex_audit\": {\"enabled\": true, \"measured_h\": ";
-    put_int_array(audit.measured_h);
-    os << ", \"measured_total\": " << audit.measured_total
-       << ", \"measured_all_h\": ";
-    put_int_array(audit.measured_all_h);
-    os << ", \"measured_all_total\": " << audit.measured_all_total
-       << ",\n    \"candidates\": [";
-    for (std::size_t i = 0; i < audit.candidates.size(); ++i) {
-      const ReindexAudit::Candidate& c = audit.candidates[i];
-      os << (i != 0 ? ",\n" : "\n") << "      {\"cuts\": [";
-      for (std::size_t j = 0; j < c.cuts.size(); ++j)
-        os << (j != 0 ? ", " : "") << static_cast<int>(c.cuts[j]);
-      os << "], \"predicted_h\": ";
-      put_int_array(c.predicted_h);
-      os << ", \"predicted_total\": " << c.predicted_total << ", \"chosen\": "
-         << (c.chosen ? "true" : "false") << "}";
+  if (block("reindex_audit", audit.enabled)) {
+    w.fields("measured_h", audit.measured_h, "measured_total",
+             audit.measured_total, "measured_all_h", audit.measured_all_h,
+             "measured_all_total", audit.measured_all_total);
+    w.line().key("candidates").begin_array(kLines);
+    for (const ReindexAudit::Candidate& c : audit.candidates) {
+      w.begin_object();
+      w.fields("cuts", c.cuts, "predicted_h", c.predicted_h,
+               "predicted_total", c.predicted_total, "chosen", c.chosen);
+      w.end();
     }
-    os << "\n    ]},\n";
+    w.end().end();
   }
   const LineageSnapshot& lin = report.lineage;
-  if (!lin.enabled) {
-    os << "  \"lineage\": {\"enabled\": false},\n";
-  } else {
-    os << "  \"lineage\": {\"enabled\": true, \"dim\": "
-       << static_cast<int>(lin.dim) << ", \"assigned\": " << lin.assigned
-       << ", \"dummies\": " << lin.dummies
-       << ", \"dropped_events\": " << lin.dropped_events
-       << ", \"resolve_mismatches\": " << lin.resolve_mismatches
-       << ",\n    \"hops_by_dim\": [";
-    for (cube::Dim d = 0; d < lin.dim; ++d)
-      os << (d != 0 ? ", " : "") << lin.hops_by_dim(d);
-    os << "], \"untracked\": [";
-    for (cube::Dim d = 0; d < lin.dim; ++d)
-      os << (d != 0 ? ", " : "")
-         << lin.untracked[static_cast<std::size_t>(d)];
-    os << "], \"untracked_total\": " << lin.untracked_total();
+  if (block("lineage", lin.enabled)) {
+    w.fields("dim", lin.dim, "assigned", lin.assigned, "dummies",
+             lin.dummies, "dropped_events", lin.dropped_events,
+             "resolve_mismatches", lin.resolve_mismatches);
+    w.line().key("hops_by_dim").begin_array();
+    for (cube::Dim d = 0; d < lin.dim; ++d) w.value(lin.hops_by_dim(d));
+    w.end().fields("untracked", lin.untracked, "untracked_total",
+                   lin.untracked_total());
     const LineageAudit& la = lin.audit;
-    os << ",\n    \"audit\": {\"checked\": " << (la.checked ? "true" : "false")
-       << ", \"ok\": " << (la.ok ? "true" : "false")
-       << ", \"salvaged\": " << la.salvaged
-       << ", \"witnessed_salvaged\": " << la.witnessed_salvaged
-       << ", \"lost\": [";
-    for (std::size_t i = 0; i < la.lost.size(); ++i) {
-      const LineageAudit::LostKey& lk = la.lost[i];
-      os << (i != 0 ? ", " : "") << "{\"id\": " << lk.id << ", \"value\": "
-         << lk.value << ", \"last_holder\": " << lk.last_holder
-         << ", \"phase\": \"" << phase_name(lk.phase) << "\"}";
+    w.line().key("audit").begin_object();
+    w.fields("checked", la.checked, "ok", la.ok, "salvaged", la.salvaged,
+             "witnessed_salvaged", la.witnessed_salvaged);
+    w.key("lost").begin_array();
+    for (const LineageAudit::LostKey& lk : la.lost) {
+      w.begin_object();
+      w.fields("id", lk.id, "value", lk.value, "last_holder", lk.last_holder,
+               "phase", phase_name(lk.phase));
+      w.end();
     }
-    os << "], \"duplicated\": [";
-    for (std::size_t i = 0; i < la.duplicated.size(); ++i)
-      os << (i != 0 ? ", " : "") << "{\"value\": " << la.duplicated[i].value
-         << ", \"extra\": " << la.duplicated[i].extra << "}";
-    os << "]},\n    \"top_travelers\": [";
+    w.end().key("duplicated").begin_array();
+    for (const LineageAudit::DuplicatedValue& dv : la.duplicated)
+      w.begin_object().fields("value", dv.value, "extra", dv.extra).end();
+    w.end().end();
     // The kLineageTopTravelers ids with the most link crossings — the quick
     // skew read without parsing the full per-key detail. Ties break by id.
     std::vector<std::size_t> order(lin.keys.size());
@@ -550,110 +423,93 @@ void write_metrics_json(std::ostream& os, const RunReport& report) {
                        return lin.keys[a].hops_total() >
                               lin.keys[b].hops_total();
                      });
-    const std::size_t top =
-        std::min<std::size_t>(kLineageTopTravelers, order.size());
-    for (std::size_t i = 0; i < top; ++i) {
-      const LineageKeyRecord& k = lin.keys[order[i]];
-      os << (i != 0 ? ", " : "") << "{\"id\": " << order[i] << ", \"value\": "
-         << k.value << ", \"hops\": " << k.hops_total()
-         << ", \"moves\": " << k.moves << ", \"holder\": " << k.holder << "}";
+    order.resize(std::min<std::size_t>(kLineageTopTravelers, order.size()));
+    w.line().key("top_travelers").begin_array();
+    for (const std::size_t id : order) {
+      const LineageKeyRecord& k = lin.keys[id];
+      w.begin_object();
+      w.fields("id", id, "value", k.value, "hops", k.hops_total(), "moves",
+               k.moves, "holder", k.holder);
+      w.end();
     }
-    os << "],\n    \"keys_total\": " << lin.keys.size()
-       << ", \"keys_emitted\": "
-       << std::min<std::size_t>(lin.keys.size(), kLineageDetailCap)
-       << ",\n    \"keys\": [";
+    const std::size_t emit =
+        std::min<std::size_t>(lin.keys.size(), kLineageDetailCap);
+    w.end().line().fields("keys_total", lin.keys.size(), "keys_emitted",
+                          emit);
+    w.line().key("keys").begin_array(kLines);
     // Per-key detail, capped: custody chains as compact trail strings
     // ("<code>,node,peer,step,phase;…" — see lineage_event_code), which keeps
     // the document line-parsable without a JSON tree.
-    const std::size_t emit =
-        std::min<std::size_t>(lin.keys.size(), kLineageDetailCap);
     for (std::size_t id = 0; id < emit; ++id) {
       const LineageKeyRecord& k = lin.keys[id];
-      os << (id != 0 ? ",\n" : "\n") << "      {\"id\": " << id
-         << ", \"value\": " << k.value << ", \"origin\": " << k.origin
-         << ", \"holder\": " << k.holder << ", \"dummy\": "
-         << (k.dummy ? "true" : "false") << ", \"retired\": "
-         << (k.retired ? "true" : "false") << ", \"lost\": "
-         << (k.lost ? "true" : "false") << ", \"salvaged\": "
-         << (k.salvaged ? "true" : "false") << ", \"witness\": ";
-      if (k.witness == kLineageNoWitness)
-        os << -1;
-      else
-        os << k.witness;
-      os << ", \"witness_step\": " << k.witness_step
-         << ", \"moves\": " << k.moves << ", \"hops\": " << k.hops_total()
-         << ", \"trail\": \"";
+      std::ostringstream trail;
       for (std::size_t e = 0; e < k.chain.size(); ++e) {
         const LineageEvent& ev = k.chain[e];
-        os << (e != 0 ? ";" : "") << lineage_event_code(ev.kind) << ","
-           << ev.node << "," << ev.peer << "," << ev.step << ","
-           << phase_name(ev.phase);
+        trail << (e != 0 ? ";" : "") << lineage_event_code(ev.kind) << ","
+              << ev.node << "," << ev.peer << "," << ev.step << ","
+              << phase_name(ev.phase);
       }
-      os << "\"}";
+      w.begin_object();
+      w.fields("id", id, "value", k.value, "origin", k.origin, "holder",
+               k.holder, "dummy", k.dummy, "retired", k.retired, "lost",
+               k.lost, "salvaged", k.salvaged, "witness",
+               k.witness == kLineageNoWitness ? std::int64_t{-1}
+                                              : std::int64_t{k.witness},
+               "witness_step", k.witness_step, "moves", k.moves, "hops",
+               k.hops_total(), "trail", trail.str());
+      w.end();
     }
-    os << "\n    ]},\n";
+    w.end().end();
   }
   const Diagnosis& diag = report.diagnosis;
-  os << "  \"diagnosis\": {\"triggered\": "
-     << (diag.triggered() ? "true" : "false") << ", \"kind\": \""
-     << diagnosis_kind_name(diag.kind) << "\", \"root_kind\": \""
-     << diagnosis_root_kind_name(diag.root_kind)
-     << "\", \"root_node\": " << diag.root_node
-     << ", \"root_peer\": " << diag.root_peer << ", \"root_time\": ";
-  put_double(os, diag.root_time);
-  os << ", \"root_phase\": \"" << phase_name(diag.root_phase)
-     << "\", \"waits\": " << diag.waits.size() << ", \"stalled\": [";
-  for (std::size_t i = 0; i < diag.stalled.size(); ++i)
-    os << (i != 0 ? ", " : "") << diag.stalled[i];
-  os << "]},\n";
+  w.key("diagnosis").begin_object();
+  w.fields("triggered", diag.triggered(), "kind",
+           diagnosis_kind_name(diag.kind), "root_kind",
+           diagnosis_root_kind_name(diag.root_kind), "root_node",
+           diag.root_node, "root_peer", diag.root_peer, "root_time",
+           diag.root_time, "root_phase", phase_name(diag.root_phase),
+           "waits", diag.waits.size(), "stalled", diag.stalled);
   const SchedShardProfile sched = report.host.total();
-  os << "  \"host_profile\": {\"enabled\": "
-     << (report.host.enabled ? "true" : "false")
-     << ", \"mutex_waits\": " << sched.mutex_waits
-     << ", \"mutex_wait_ns\": " << sched.mutex_wait_ns
-     << ", \"cv_waits\": " << sched.cv_waits
-     << ", \"cv_wakeups\": " << sched.cv_wakeups
-     << ", \"spurious_wakeups\": " << sched.spurious_wakeups
-     << ", \"tasks_resumed\": " << sched.tasks_resumed
-     << ", \"quiescence_checks\": " << report.host.quiescence_checks
-     << ", \"quiescence_events\": " << report.host.quiescence_events
-     << ", \"pool_contended\": " << report.host.pool_contended
-     << ", \"pool_contended_wait_ns\": "
-     << report.host.pool_contended_wait_ns << "},\n";
+  w.end().key("host_profile").begin_object();
+  w.fields("enabled", report.host.enabled, "mutex_waits", sched.mutex_waits,
+           "mutex_wait_ns", sched.mutex_wait_ns, "cv_waits", sched.cv_waits,
+           "cv_wakeups", sched.cv_wakeups, "spurious_wakeups",
+           sched.spurious_wakeups, "tasks_resumed", sched.tasks_resumed,
+           "quiescence_checks", report.host.quiescence_checks,
+           "quiescence_events", report.host.quiescence_events,
+           "pool_contended", report.host.pool_contended,
+           "pool_contended_wait_ns", report.host.pool_contended_wait_ns);
+  w.end();
   // Only the config echo and the trip counts: both are zero on every
   // healthy run, so the block stays byte-identical across executors and
   // never leaks wall-clock ages into comparable exports.
   const WatchdogReport& wd = report.watchdog;
-  if (!wd.enabled) {
-    os << "  \"watchdog\": {\"enabled\": false},\n";
-  } else {
-    os << "  \"watchdog\": {\"enabled\": true, \"policy\": \""
-       << (wd.abort_on_trip ? "abort" : "record")
-       << "\", \"deadline_ms\": " << wd.deadline_ms
-       << ", \"interval_ms\": " << wd.interval_ms
-       << ", \"trips\": " << wd.trips
-       << ", \"near_misses\": " << wd.near_misses << "},\n";
+  if (block("watchdog", wd.enabled)) {
+    w.fields("policy", wd.abort_on_trip ? "abort" : "record", "deadline_ms",
+             wd.deadline_ms, "interval_ms", wd.interval_ms, "trips",
+             wd.trips, "near_misses", wd.near_misses);
+    w.end();
   }
-  os << "  \"critical_path\": {\"available\": "
-     << (report.phases.has_critical_path ? "true" : "false")
-     << ", \"total\": ";
-  put_double(os, report.phases.critical_total);
-  os << "},\n  \"phases\": [";
-  bool first = true;
+  w.key("critical_path").begin_object();
+  w.fields("available", report.phases.has_critical_path, "total",
+           report.phases.critical_total);
+  w.end().key("phases").begin_array(kLines);
   for (const PhaseBreakdown::Slice& s : report.phases.slices) {
-    os << (first ? "\n" : ",\n") << "    {\"phase\": \""
-       << phase_name(s.phase) << "\", ";
-    first = false;
-    put_counters(os, s.counters);
-    os << ", \"critical_time\": ";
-    put_double(os, s.critical_time);
-    os << ", \"critical_comm\": ";
-    put_double(os, s.critical_comm);
-    os << ", \"critical_compute\": ";
-    put_double(os, s.critical_compute);
-    os << "}";
+    const PhaseCounters& pc = s.counters;
+    w.begin_object();
+    w.fields("phase", phase_name(s.phase), "messages", pc.messages,
+             "keys_sent", pc.keys_sent, "key_hops", pc.key_hops,
+             "comparisons", pc.comparisons, "recvs", pc.recvs,
+             "keys_received", pc.keys_received, "messages_dropped",
+             pc.messages_dropped, "timeouts", pc.timeouts, "pool_checkouts",
+             pc.pool_checkouts, "send_busy", pc.send_busy, "compute_time",
+             pc.compute_time, "recv_wait", pc.recv_wait, "msg_size_hist",
+             pc.msg_size_hist, "critical_time", s.critical_time,
+             "critical_comm", s.critical_comm, "critical_compute",
+             s.critical_compute);
+    w.end();
   }
-  os << "\n  ]\n}\n";
+  w.end().end();
 }
 
 }  // namespace ftsort::sim

@@ -62,17 +62,12 @@ struct ChromeTraceOptions {
 };
 
 /// Write the Chrome/Perfetto trace_events JSON for `events` (one run's
-/// stream, e.g. Trace::snapshot()). `num_nodes` sizes the track metadata.
-void write_chrome_trace(std::ostream& os,
-                        const std::vector<TraceEvent>& events,
-                        std::uint32_t num_nodes);
-/// As above, with counter tracks and eviction metadata (see
-/// ChromeTraceOptions). The plain overload is equivalent to passing a
-/// default-constructed options object.
+/// stream, e.g. Trace::snapshot()), with the counter tracks and metadata
+/// `opts` asks for. `num_nodes` sizes the track metadata.
 void write_chrome_trace(std::ostream& os,
                         const std::vector<TraceEvent>& events,
                         std::uint32_t num_nodes,
-                        const ChromeTraceOptions& opts);
+                        const ChromeTraceOptions& opts = {});
 
 /// Structural validation of a trace_events JSON document as produced by
 /// write_chrome_trace: valid JSON (util/json.hpp; a parse error names its

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/machine.hpp"
 #include "util/contracts.hpp"
 
 namespace ftsort::sim {
@@ -17,22 +18,7 @@ void Lineage::enable(std::uint32_t num_nodes, cube::Dim dim) {
   dummies_ = dropped_events_ = resolve_mismatches_ = 0;
 }
 
-void Lineage::disable() {
-  enabled_ = false;
-  reset();
-  holding_.clear();
-  untracked_.clear();
-}
-
-void Lineage::reset() {
-  recs_.clear();
-  resolved_.clear();
-  for (auto& h : holding_) h.clear();
-  std::fill(untracked_.begin(), untracked_.end(), 0);
-  dummies_ = dropped_events_ = resolve_mismatches_ = 0;
-}
-
-void Lineage::append_event(Rec& rec, LineageEvent ev) {
+void Lineage::append_event(LineageKeyRecord& rec, LineageEvent ev) {
   if (rec.chain.size() >= kLineageMaxEventsPerKey) {
     ++dropped_events_;
     return;
@@ -47,7 +33,7 @@ void Lineage::hold(cube::NodeId node, Key value, std::uint64_t id) {
 
 std::uint64_t Lineage::mint(cube::NodeId node, Key value, Phase phase) {
   const std::uint64_t id = recs_.size();
-  Rec rec;
+  LineageKeyRecord rec;
   rec.value = value;
   rec.origin = node;
   rec.holder = node;
@@ -66,18 +52,17 @@ void Lineage::assign_block(cube::NodeId node, std::span<const Key> block) {
   for (const Key v : block) mint(node, v, Phase::Scatter);
 }
 
-void Lineage::charge_send(cube::NodeId src,
-                          std::span<const cube::NodeId> path,
-                          std::span<const Key> payload) {
-  if (!enabled_ || path.size() < 2) return;
-  const auto& hold_map = holding_[src];
+void Lineage::on_send(const SendEvent& ev) {
+  const std::span<const cube::NodeId> path = ev.path;
+  if (path.size() < 2) return;
+  const auto& hold_map = holding_[ev.msg.src];
   // Resolve each payload word to an id once (k-th occurrence of a value →
   // k-th smallest held id), then charge every link of the walk.
   std::map<Key, std::size_t> occurrence;
-  for (const Key v : payload) {
+  for (const Key v : ev.msg.payload.span()) {
     const std::size_t k = occurrence[v]++;
     const auto it = hold_map.find(v);
-    Rec* rec = nullptr;
+    LineageKeyRecord* rec = nullptr;
     if (it != hold_map.end() && k < it->second.size())
       rec = &recs_[it->second[k]];
     for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -134,7 +119,7 @@ void Lineage::note_retain(cube::NodeId me, cube::NodeId partner,
     if (it != kept_count.end()) kept_count.erase(it);
     for (std::size_t k = 0; k < ids.size(); ++k) {
       const cube::NodeId to = k < lower_n ? lower : higher;
-      Rec& rec = recs_[ids[k]];
+      LineageKeyRecord& rec = recs_[ids[k]];
       if (rec.holder != to) {
         append_event(rec,
                      {LineageEventKind::Move, phase, to, rec.holder, step});
@@ -166,7 +151,7 @@ void Lineage::note_rescatter(const std::vector<std::vector<Key>>& blocks,
     for (auto& [v, ids] : node_holding) {
       if (v == kDummyKey) {
         for (const std::uint64_t id : ids) {
-          Rec& rec = recs_[id];
+          LineageKeyRecord& rec = recs_[id];
           rec.retired = true;
           append_event(rec, {LineageEventKind::Retire, phase, rec.holder,
                              rec.holder, -1});
@@ -199,7 +184,7 @@ void Lineage::note_rescatter(const std::vector<std::vector<Key>>& blocks,
       }
       const std::uint64_t id = it->second.front();
       it->second.erase(it->second.begin());
-      Rec& rec = recs_[id];
+      LineageKeyRecord& rec = recs_[id];
       const auto dit = dead.find(rec.holder);
       if (dit != dead.end()) {
         rec.salvaged = true;
@@ -217,7 +202,7 @@ void Lineage::note_rescatter(const std::vector<std::vector<Key>>& blocks,
   // Real ids nobody re-adopted: the salvage lost them.
   for (const auto& [v, ids] : pool)
     for (const std::uint64_t id : ids) {
-      Rec& rec = recs_[id];
+      LineageKeyRecord& rec = recs_[id];
       rec.lost = true;
       append_event(rec,
                    {LineageEventKind::Lost, phase, rec.holder, rec.holder,
@@ -225,34 +210,16 @@ void Lineage::note_rescatter(const std::vector<std::vector<Key>>& blocks,
     }
 }
 
-LineageSnapshot Lineage::snapshot() const {
-  LineageSnapshot snap;
-  snap.enabled = enabled_;
-  if (!enabled_) return snap;
+void Lineage::collect(RunReport& report) const {
+  LineageSnapshot& snap = report.lineage;
+  snap.enabled = true;
   snap.dim = dim_;
   snap.assigned = recs_.size();
   snap.dummies = dummies_;
   snap.dropped_events = dropped_events_;
   snap.resolve_mismatches = resolve_mismatches_;
   snap.untracked = untracked_;
-  snap.keys.reserve(recs_.size());
-  for (const Rec& rec : recs_) {
-    LineageKeyRecord out;
-    out.value = rec.value;
-    out.origin = rec.origin;
-    out.holder = rec.holder;
-    out.dummy = rec.dummy;
-    out.retired = rec.retired;
-    out.lost = rec.lost;
-    out.salvaged = rec.salvaged;
-    out.witness = rec.witness;
-    out.witness_step = rec.witness_step;
-    out.moves = rec.moves;
-    out.hops = rec.hops;
-    out.chain = rec.chain;
-    snap.keys.push_back(std::move(out));
-  }
-  return snap;
+  snap.keys = recs_;
 }
 
 void audit_lineage(LineageSnapshot& snap, std::span<const Key> output) {

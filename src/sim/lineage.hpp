@@ -1,9 +1,9 @@
 // Key-lineage provenance: per-key custody tracking and the exact
 // no-loss/no-dup audit.
 //
-// `Lineage` is an opt-in registry (sibling of Metrics/LinkStats/Timeline)
-// that assigns every input key — dummies included — a stable integer id at
-// scatter and follows it through the run: which node holds it, how many
+// `Lineage` is an opt-in instrument (sim/instrument.hpp) that assigns
+// every input key — dummies included — a stable integer id at scatter and
+// follows it through the run: which node holds it, how many
 // links it crossed per cube dimension, and the custody chain of events
 // (assignment, merge-split moves, witness capture, salvage, re-scatter,
 // retirement). At gather the host replays the output against the id table
@@ -33,8 +33,8 @@
 // Conservation: Σ over ids of per-dimension hop counts, plus the
 // per-dimension `untracked` counters (payload words the sender does not
 // hold: control words, witness copies, host-I/O fan-out), equals the
-// LinkStats per-dimension key_hops exactly — both are charged at the same
-// site (NodeCtx::send) from the same router path.
+// LinkStats per-dimension key_hops exactly — both charge the same send
+// event along the same router path.
 #pragma once
 
 #include <cstdint>
@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "hypercube/address.hpp"
+#include "sim/instrument.hpp"
 #include "sim/message.hpp"
 #include "sim/phase.hpp"
 
@@ -175,13 +176,13 @@ struct LineageSnapshot {
 void audit_lineage(LineageSnapshot& snap, std::span<const Key> output);
 
 /// The provenance registry. Enable + assign before a run
-/// (Machine::lineage()); Machine snapshots it into RunReport::lineage.
-/// Unlike the other registries it is NOT reset by instantiate_programs —
-/// scatter assignment happens host-side before the run starts. During a
-/// run every hook is called on the sequential executor's one thread or
-/// under the threaded executor's machine lock, which keeps the
+/// (Machine::lineage()); Machine collects it into RunReport::lineage.
+/// Unlike the other instruments it keeps its state across the run-start
+/// hook — scatter assignment happens host-side before the run starts.
+/// During a run every hook is called on the sequential executor's one
+/// thread or under the threaded executor's machine lock, which keeps the
 /// pair-resolution protocol atomic.
-class Lineage {
+class Lineage final : public Instrument {
  public:
   struct SalvageInfo {
     cube::NodeId dead = 0;
@@ -190,11 +191,6 @@ class Lineage {
   };
 
   void enable(std::uint32_t num_nodes, cube::Dim dim);
-  void disable();
-  bool enabled() const { return enabled_; }
-
-  /// Drop every record and holding for a fresh run. Not thread-safe.
-  void reset();
 
   /// Host-side scatter: create one id per value of `block` (in block
   /// order), held by `node`. Ids are sequential in call order, so calling
@@ -202,14 +198,14 @@ class Lineage {
   /// and both sorter paths the same id universe.
   void assign_block(cube::NodeId node, std::span<const Key> block);
 
+  bool wants_path() const override { return true; }
   /// Charge one send's link crossings. For each payload word, the k-th
   /// occurrence of a value is charged to the k-th smallest id of that
   /// value in the *sender's* holding; words the sender does not hold
   /// (control words, witness copies, fan-out of another node's block) are
-  /// counted per dimension in `untracked`. `path` is the router walk
-  /// (path[0] = src), the same walk LinkStats charges.
-  void charge_send(cube::NodeId src, std::span<const cube::NodeId> path,
-                   std::span<const Key> payload);
+  /// counted per dimension in `untracked`. The walk is the one LinkStats
+  /// charges.
+  void on_send(const SendEvent& ev) override;
 
   /// Commit custody for pair-step (me, partner, tag): `kept` is the
   /// caller's post-merge block. First caller resolves the complete
@@ -231,25 +227,10 @@ class Lineage {
   void note_rescatter(const std::vector<std::vector<Key>>& blocks,
                       std::span<const SalvageInfo> salvage, Phase phase);
 
-  /// Materialise the records (index = id). Call after the run completes.
-  LineageSnapshot snapshot() const;
+  /// Materialise the records (index = id) into RunReport::lineage.
+  void collect(RunReport& report) const override;
 
  private:
-  struct Rec {
-    Key value = 0;
-    cube::NodeId origin = 0;
-    cube::NodeId holder = 0;
-    bool dummy = false;
-    bool retired = false;
-    bool lost = false;
-    bool salvaged = false;
-    cube::NodeId witness = kLineageNoWitness;
-    std::int32_t witness_step = -1;
-    std::uint32_t moves = 0;
-    std::vector<std::uint64_t> hops;
-    std::vector<LineageEvent> chain;
-  };
-
   using PairStep = std::tuple<cube::NodeId, cube::NodeId, std::uint32_t>;
   static PairStep pair_key(cube::NodeId a, cube::NodeId b,
                            std::uint32_t tag) {
@@ -257,13 +238,12 @@ class Lineage {
   }
 
   std::uint64_t mint(cube::NodeId node, Key value, Phase phase);
-  void append_event(Rec& rec, LineageEvent ev);
+  void append_event(LineageKeyRecord& rec, LineageEvent ev);
   /// Insert `id` into node's value→ids holding, keeping the list sorted.
   void hold(cube::NodeId node, Key value, std::uint64_t id);
 
-  bool enabled_ = false;
   cube::Dim dim_ = 0;
-  std::vector<Rec> recs_;  ///< index = id
+  std::vector<LineageKeyRecord> recs_;  ///< index = id
   /// Per node: value → ascending ids currently held.
   std::vector<std::map<Key, std::vector<std::uint64_t>>> holding_;
   std::set<PairStep> resolved_;  ///< pair-steps already partitioned

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "sim/machine.hpp"
 #include "util/contracts.hpp"
 
 namespace ftsort::sim {
@@ -68,44 +69,31 @@ std::vector<int> measured_reindex_by_dim(
 }
 
 void LinkStats::enable(std::uint32_t num_nodes, cube::Dim n) {
-  n_ = n;
-  num_nodes_ = num_nodes;
-  cells_.assign(static_cast<std::size_t>(num_nodes) *
-                    static_cast<std::size_t>(n),
-                LinkCell{});
-  reindex_extra_.assign(num_nodes,
-                        std::vector<int>(static_cast<std::size_t>(n), 0));
-  reindex_fault_extra_.assign(
-      num_nodes, std::vector<int>(static_cast<std::size_t>(n), 0));
+  const auto dims = static_cast<std::size_t>(n);
+  snap_.dim = n;
+  snap_.num_nodes = num_nodes;
+  snap_.cells.assign(num_nodes * dims, LinkCell{});
+  snap_.reindex_extra.assign(num_nodes, std::vector<int>(dims, 0));
+  snap_.reindex_fault_extra = snap_.reindex_extra;
   enabled_ = true;
 }
 
-void LinkStats::disable() {
-  enabled_ = false;
-  cells_.clear();
-  reindex_extra_.clear();
-  reindex_fault_extra_.clear();
+void LinkStats::on_run_start() {
+  std::fill(snap_.cells.begin(), snap_.cells.end(), LinkCell{});
+  for (auto* table : {&snap_.reindex_extra, &snap_.reindex_fault_extra})
+    for (std::vector<int>& row : *table) std::fill(row.begin(), row.end(), 0);
 }
 
-void LinkStats::reset() {
-  std::fill(cells_.begin(), cells_.end(), LinkCell{});
-  for (std::vector<int>& row : reindex_extra_)
-    std::fill(row.begin(), row.end(), 0);
-  for (std::vector<int>& row : reindex_fault_extra_)
-    std::fill(row.begin(), row.end(), 0);
-}
-
-void LinkStats::charge_path(std::span<const cube::NodeId> path,
-                            std::uint64_t keys, Phase p) {
-  const auto phase = static_cast<std::size_t>(p);
-  for (std::size_t k = 0; k + 1 < path.size(); ++k) {
-    const cube::NodeId from = path[k];
-    const std::uint32_t diff = path[k] ^ path[k + 1];
+void LinkStats::on_send(const SendEvent& ev) {
+  const auto phase = static_cast<std::size_t>(ev.msg.phase);
+  const std::uint64_t keys = ev.msg.payload.size();
+  for (std::size_t k = 0; k + 1 < ev.path.size(); ++k) {
+    const std::uint32_t diff = ev.path[k] ^ ev.path[k + 1];
     FTSORT_INVARIANT(std::popcount(diff) == 1);
-    const auto d = static_cast<std::size_t>(std::countr_zero(diff));
     LinkCell& cell =
-        cells_[static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +
-               d];
+        snap_.cells[static_cast<std::size_t>(ev.path[k]) *
+                        static_cast<std::size_t>(snap_.dim) +
+                    static_cast<std::size_t>(std::countr_zero(diff))];
     ++cell.traversals;
     cell.key_hops += keys;
     ++cell.phase_traversals[phase];
@@ -117,22 +105,14 @@ void LinkStats::note_reindex(cube::NodeId u, cube::Dim logical_dim,
                              int extra_hops, bool fault_pair) {
   FTSORT_REQUIRE(extra_hops >= 0);
   const auto j = static_cast<std::size_t>(logical_dim);
-  int& slot = reindex_extra_[u][j];
+  int& slot = snap_.reindex_extra[u][j];
   slot = std::max(slot, extra_hops);
   if (fault_pair) {
-    int& fslot = reindex_fault_extra_[u][j];
+    int& fslot = snap_.reindex_fault_extra[u][j];
     fslot = std::max(fslot, extra_hops);
   }
 }
 
-LinkStatsSnapshot LinkStats::snapshot() const {
-  LinkStatsSnapshot snap;
-  snap.dim = n_;
-  snap.num_nodes = num_nodes_;
-  snap.cells = cells_;
-  snap.reindex_extra = reindex_extra_;
-  snap.reindex_fault_extra = reindex_fault_extra_;
-  return snap;
-}
+void LinkStats::collect(RunReport& report) const { report.links = snap_; }
 
 }  // namespace ftsort::sim

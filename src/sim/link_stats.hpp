@@ -3,8 +3,9 @@
 // spend per phase", LinkStats answers "what crossed each wire": every
 // directed link (u, d) — node u's outgoing edge across cube dimension d —
 // counts the messages that traversed it, the payload keys they carried,
-// and a per-phase split of both, charged at the same site where the
-// Machine charges CostModel time (NodeCtx::send walks the router's path).
+// and a per-phase split of both. An instrument (sim/instrument.hpp): it
+// charges each send along the router walk Machine hands it, the walk the
+// send's CostModel time is charged for.
 //
 // Conservation invariant: a message of k keys over a path of h links
 // charges k to the key_hops counter of each of the h links it crosses, so
@@ -13,12 +14,11 @@
 // messages included — both sides charge at post/send time, before the
 // drop check). Tests enforce this equality exactly, on both executors.
 //
-// Writes happen on the sequential executor's one thread or under the
-// threaded executor's machine lock. Determinism survives because every
-// counter is an integer (sums are order-independent); derived times (link
-// busy, utilisation) are computed from the integer counters and the
-// CostModel at read time, never accumulated as floating point, so threaded
-// runs stay byte-identical to sequential ones.
+// Determinism survives because every counter is an integer (sums are
+// order-independent); derived times (link busy, utilisation) are computed
+// from the integer counters and the CostModel at read time, never
+// accumulated as floating point, so threaded runs stay byte-identical to
+// sequential ones.
 //
 // The registry also hosts the §3 heuristic audit's measured side: a
 // per-node, per-logical-dimension maximum of the extra hops Step-7
@@ -27,17 +27,16 @@
 // is deterministic too. The predicted side (per-candidate Σ max(h_i)) is
 // filled by the algorithm layer into ReindexAudit.
 //
-// Off by default, like Metrics and Trace: a disabled registry costs one
-// branch per send.
+// Off by default, like every instrument.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "hypercube/address.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/instrument.hpp"
 #include "sim/phase.hpp"
 
 namespace ftsort::sim {
@@ -143,22 +142,21 @@ struct ReindexAudit {
   bool operator==(const ReindexAudit&) const = default;
 };
 
-class LinkStats {
+class LinkStats final : public Instrument {
  public:
   /// Size the matrix for a 2^n-node cube and start recording. Zeroes any
   /// previous contents.
   void enable(std::uint32_t num_nodes, cube::Dim n);
-  void disable();
-  bool enabled() const { return enabled_; }
 
+  bool wants_path() const override { return true; }
   /// Zero every counter, keeping the allocation (run-to-run reuse).
-  void reset();
-
-  /// Charge a message of `keys` payload keys along `path` (router node
-  /// sequence, endpoints included): each consecutive pair (a, b) bumps
-  /// directed link (a, dim of a^b).
-  void charge_path(std::span<const cube::NodeId> path, std::uint64_t keys,
-                   Phase p);
+  void on_run_start() override;
+  /// Charge the message along its walk: each consecutive pair (a, b) of
+  /// the path bumps directed link (a, dim of a^b) by one traversal and
+  /// the payload's keys.
+  void on_send(const SendEvent& ev) override;
+  /// RunReport::links.
+  void collect(RunReport& report) const override;
 
   /// Audit hook: record that node `u` paid `extra_hops` beyond one hop on
   /// a Step-7 exchange along logical dimension `logical_dim`. Keeps the
@@ -167,15 +165,8 @@ class LinkStats {
   void note_reindex(cube::NodeId u, cube::Dim logical_dim, int extra_hops,
                     bool fault_pair);
 
-  LinkStatsSnapshot snapshot() const;
-
  private:
-  bool enabled_ = false;
-  cube::Dim n_ = 0;
-  std::uint32_t num_nodes_ = 0;
-  std::vector<LinkCell> cells_;  ///< row-major [node][dim]
-  std::vector<std::vector<int>> reindex_extra_;        ///< [node][dim] max
-  std::vector<std::vector<int>> reindex_fault_extra_;  ///< fault pairs only
+  LinkStatsSnapshot snap_;  ///< the run so far
 };
 
 }  // namespace ftsort::sim

@@ -2,11 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <initializer_list>
 #include <sstream>
 #include <thread>
 #include <tuple>
 
 namespace ftsort::sim {
+
+SimTime detect_time(const RunReport& report) {
+  SimTime detect = 0.0;
+  for (const Diagnosis::Wait& w : report.diagnosis.waits)
+    if (w.expired && w.time > detect) detect = w.time;
+  return std::min(detect, report.makespan);
+}
 
 cube::Dim NodeCtx::dim() const { return machine_->dim(); }
 
@@ -22,15 +30,9 @@ void NodeCtx::charge_compares(std::uint64_t k) {
   clock_ += dt;
   const auto lock = machine_->lock_for(id_);
   machine_->comparisons_ += k;
-  if (machine_->metrics_.enabled()) {
-    PhaseCounters& pc = machine_->metrics_.at(id_, phase_);
-    pc.comparisons += k;
-    pc.compute_time += dt;
-  }
-  machine_->trace_.record(
-      {clock_, id_, EventKind::Compute, 0, 0, k, 0, phase_});
-  if (machine_->timeline_.enabled())
-    machine_->timeline_.note_phase(id_, clock_, phase_);
+  if (machine_->instrumented())
+    machine_->notify(&Instrument::on_charge,
+                     ChargeEvent{id_, phase_, clock_, k, dt});
   machine_->check_alive(id_);
 }
 
@@ -38,10 +40,9 @@ void NodeCtx::charge_time(SimTime t) {
   FTSORT_REQUIRE(t >= 0.0);
   clock_ += t;
   const auto lock = machine_->lock_for(id_);
-  if (machine_->metrics_.enabled())
-    machine_->metrics_.at(id_, phase_).compute_time += t;
-  if (machine_->timeline_.enabled())
-    machine_->timeline_.note_phase(id_, clock_, phase_);
+  if (machine_->instrumented())
+    machine_->notify(&Instrument::on_charge,
+                     ChargeEvent{id_, phase_, clock_, 0, t});
   machine_->check_alive(id_);
 }
 
@@ -50,34 +51,34 @@ int NodeCtx::hops_to(cube::NodeId dst) const {
 }
 
 bool NodeCtx::link_stats_enabled() const {
-  return machine_->link_stats_.enabled();
+  return machine_->link_stats().enabled();
 }
 
 void NodeCtx::note_reindex_hops(cube::Dim logical_dim, int extra_hops,
                                 bool fault_pair) {
-  if (!machine_->link_stats_.enabled()) return;
+  if (!link_stats_enabled()) return;
   const auto lock = machine_->lock_for(id_);
-  machine_->link_stats_.note_reindex(id_, logical_dim, extra_hops,
-                                     fault_pair);
+  machine_->link_stats().note_reindex(id_, logical_dim, extra_hops,
+                                      fault_pair);
 }
 
 bool NodeCtx::lineage_enabled() const {
-  return machine_->lineage_.enabled();
+  return machine_->lineage().enabled();
 }
 
 void NodeCtx::note_lineage_retain(cube::NodeId partner, Tag tag,
                                   std::span<const Key> kept,
                                   std::int32_t witness_step) {
   const auto lock = machine_->lock_for(id_);
-  machine_->lineage_.note_retain(id_, partner, tag, kept, phase_,
-                                 witness_step);
+  machine_->lineage().note_retain(id_, partner, tag, kept, phase_,
+                                  witness_step);
 }
 
 void NodeCtx::note_lineage_rescatter(
     const std::vector<std::vector<Key>>& blocks,
     std::span<const Lineage::SalvageInfo> salvage) {
   const auto lock = machine_->lock_for(id_);
-  machine_->lineage_.note_rescatter(blocks, salvage, phase_);
+  machine_->lineage().note_rescatter(blocks, salvage, phase_);
 }
 
 PhaseSpan NodeCtx::span(Phase p) { return PhaseSpan(*this, p, true); }
@@ -90,12 +91,11 @@ PhaseSpan::PhaseSpan(NodeCtx& ctx, Phase p, bool engage)
     : ctx_(ctx), prev_(ctx.phase_), engaged_(engage) {
   if (!engaged_) return;
   Machine& m = *ctx_.machine_;
-  // Recorded before the phase switches so the walk's gap attribution stays
+  // Reported before the phase switches so the walk's gap attribution stays
   // with the enclosing phase; the event itself carries the new phase.
-  if (m.trace_.enabled()) {
+  if (m.instrumented()) {
     const auto lock = m.lock_for(ctx_.id_);
-    m.trace_.record(
-        {ctx_.clock_, ctx_.id_, EventKind::SpanBegin, 0, 0, 0, 0, p});
+    m.notify(&Instrument::on_span, SpanEvent{ctx_.id_, p, ctx_.clock_, true});
   }
   ctx_.phase_ = p;
 }
@@ -103,10 +103,10 @@ PhaseSpan::PhaseSpan(NodeCtx& ctx, Phase p, bool engage)
 PhaseSpan::~PhaseSpan() {
   if (!engaged_) return;
   Machine& m = *ctx_.machine_;
-  if (m.trace_.enabled()) {
+  if (m.instrumented()) {
     const auto lock = m.lock_for(ctx_.id_);
-    m.trace_.record({ctx_.clock_, ctx_.id_, EventKind::SpanEnd, 0, 0, 0, 0,
-                     ctx_.phase_});
+    m.notify(&Instrument::on_span,
+             SpanEvent{ctx_.id_, ctx_.phase_, ctx_.clock_, false});
   }
   ctx_.phase_ = prev_;
 }
@@ -138,26 +138,16 @@ void NodeCtx::send_buffer(cube::NodeId dst, Tag tag, PooledBuffer&& payload,
   FTSORT_REQUIRE(cube::valid_node(dst, machine_->dim()));
   FTSORT_REQUIRE(!machine_->faults().is_faulty(dst));
   const auto lock = machine_->lock_for(id_);
-  if (checked_out && machine_->metrics_.enabled())
-    ++machine_->metrics_.at(id_, phase_).pool_checkouts;
-  machine_->check_alive(id_);
+  machine_->check_alive(id_, checked_out);
 
+  // The walk the message takes, when an instrument charges it link by link
+  // (LinkStats, Lineage). The router's hop count summarises the same walk,
+  // so the two stay consistent by construction.
+  std::vector<cube::NodeId> path;
   int hops;
-  if (machine_->link_stats_.enabled() || machine_->lineage_.enabled()) {
-    // Charge every link the message will traverse before the payload is
-    // moved out. Same walk the router's hop count summarises, so the two
-    // stay consistent by construction; dropped messages are charged here
-    // and in post()'s aggregates alike, preserving the conservation
-    // invariant (see sim/link_stats.hpp). Lineage charges the identical
-    // walk per payload word, which is what makes its per-id + untracked
-    // sums match the LinkStats key_hops exactly (sim/lineage.hpp).
-    const std::vector<cube::NodeId> path =
-        machine_->router().path(id_, dst);
+  if (machine_->routes_) {
+    path = machine_->router().path(id_, dst);
     hops = static_cast<int>(path.size()) - 1;
-    if (machine_->link_stats_.enabled())
-      machine_->link_stats_.charge_path(path, payload.size(), phase_);
-    if (machine_->lineage_.enabled())
-      machine_->lineage_.charge_send(id_, path, payload.span());
   } else {
     hops = machine_->router().hops(id_, dst);
   }
@@ -167,30 +157,19 @@ void NodeCtx::send_buffer(cube::NodeId dst, Tag tag, PooledBuffer&& payload,
   msg.tag = tag;
   msg.sent_at = clock_;
   msg.hops = hops;
-  msg.arrival =
-      clock_ + machine_->cost().transfer_time(payload.size(), hops);
+  msg.arrival = clock_ + machine_->cost().transfer_time(payload.size(), hops);
   msg.payload = std::move(payload);
   msg.phase = phase_;
-
   const SimTime injection =
       machine_->cost().injection_time(msg.payload.size());
   clock_ += injection;
-  if (machine_->metrics_.enabled()) {
-    PhaseCounters& pc = machine_->metrics_.at(id_, phase_);
-    ++pc.messages;
-    pc.keys_sent += msg.payload.size();
-    pc.key_hops +=
-        msg.payload.size() * static_cast<std::uint64_t>(msg.hops);
-    pc.send_busy += injection;
-    ++pc.msg_size_hist[PhaseCounters::size_bucket(msg.payload.size())];
-  }
-  machine_->trace_.record({msg.sent_at, id_, EventKind::Send, dst, tag,
-                           msg.payload.size(), hops, phase_});
-  if (machine_->timeline_.enabled()) {
-    machine_->timeline_.note_send(id_, dst, msg.payload.size(),
-                                  msg.sent_at);
-    machine_->timeline_.note_phase(id_, clock_, phase_);
-  }
+  // Reported while the payload is still at hand, before post() hands it to
+  // the destination. A message post() drops is charged here all the same,
+  // which keeps the conservation invariants of sim/link_stats.hpp and
+  // sim/lineage.hpp.
+  if (machine_->instrumented())
+    machine_->notify(&Instrument::on_send,
+                     SendEvent{msg, clock_, injection, path, checked_out});
   machine_->post(std::move(msg));
 }
 
@@ -228,12 +207,12 @@ Machine::Machine(cube::Dim n, fault::FaultSet faults,
                  cube::LinkSet dead_links)
     : n_(n), faults_(std::move(faults)), model_(model), cost_(cost),
       router_(n, faults_.bitmap(), model == fault::FaultModel::Total,
-              std::move(dead_links)) {
+              std::move(dead_links)),
+      trace_(cube::num_nodes(n)) {
   FTSORT_REQUIRE(cube::valid_dim(n_));
   FTSORT_REQUIRE(faults_.dim() == n_);
   pools_ = std::vector<BufferPool>(size());
   nodes_.resize(size());
-  trace_.reshard(size());
 }
 
 void Machine::profile_host(bool on) {
@@ -278,21 +257,14 @@ Diagnosis Machine::diagnose(Diagnosis::Kind kind) const {
   if (trace_.enabled()) {
     // Expired recv_or_timeout waits (and deaths of nodes already reset)
     // survive only in the flight recorder; merge this run's slice in.
-    std::vector<TraceEvent> events = trace_.snapshot();
-    std::erase_if(events, [this](const TraceEvent& ev) {
-      return ev.seq < trace_run_start_;
-    });
-    DiagnosisInput recorded = diagnosis_input_from_events(events);
+    DiagnosisInput recorded = diagnosis_input_from_events(trace_.run_events());
     in.waits.insert(in.waits.end(), recorded.waits.begin(),
                     recorded.waits.end());
     in.kills.insert(in.kills.end(), recorded.kills.begin(),
                     recorded.kills.end());
     // This run's eviction count: a nonzero value tells diagnose() the
     // recorded slice above may be missing the true root event.
-    const std::uint64_t dropped_now = trace_.dropped();
-    in.trace_dropped = dropped_now >= trace_dropped_mark_
-                           ? dropped_now - trace_dropped_mark_
-                           : dropped_now;
+    in.trace_dropped = trace_.run_dropped();
   }
   return sim::diagnose(std::move(in), kind);
 }
@@ -329,12 +301,13 @@ std::size_t Machine::inbox_find(const NodeState& st, std::uint64_t channel) {
   return kNotFound;
 }
 
-void Machine::check_alive(cube::NodeId id) {
+void Machine::check_alive(cube::NodeId id, bool checked_out) {
   NodeState& st = state_of(id);
   if (st.ctx.clock_ < st.kill_time) return;
   st.killed = true;
-  trace_.record(
-      {st.ctx.clock_, id, EventKind::Kill, 0, 0, 0, 0, st.ctx.phase_});
+  if (instrumented())
+    notify(&Instrument::on_kill,
+           KillEvent{id, st.ctx.phase_, st.ctx.clock_, checked_out});
   throw KilledSignal{};
 }
 
@@ -347,24 +320,15 @@ void Machine::post(Message msg) {
   // Dynamic-fault drop rules: dead on arrival, or the direct link between
   // adjacent endpoints was cut before the send. Both are purely logical,
   // so each executor drops exactly the same messages.
-  const bool dead_on_arrival = msg.arrival >= dst.kill_time;
-  const bool link_cut =
-      cube::hamming(msg.src, msg.dst) == 1 &&
-      msg.sent_at >= injector_.link_cut_time(msg.src, msg.dst);
-  if (dead_on_arrival || link_cut) {
+  const bool dropped =
+      msg.arrival >= dst.kill_time ||
+      (cube::hamming(msg.src, msg.dst) == 1 &&
+       msg.sent_at >= injector_.link_cut_time(msg.src, msg.dst));
+  if (instrumented()) notify(&Instrument::on_post, PostEvent{msg, dropped});
+  if (dropped) {
     ++messages_dropped_;
-    // Charged to the *sender's* row under the sender's phase at the send,
-    // carried on the message.
-    if (metrics_.enabled())
-      ++metrics_.at(msg.src, msg.phase).messages_dropped;
-    trace_.record({msg.arrival, msg.dst, EventKind::Drop, msg.src, msg.tag,
-                   msg.payload.size(), msg.hops, msg.phase});
-    if (timeline_.enabled())
-      timeline_.note_dropped(msg.src, msg.dst, msg.payload.size(),
-                             msg.arrival);
     return;
   }
-  if (timeline_.enabled()) timeline_.note_enqueue(msg.dst, msg.arrival);
 
   const std::uint64_t channel = channel_key(msg.src, msg.tag);
   const cube::NodeId to = msg.dst;
@@ -419,19 +383,10 @@ Message Machine::pop_message(cube::NodeId node, cube::NodeId src, Tag tag) {
   st.inbox.erase(st.inbox.begin() + static_cast<std::ptrdiff_t>(k));
   const SimTime before = st.ctx.clock_;
   st.ctx.clock_ = std::max(st.ctx.clock_, msg.arrival);
-  if (metrics_.enabled()) {
-    PhaseCounters& pc = metrics_.at(node, st.ctx.phase_);
-    ++pc.recvs;
-    pc.keys_received += msg.payload.size();
-    pc.recv_wait += st.ctx.clock_ - before;
-  }
-  trace_.record({st.ctx.clock_, node, EventKind::Recv, src, tag,
-                 msg.payload.size(), msg.hops, st.ctx.phase_});
-  if (timeline_.enabled()) {
-    timeline_.note_dequeue(node, st.ctx.clock_);
-    timeline_.note_delivered(src, node, msg.payload.size(), st.ctx.clock_);
-    timeline_.note_phase(node, st.ctx.clock_, st.ctx.phase_);
-  }
+  if (instrumented())
+    notify(&Instrument::on_recv,
+           RecvEvent{node, st.ctx.phase_, st.ctx.clock_,
+                     st.ctx.clock_ - before, msg});
   check_alive(node);
   return msg;
 }
@@ -447,15 +402,10 @@ std::optional<Message> Machine::finish_recv_or_timeout(cube::NodeId node,
     const SimTime before = st.ctx.clock_;
     st.ctx.clock_ = std::max(st.ctx.clock_, st.deadline);
     ++timeouts_;
-    if (metrics_.enabled()) {
-      PhaseCounters& pc = metrics_.at(node, st.ctx.phase_);
-      ++pc.timeouts;
-      pc.recv_wait += st.ctx.clock_ - before;
-    }
-    trace_.record({st.ctx.clock_, node, EventKind::Timeout, src, tag, 0, 0,
-                   st.ctx.phase_});
-    if (timeline_.enabled())
-      timeline_.note_phase(node, st.ctx.clock_, st.ctx.phase_);
+    if (instrumented())
+      notify(&Instrument::on_timeout,
+             TimeoutEvent{node, src, tag, st.ctx.phase_, st.ctx.clock_,
+                          st.ctx.clock_ - before});
     check_alive(node);
     return std::nullopt;
   }
@@ -525,22 +475,25 @@ std::optional<cube::NodeId> Machine::fire_quiescence_event() {
   st.waiting = false;
   st.killed = true;
   st.waiter = nullptr;
-  trace_.record({st.ctx.clock_, best_node, EventKind::Kill, 0, 0, 0, 0,
-                 st.ctx.phase_});
+  if (instrumented())
+    notify(&Instrument::on_kill,
+           KillEvent{best_node, st.ctx.phase_, st.ctx.clock_, false});
   return best_node;
 }
 
 void Machine::instantiate_programs(const Program& program) {
   messages_ = keys_sent_ = key_hops_ = comparisons_ = 0;
   messages_dropped_ = timeouts_ = 0;
-  if (metrics_.enabled()) metrics_.reset();
-  if (link_stats_.enabled()) link_stats_.reset();
-  if (timeline_.enabled()) timeline_.reset();
-  // lineage_ is deliberately NOT reset here: its scatter assignment is
-  // host-side, pre-run state (see Machine::lineage()).
+  num_active_ = 0;
+  routes_ = false;
+  for (Instrument* instrument : std::initializer_list<Instrument*>{
+           &trace_, &metrics_, &link_stats_, &timeline_, &lineage_}) {
+    instrument->on_run_start();
+    if (!instrument->enabled()) continue;
+    active_[num_active_++] = instrument;
+    routes_ = routes_ || instrument->wants_path();
+  }
   pool_mark_ = pool_stats();
-  trace_run_start_ = trace_.next_seq();
-  trace_dropped_mark_ = trace_.dropped();
   prof_quiescence_checks_ = prof_quiescence_events_ = 0;
   if (profile_host_)
     for (BufferPool& pool : pools_) pool.reset_contention();
@@ -692,29 +645,14 @@ RunReport Machine::collect_report() {
   report.timeouts = timeouts_;
   report.pool = pool_stats();
   report.pool_delta = pool_stats_delta();
-  if (metrics_.enabled()) {
-    report.metrics = metrics_.snapshot();
-    // Critical-path attribution needs the trace; restrict it to this run's
-    // events (the trace may hold earlier runs' history — the run-start
-    // sequence watermark slices it, ring evictions notwithstanding).
-    std::vector<TraceEvent> events;
-    if (trace_.enabled()) {
-      events = trace_.snapshot();
-      std::erase_if(events, [this](const TraceEvent& ev) {
-        return ev.seq < trace_run_start_;
-      });
-    }
-    report.phases = build_phase_breakdown(report.metrics, events,
-                                          report.makespan,
-                                          report.node_clocks);
-  }
-  if (link_stats_.enabled()) report.links = link_stats_.snapshot();
-  if (timeline_.enabled()) report.timeline = timeline_.snapshot();
-  if (lineage_.enabled()) report.lineage = lineage_.snapshot();
-  const std::uint64_t dropped_now = trace_.dropped();
-  report.trace_dropped =
-      dropped_now >= trace_dropped_mark_ ? dropped_now - trace_dropped_mark_
-                                         : dropped_now;
+  for (std::size_t i = 0; i < num_active_; ++i) active_[i]->collect(report);
+  // Critical-path attribution needs the trace; this run's events only (the
+  // trace may hold earlier runs' history).
+  if (!report.metrics.empty())
+    report.phases = build_phase_breakdown(
+        report.metrics,
+        trace_.enabled() ? trace_.run_events() : std::vector<TraceEvent>{},
+        report.makespan, report.node_clocks);
   if (report.timeouts > 0 || !report.killed_nodes.empty()) {
     report.diagnosis = diagnose(report.timeouts > 0
                                     ? Diagnosis::Kind::TimeoutBurst
@@ -781,10 +719,7 @@ void Machine::throw_watchdog_trip() {
   const HostProfile host = snapshot_host_profile();
   std::vector<TraceEvent> tail;
   if (trace_.enabled()) {
-    tail = trace_.snapshot();
-    std::erase_if(tail, [this](const TraceEvent& ev) {
-      return ev.seq < trace_run_start_;
-    });
+    tail = trace_.run_events();
     constexpr std::size_t kTailEvents = 64;
     if (tail.size() > kTailEvents)
       tail.erase(tail.begin(),
@@ -799,8 +734,8 @@ void Machine::throw_watchdog_trip() {
   ctx.diagnosis = diag.triggered() ? &diag : nullptr;
   ctx.host = &host;
   ctx.trace_tail = trace_.enabled() ? &tail : nullptr;
-  if (!watchdog_cfg_.dump_path.empty())
-    write_watchdog_dump(watchdog_cfg_.dump_path, rep, ctx);
+  const std::string dump_note =
+      dump_on_trip(watchdog_cfg_.dump_path, rep, ctx);
   // Name the most-silent non-terminal slot: the wedged shard.
   const WatchdogSlotView* worst = nullptr;
   for (const WatchdogSlotView& s : rep.slots)
@@ -811,8 +746,7 @@ void Machine::throw_watchdog_trip() {
                     std::to_string(rep.stall_ms) + " ms (deadline " +
                     std::to_string(rep.effective_deadline_ms) + " ms)";
   if (!who.empty()) msg += "; most silent: " + who;
-  if (!watchdog_cfg_.dump_path.empty())
-    msg += "; dump: " + watchdog_cfg_.dump_path;
+  msg += dump_note;
   for (auto& node : nodes_) node.reset();
   throw WatchdogError(msg, rep);
 }

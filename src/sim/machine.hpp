@@ -38,6 +38,7 @@
 // histories.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -55,6 +56,7 @@
 #include "sim/cost_model.hpp"
 #include "sim/diagnosis.hpp"
 #include "sim/fault_injector.hpp"
+#include "sim/instrument.hpp"
 #include "sim/lineage.hpp"
 #include "sim/link_stats.hpp"
 #include "sim/message.hpp"
@@ -327,6 +329,13 @@ struct RunReport {
   WatchdogReport watchdog;
 };
 
+/// The detection watermark: the latest expired recv_or_timeout deadline
+/// the report's diagnosis recorded, clamped to the makespan (0 for clean
+/// runs, or when the trace that records expiries was disabled). Everything
+/// before it is fault detection; the remainder, makespan - detect_time, is
+/// real post-recovery sort work.
+SimTime detect_time(const RunReport& report);
+
 class Machine {
  public:
   /// A node program factory: invoked once per healthy node.
@@ -343,20 +352,16 @@ class Machine {
   fault::FaultModel fault_model() const { return model_; }
   const CostModel& cost() const { return cost_; }
   const cube::Router& router() const { return router_; }
+  /// The instruments (sim/instrument.hpp). Enable one before a run and it
+  /// records the run into its RunReport field: `trace().enable()`,
+  /// `metrics().enable(size())`, `link_stats().enable(size(), dim())`,
+  /// `timeline().enable(size(), dim(), tick)`, and
+  /// `lineage().enable(size(), dim())` followed by `assign_block` per node
+  /// (host-side, pre-run state that the run keeps).
   Trace& trace() { return trace_; }
-  /// Per-node, per-phase metrics registry. `metrics().enable(size())`
-  /// before a run to populate `RunReport::metrics` / `RunReport::phases`.
   Metrics& metrics() { return metrics_; }
-  /// Per-link traffic registry. `link_stats().enable(size(), dim())`
-  /// before a run to populate `RunReport::links`.
   LinkStats& link_stats() { return link_stats_; }
-  /// Sim-time sampler. `timeline().enable(size(), dim(), tick)` before a
-  /// run to populate `RunReport::timeline`.
   Timeline& timeline() { return timeline_; }
-  /// Key-lineage registry. `lineage().enable(size(), dim())` then
-  /// `assign_block` per node *before* a run to populate
-  /// `RunReport::lineage`. Unlike the other registries it is not reset by
-  /// the run itself: scatter assignment is host-side, pre-run state.
   Lineage& lineage() { return lineage_; }
 
   /// Aggregate payload-allocation ledger over all node pools. Cumulative
@@ -465,9 +470,19 @@ class Machine {
     if (workers_ == 1) return {};
     return lock(nodes_[u]->worker);
   }
-  /// Throws KilledSignal (and records the death) once the node's clock has
-  /// reached its scheduled kill time. Caller holds the machine lock.
-  void check_alive(cube::NodeId id);
+  /// Throws KilledSignal (and reports the death) once the node's clock has
+  /// reached its scheduled kill time; `checked_out` marks a death at a send
+  /// that just took a payload buffer from the pool. Caller holds the
+  /// machine lock.
+  void check_alive(cube::NodeId id, bool checked_out = false);
+  /// True when the run has an active instrument: the one check a charge
+  /// site makes before it builds an event.
+  bool instrumented() const { return num_active_ != 0; }
+  /// Report `ev` to every active instrument. Caller holds the machine lock.
+  template <typename Event>
+  void notify(void (Instrument::*on)(const Event&), const Event& ev) {
+    for (std::size_t i = 0; i < num_active_; ++i) (active_[i]->*on)(ev);
+  }
   /// Deliver a sent message. Caller holds the machine lock.
   void post(Message msg);
   /// Make blocked node `u` runnable. Caller holds the machine lock.
@@ -526,10 +541,13 @@ class Machine {
   LinkStats link_stats_;
   Timeline timeline_;
   Lineage lineage_;
+  /// The run's enabled instruments, in the order events reach them; filled
+  /// at run start, so no run or event allocates.
+  std::array<Instrument*, 5> active_{};
+  std::size_t num_active_ = 0;
+  bool routes_ = false;  ///< an active instrument wants SendEvent::path
   FaultInjector injector_;
   PoolStats pool_mark_;            ///< pool_stats() at run start
-  std::uint64_t trace_run_start_ = 0;   ///< trace_.next_seq() at run start
-  std::uint64_t trace_dropped_mark_ = 0;  ///< trace_.dropped() at run start
 
   // Declared before nodes_ so in-flight payload handles (inside inboxes)
   // are destroyed before the pools they return to.
@@ -544,8 +562,8 @@ class Machine {
   bool running_ = false;
 
   // Scheduler state. With several workers mu_ guards it, the mailbox and
-  // wait state of every node, the traffic counters above and every registry
-  // write; with one worker nothing is locked.
+  // wait state of every node, the traffic counters above and every
+  // instrument call; with one worker nothing is locked.
   std::mutex mu_;
   std::condition_variable idle_cv_;  ///< idle workers wait here for work
   std::size_t workers_ = 1;          ///< workers of this run

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <unordered_map>
 
+#include "sim/machine.hpp"
 #include "sim/trace.hpp"
 #include "util/contracts.hpp"
 
@@ -47,16 +48,39 @@ PhaseCounters MetricsSnapshot::grand_total() const {
   return sum;
 }
 
-namespace {
-
-/// (src, dst, tag) channel key for matching a Recv back to its Send.
-std::uint64_t channel_key(cube::NodeId src, cube::NodeId dst, Tag tag) {
-  return (static_cast<std::uint64_t>(src) << 48) |
-         (static_cast<std::uint64_t>(dst) << 32) |
-         static_cast<std::uint64_t>(tag);
+void Metrics::on_charge(const ChargeEvent& ev) {
+  PhaseCounters& pc = at(ev.node, ev.phase);
+  pc.comparisons += ev.comparisons;
+  pc.compute_time += ev.work;
 }
 
-}  // namespace
+void Metrics::on_send(const SendEvent& ev) {
+  PhaseCounters& pc = at(ev.msg.src, ev.msg.phase);
+  const std::uint64_t keys = ev.msg.payload.size();
+  if (ev.checked_out) ++pc.pool_checkouts;
+  ++pc.messages;
+  pc.keys_sent += keys;
+  pc.key_hops += keys * static_cast<std::uint64_t>(ev.msg.hops);
+  pc.send_busy += ev.injection;
+  ++pc.msg_size_hist[PhaseCounters::size_bucket(keys)];
+}
+
+void Metrics::on_recv(const RecvEvent& ev) {
+  PhaseCounters& pc = at(ev.node, ev.phase);
+  ++pc.recvs;
+  pc.keys_received += ev.msg.payload.size();
+  pc.recv_wait += ev.waited;
+}
+
+void Metrics::on_timeout(const TimeoutEvent& ev) {
+  PhaseCounters& pc = at(ev.node, ev.phase);
+  ++pc.timeouts;
+  pc.recv_wait += ev.waited;
+}
+
+void Metrics::collect(RunReport& report) const {
+  report.metrics = MetricsSnapshot{nodes_};
+}
 
 PhaseBreakdown build_phase_breakdown(
     const MetricsSnapshot& metrics, const std::vector<TraceEvent>& events,
@@ -85,7 +109,7 @@ PhaseBreakdown build_phase_breakdown(
     if (ev.node >= num_nodes) continue;
     per_node[ev.node].push_back(i);
     if (ev.kind == EventKind::Send)
-      sends[channel_key(ev.node, ev.peer, ev.tag)].push_back(i);
+      sends[flow_key(ev.node, ev.peer, ev.tag)].push_back(i);
   }
 
   const auto attribute = [&out](Phase p, SimTime dt, bool comm) {
@@ -136,7 +160,7 @@ PhaseBreakdown build_phase_breakdown(
       // The receive moved the clock: the message (wait + flight) is on the
       // critical path. Hop to the matching send on the peer; per-channel
       // FIFO makes "latest send at or before the receive" the right match.
-      const auto it = sends.find(channel_key(ev.peer, ev.node, ev.tag));
+      const auto it = sends.find(flow_key(ev.peer, ev.node, ev.tag));
       const std::uint32_t* match = nullptr;
       if (it != sends.end()) {
         for (auto rit = it->second.rbegin(); rit != it->second.rend();

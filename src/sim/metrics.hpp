@@ -1,17 +1,15 @@
 // Per-node, per-phase metrics registry of a simulation run.
 //
-// When enabled, every cost-charging site of the Machine (sends, receives,
-// comparisons, drops, timeouts) also bumps the counters of the node's
-// *ambient phase* (see sim/phase.hpp). The registry is a fixed-size
-// per-node table sized once at enable time, so the hot path performs no
-// allocation; like every registry it is written on the sequential
-// executor's one thread or under the threaded executor's machine lock.
-// Everything recorded is logical (derived from message causality, never
-// from host scheduling), so per-phase totals are byte-identical across the
-// sequential and threaded executors.
+// An instrument (sim/instrument.hpp): every event Machine charges (sends,
+// receives, comparisons and local work, drops, timeouts) bumps the
+// counters of the node's *ambient phase* (see sim/phase.hpp). The registry
+// is a fixed-size per-node table sized once at enable time, so the hot
+// path performs no allocation. Everything recorded is logical (derived
+// from message causality, never from host scheduling), so per-phase totals
+// are byte-identical across the sequential and threaded executors.
 //
-// Off by default, gated exactly like `Trace::enabled_`: a disabled registry
-// costs one predictable branch per charge site.
+// Off by default; like every instrument, it costs nothing per event while
+// off beyond Machine's one check for an active instrument.
 #pragma once
 
 #include <array>
@@ -20,6 +18,7 @@
 
 #include "hypercube/address.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/instrument.hpp"
 #include "sim/phase.hpp"
 
 namespace ftsort::sim {
@@ -67,7 +66,7 @@ struct MetricsSnapshot {
   bool operator==(const MetricsSnapshot&) const = default;
 };
 
-class Metrics {
+class Metrics final : public Instrument {
  public:
   /// Size the table for `num_nodes` and start recording. Zeroes any
   /// previous contents. The only allocation the registry ever performs.
@@ -75,27 +74,31 @@ class Metrics {
     nodes_.assign(num_nodes, NodePhaseCounters{});
     enabled_ = true;
   }
-  void disable() {
-    enabled_ = false;
-    nodes_.clear();
-  }
-  bool enabled() const { return enabled_; }
 
   /// Zero every counter, keeping the table allocation (run-to-run reuse).
-  void reset() {
+  void on_run_start() override {
     for (NodePhaseCounters& row : nodes_) row.fill(PhaseCounters{});
   }
+  void on_charge(const ChargeEvent& ev) override;
+  void on_send(const SendEvent& ev) override;
+  /// A drop is charged to the *sender's* row, under the phase the message
+  /// was sent in.
+  void on_post(const PostEvent& ev) override {
+    if (ev.dropped) ++at(ev.msg.src, ev.msg.phase).messages_dropped;
+  }
+  void on_recv(const RecvEvent& ev) override;
+  void on_timeout(const TimeoutEvent& ev) override;
+  void on_kill(const KillEvent& ev) override {
+    if (ev.checked_out) ++at(ev.node, ev.phase).pool_checkouts;
+  }
+  /// RunReport::metrics.
+  void collect(RunReport& report) const override;
 
-  /// The (node, phase) cell. On the threaded executor callers hold the
-  /// machine lock.
+ private:
   PhaseCounters& at(cube::NodeId u, Phase p) {
     return nodes_[u][static_cast<std::size_t>(p)];
   }
 
-  MetricsSnapshot snapshot() const { return MetricsSnapshot{nodes_}; }
-
- private:
-  bool enabled_ = false;
   std::vector<NodePhaseCounters> nodes_;
 };
 

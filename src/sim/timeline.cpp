@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "sim/machine.hpp"
 #include "util/contracts.hpp"
 
 namespace ftsort::sim {
@@ -15,12 +16,10 @@ void Timeline::enable(std::uint32_t num_nodes, cube::Dim dim, SimTime tick) {
   dim_ = dim;
   nodes_.resize(num_nodes);
   dims_.resize(static_cast<std::size_t>(dim));
-  reset();
+  on_run_start();
 }
 
-void Timeline::disable() { enabled_ = false; }
-
-void Timeline::reset() {
+void Timeline::on_run_start() {
   std::fill(nodes_.begin(), nodes_.end(), NodeSeries{});
   std::fill(dims_.begin(), dims_.end(), Series{});
   dropped_ = 0;
@@ -41,55 +40,27 @@ void Timeline::add(Series& s, std::size_t idx, std::int64_t delta) {
   s.touched = true;
 }
 
-void Timeline::note_enqueue(cube::NodeId dst, SimTime arrival) {
-  const std::size_t idx = bucket(arrival);
-  if (idx == kTimelineMaxTicks) {
-    ++dropped_;
-    return;
-  }
-  add(nodes_[dst].queue, idx, +1);
-}
-
-void Timeline::note_dequeue(cube::NodeId dst, SimTime when) {
+void Timeline::note_queue(cube::NodeId u, SimTime when, std::int64_t delta) {
   const std::size_t idx = bucket(when);
   if (idx == kTimelineMaxTicks) {
     ++dropped_;
     return;
   }
-  add(nodes_[dst].queue, idx, -1);
+  add(nodes_[u].queue, idx, delta);
 }
 
-void Timeline::note_send(cube::NodeId src, cube::NodeId dst,
-                         std::uint64_t keys, SimTime sent_at) {
-  const std::size_t idx = bucket(sent_at);
-  if (idx == kTimelineMaxTicks) {
-    ++dropped_;
-    return;
-  }
-  add(nodes_[src].pool, idx, +1);
-  const std::int64_t k = static_cast<std::int64_t>(keys);
-  for (std::uint32_t diff = src ^ dst; diff != 0; diff &= diff - 1)
-    add(dims_[static_cast<std::size_t>(std::countr_zero(diff))], idx, +k);
-}
-
-void Timeline::note_delivered(cube::NodeId src, cube::NodeId dst,
-                              std::uint64_t keys, SimTime when) {
+void Timeline::note_wire(cube::NodeId src, cube::NodeId dst,
+                         std::uint64_t keys, SimTime when,
+                         std::int64_t delta) {
   const std::size_t idx = bucket(when);
   if (idx == kTimelineMaxTicks) {
     ++dropped_;
     return;
   }
-  add(nodes_[src].pool, idx, -1);
-  const std::int64_t k = static_cast<std::int64_t>(keys);
+  add(nodes_[src].pool, idx, delta);
+  const std::int64_t k = delta * static_cast<std::int64_t>(keys);
   for (std::uint32_t diff = src ^ dst; diff != 0; diff &= diff - 1)
-    add(dims_[static_cast<std::size_t>(std::countr_zero(diff))], idx, -k);
-}
-
-void Timeline::note_dropped(cube::NodeId src, cube::NodeId dst,
-                            std::uint64_t keys, SimTime arrival) {
-  // A dropped message leaves the wire (and frees its buffer) at its
-  // would-be arrival; same deltas as a delivery.
-  note_delivered(src, dst, keys, arrival);
+    add(dims_[static_cast<std::size_t>(std::countr_zero(diff))], idx, k);
 }
 
 void Timeline::note_phase(cube::NodeId u, SimTime now, Phase p) {
@@ -105,10 +76,31 @@ void Timeline::note_phase(cube::NodeId u, SimTime now, Phase p) {
   node.cursor = upto + 1;
 }
 
-TimelineSnapshot Timeline::snapshot() const {
-  TimelineSnapshot out;
-  out.enabled = enabled_;
-  if (!enabled_) return out;
+void Timeline::on_send(const SendEvent& ev) {
+  const Message& m = ev.msg;
+  note_wire(m.src, m.dst, m.payload.size(), m.sent_at, +1);
+  note_phase(m.src, ev.clock, m.phase);
+}
+
+void Timeline::on_post(const PostEvent& ev) {
+  const Message& m = ev.msg;
+  if (ev.dropped)
+    // A dropped message leaves the wire (and frees its buffer) at its
+    // would-be arrival; same deltas as a delivery.
+    note_wire(m.src, m.dst, m.payload.size(), m.arrival, -1);
+  else
+    note_queue(m.dst, m.arrival, +1);
+}
+
+void Timeline::on_recv(const RecvEvent& ev) {
+  note_queue(ev.node, ev.clock, -1);
+  note_wire(ev.msg.src, ev.node, ev.msg.payload.size(), ev.clock, -1);
+  note_phase(ev.node, ev.clock, ev.phase);
+}
+
+void Timeline::collect(RunReport& report) const {
+  TimelineSnapshot& out = report.timeline;
+  out.enabled = true;
   out.tick = tick_;
   out.num_nodes = static_cast<std::uint32_t>(nodes_.size());
   out.dim = dim_;
@@ -149,7 +141,6 @@ TimelineSnapshot Timeline::snapshot() const {
     out.phase.push_back(std::move(row));
   }
   for (const Series& d : dims_) out.keys_in_flight.push_back(cumulate(d));
-  return out;
 }
 
 }  // namespace ftsort::sim

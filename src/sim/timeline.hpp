@@ -1,12 +1,12 @@
 // Time-resolved telemetry: the sim-time sampler and the recovery-latency
 // decomposition.
 //
-// `Timeline` is an opt-in registry (sibling of Metrics/LinkStats/Trace)
-// that buckets instrumentation deltas by *logical* tick, so a finished run
-// can be replayed as a time series: per-node pending-queue depth, in-flight
-// keys per cube dimension, payload buffers in flight per node, and each
-// node's active phase. Charging a delta never touches a node clock, so
-// sampling has zero simulated-time cost and cannot change results.
+// `Timeline` is an opt-in instrument (sim/instrument.hpp) that buckets
+// event deltas by *logical* tick, so a finished run can be replayed as a
+// time series: per-node pending-queue depth, in-flight keys per cube
+// dimension, payload buffers in flight per node, and each node's active
+// phase. Charging a delta never touches a node clock, so sampling has zero
+// simulated-time cost and cannot change results.
 //
 // Determinism: sampling "current global state at tick boundaries" would be
 // racy on the threaded executor (no global instant exists between
@@ -14,8 +14,7 @@
 // of the *logical* time it describes (a message's arrival, a receive's
 // post-wait clock). Bucketed integer sums are order-independent, so the
 // snapshot is byte-identical across the sequential and threaded executors,
-// like every other RunReport field. Hooks run on the sequential executor's
-// one thread or under the threaded executor's machine lock.
+// like every other RunReport field.
 //
 // The series length is bounded by `kTimelineMaxTicks`; deltas addressed
 // past the cap are counted in `dropped` instead of growing without bound
@@ -27,6 +26,7 @@
 
 #include "hypercube/address.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/instrument.hpp"
 #include "sim/phase.hpp"
 
 namespace ftsort::sim {
@@ -139,37 +139,30 @@ struct RecoveryLatency {
   bool operator==(const RecoveryLatency&) const = default;
 };
 
-/// The sampler registry. Enable before a run (Machine::timeline());
-/// Machine resets it per run and snapshots it into RunReport::timeline.
-class Timeline {
+/// The sampler. Enable before a run (Machine::timeline()); Machine resets
+/// it per run and collects it into RunReport::timeline.
+class Timeline final : public Instrument {
  public:
   /// Arm the sampler for `num_nodes` nodes of a `dim`-cube with the given
   /// tick width (simulated µs, > 0). Idempotent per shape.
   void enable(std::uint32_t num_nodes, cube::Dim dim, SimTime tick);
-  void disable();
-  bool enabled() const { return enabled_; }
-  SimTime tick() const { return tick_; }
 
-  /// Clear all series for a new run. Not thread-safe; called between runs.
-  void reset();
-
-  // Delta hooks, called by Machine at charge sites. All take the logical
-  // time of the event they describe and never advance any clock.
-  void note_enqueue(cube::NodeId dst, SimTime arrival);
-  void note_dequeue(cube::NodeId dst, SimTime when);
-  void note_send(cube::NodeId src, cube::NodeId dst, std::uint64_t keys,
-                 SimTime sent_at);
-  void note_delivered(cube::NodeId src, cube::NodeId dst,
-                      std::uint64_t keys, SimTime when);
-  void note_dropped(cube::NodeId src, cube::NodeId dst, std::uint64_t keys,
-                    SimTime arrival);
-  /// Record that node `u` was in `p` when its clock reached `now`; fills
-  /// every tick boundary crossed since the node's previous sample.
-  void note_phase(cube::NodeId u, SimTime now, Phase p);
-
-  /// Materialise the run's series (prefix sums, common padding). Call
-  /// after the run completes.
-  TimelineSnapshot snapshot() const;
+  /// Clear all series for a new run.
+  void on_run_start() override;
+  // Every event adds its deltas at the logical time it describes and
+  // records the node's phase up to its clock; none advances a clock.
+  void on_charge(const ChargeEvent& ev) override {
+    note_phase(ev.node, ev.clock, ev.phase);
+  }
+  void on_send(const SendEvent& ev) override;
+  void on_post(const PostEvent& ev) override;
+  void on_recv(const RecvEvent& ev) override;
+  void on_timeout(const TimeoutEvent& ev) override {
+    note_phase(ev.node, ev.clock, ev.phase);
+  }
+  /// Materialise the run's series (prefix sums, common padding) into
+  /// RunReport::timeline.
+  void collect(RunReport& report) const override;
 
  private:
   // One delta series: sparse per-tick sums plus its own high-water mark
@@ -191,8 +184,17 @@ class Timeline {
   /// cap (caller counts it as dropped).
   std::size_t bucket(SimTime t) const;
   static void add(Series& s, std::size_t idx, std::int64_t delta);
+  /// Add `delta` to the sender's pool series and `delta * keys` to the
+  /// in-flight series of every dimension of src^dst, in the bucket of
+  /// `when`: a message entering (+1) or leaving (-1) the wire.
+  void note_wire(cube::NodeId src, cube::NodeId dst, std::uint64_t keys,
+                 SimTime when, std::int64_t delta);
+  /// Add `delta` to node `u`'s queue series in the bucket of `when`.
+  void note_queue(cube::NodeId u, SimTime when, std::int64_t delta);
+  /// Record that node `u` was in `p` when its clock reached `now`; fills
+  /// every tick boundary crossed since the node's previous sample.
+  void note_phase(cube::NodeId u, SimTime now, Phase p);
 
-  bool enabled_ = false;
   SimTime tick_ = 0.0;
   cube::Dim dim_ = 0;
   std::vector<NodeSeries> nodes_;

@@ -4,10 +4,11 @@
 #include <iomanip>
 #include <sstream>
 
+#include "sim/machine.hpp"
+
 namespace ftsort::sim {
 
-namespace {
-const char* kind_name(EventKind k) {
+const char* event_kind_name(EventKind k) {
   switch (k) {
     case EventKind::Send: return "send";
     case EventKind::Recv: return "recv";
@@ -15,18 +16,18 @@ const char* kind_name(EventKind k) {
     case EventKind::Drop: return "drop";
     case EventKind::Timeout: return "timeout";
     case EventKind::Kill: return "kill";
-    case EventKind::SpanBegin: return "begin";
-    case EventKind::SpanEnd: return "end";
+    case EventKind::SpanBegin: return "span_begin";
+    case EventKind::SpanEnd: return "span_end";
   }
   return "?";
 }
-}  // namespace
 
 void Trace::reshard(std::uint32_t num_shards) {
   rings_.assign(std::max<std::uint32_t>(num_shards, 1), Ring{});
 }
 
-void Trace::append(TraceEvent ev) {
+void Trace::record(TraceEvent ev) {
+  if (!enabled_) return;
   Ring& r = rings_[ev.node < rings_.size() ? static_cast<std::size_t>(ev.node)
                                            : 0];
   ev.seq = next_seq_++;
@@ -70,6 +71,28 @@ std::vector<TraceEvent> Trace::snapshot() const {
   return events;
 }
 
+std::vector<TraceEvent> Trace::run_events() const {
+  std::vector<TraceEvent> events = snapshot();
+  std::erase_if(events,
+                [this](const TraceEvent& ev) { return ev.seq < run_start_; });
+  return events;
+}
+
+std::uint64_t Trace::run_dropped() const {
+  // clear() zeroes the counters, so a count below the mark is this run's.
+  const std::uint64_t now = dropped();
+  return now >= dropped_mark_ ? now - dropped_mark_ : now;
+}
+
+void Trace::on_run_start() {
+  run_start_ = next_seq_;
+  dropped_mark_ = dropped();
+}
+
+void Trace::collect(RunReport& report) const {
+  report.trace_dropped = run_dropped();
+}
+
 std::string Trace::to_string(std::size_t max_lines) const {
   const std::vector<TraceEvent> events = snapshot();
   std::ostringstream os;
@@ -81,7 +104,9 @@ std::string Trace::to_string(std::size_t max_lines) const {
     }
     os << std::fixed << std::setprecision(1) << std::setw(12) << ev.time
        << "us  node " << std::setw(3) << ev.node << "  "
-       << kind_name(ev.kind);
+       << (ev.kind == EventKind::SpanBegin ? "begin"
+           : ev.kind == EventKind::SpanEnd ? "end"
+                                            : event_kind_name(ev.kind));
     if (ev.kind == EventKind::Compute)
       os << " comparisons=" << ev.keys;
     else if (ev.kind == EventKind::Kill)

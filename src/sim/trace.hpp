@@ -1,8 +1,9 @@
 // Flight recorder for a simulation run: per-node, optionally bounded rings
 // of trace events, used by debugging dumps, the demo examples, the
 // observability exporters (sim/exporters.hpp), and the failure explainers
-// (sim/diagnosis.hpp). Disabled by default; recording is O(1) per event
-// when enabled.
+// (sim/diagnosis.hpp). An instrument (sim/instrument.hpp): it turns each
+// event Machine reports into one TraceEvent. Disabled by default;
+// recording is O(1) per event when enabled.
 //
 // Besides the raw message/compute events, the trace records *span* events
 // (SpanBegin/SpanEnd) emitted by PhaseSpan (sim/machine.hpp): every event
@@ -35,6 +36,7 @@
 
 #include "hypercube/address.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/instrument.hpp"
 #include "sim/message.hpp"
 #include "sim/phase.hpp"
 
@@ -63,12 +65,22 @@ struct TraceEvent {
   std::uint64_t seq = 0;  ///< global record order, stamped by record()
 };
 
-class Trace {
+/// Lower-case name of an event kind ("send", "span_begin", ...), as the
+/// watchdog dump's trace tail spells it.
+const char* event_kind_name(EventKind k);
+
+/// Key of the (src, dst, tag) channel a Send and its Recv share; delivery
+/// is FIFO per channel, which is what pairs them.
+constexpr std::uint64_t flow_key(cube::NodeId src, cube::NodeId dst,
+                                 Tag tag) {
+  return (std::uint64_t{src} << 48) | (std::uint64_t{dst} << 32) | tag;
+}
+
+class Trace final : public Instrument {
  public:
-  Trace() { reshard(1); }
+  explicit Trace(std::uint32_t num_shards = 1) { reshard(num_shards); }
 
   void enable(bool on = true) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
 
   /// Size the ring array, one ring per node. Events for out-of-range
   /// node ids fall back to ring 0. Drops all retained events and resets
@@ -80,12 +92,9 @@ class Trace {
   /// below a ring's current size evicts its oldest events on the next
   /// record() into that ring.
   void set_capacity(std::size_t per_node_events) { capacity_ = per_node_events; }
-  std::size_t capacity() const { return capacity_; }
 
-  /// Stamp and retain `ev`; a disabled trace costs this one check.
-  void record(const TraceEvent& ev) {
-    if (enabled_) append(ev);
-  }
+  /// Stamp and retain `ev`; a disabled trace ignores it.
+  void record(TraceEvent ev);
 
   /// Drop all retained events and zero the dropped counter. The global
   /// sequence keeps counting (run-start watermarks stay monotonic).
@@ -97,17 +106,58 @@ class Trace {
   /// Total events evicted by ring overflow since the last clear().
   std::uint64_t dropped() const;
 
-  /// Sequence number the next record() will stamp; also the count of
-  /// events ever recorded. Use as a run-start watermark to slice
-  /// snapshot() by `ev.seq >= mark`.
-  std::uint64_t next_seq() const { return next_seq_; }
-
   /// Copy of the retained events merged across rings in global record
   /// order (ascending seq).
   std::vector<TraceEvent> snapshot() const;
+  /// snapshot() restricted to the current (or most recent) run: the
+  /// events stamped at or after its run-start watermark.
+  std::vector<TraceEvent> run_events() const;
+  /// Ring evictions since the current (or most recent) run started.
+  std::uint64_t run_dropped() const;
 
   /// Human-readable dump (one line per event), truncated to `max_lines`.
   std::string to_string(std::size_t max_lines = 200) const;
+
+  /// Takes the run-start watermarks; the rings keep earlier runs' events.
+  void on_run_start() override;
+  // Each event becomes one TraceEvent, with two exceptions: charge_time
+  // work records none (the critical-path walk charges it to the event
+  // before it), and a post records one only when it drops the message —
+  // on the destination's ring, under the phase the message was sent in.
+  void on_charge(const ChargeEvent& ev) override {
+    if (ev.comparisons != 0)
+      record({ev.clock, ev.node, EventKind::Compute, 0, 0, ev.comparisons, 0,
+              ev.phase});
+  }
+  void on_span(const SpanEvent& ev) override {
+    record({ev.clock, ev.node,
+            ev.begin ? EventKind::SpanBegin : EventKind::SpanEnd, 0, 0, 0, 0,
+            ev.phase});
+  }
+  void on_send(const SendEvent& ev) override {
+    const Message& m = ev.msg;
+    record({m.sent_at, m.src, EventKind::Send, m.dst, m.tag,
+            m.payload.size(), m.hops, m.phase});
+  }
+  void on_post(const PostEvent& ev) override {
+    const Message& m = ev.msg;
+    if (ev.dropped)
+      record({m.arrival, m.dst, EventKind::Drop, m.src, m.tag,
+              m.payload.size(), m.hops, m.phase});
+  }
+  void on_recv(const RecvEvent& ev) override {
+    record({ev.clock, ev.node, EventKind::Recv, ev.msg.src, ev.msg.tag,
+            ev.msg.payload.size(), ev.msg.hops, ev.phase});
+  }
+  void on_timeout(const TimeoutEvent& ev) override {
+    record({ev.clock, ev.node, EventKind::Timeout, ev.src, ev.tag, 0, 0,
+            ev.phase});
+  }
+  void on_kill(const KillEvent& ev) override {
+    record({ev.clock, ev.node, EventKind::Kill, 0, 0, 0, 0, ev.phase});
+  }
+  /// RunReport::trace_dropped.
+  void collect(RunReport& report) const override;
 
  private:
   // One ring per node. `ring` grows up to the capacity; once full `head`
@@ -118,11 +168,10 @@ class Trace {
     std::uint64_t dropped = 0;
   };
 
-  void append(TraceEvent ev);
-
-  bool enabled_ = false;
   std::size_t capacity_ = 0;  // 0 = unbounded
   std::uint64_t next_seq_ = 0;
+  std::uint64_t run_start_ = 0;     ///< next_seq_ at run start
+  std::uint64_t dropped_mark_ = 0;  ///< dropped() at run start
   std::vector<Ring> rings_;
 };
 

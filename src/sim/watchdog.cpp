@@ -1,13 +1,14 @@
 #include "sim/watchdog.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "sim/machine.hpp"
 #include "sim/phase.hpp"
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 #include "util/schema.hpp"
 
 namespace ftsort::sim {
@@ -20,36 +21,6 @@ std::uint64_t ms_between(Clock::time_point from, Clock::time_point to) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(to - from)
           .count());
-}
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-const char* event_kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::Send: return "send";
-    case EventKind::Recv: return "recv";
-    case EventKind::Compute: return "compute";
-    case EventKind::Drop: return "drop";
-    case EventKind::Timeout: return "timeout";
-    case EventKind::Kill: return "kill";
-    case EventKind::SpanBegin: return "span_begin";
-    case EventKind::SpanEnd: return "span_end";
-  }
-  return "?";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -195,72 +166,55 @@ WatchdogReport Watchdog::report() const {
 
 std::string render_watchdog_dump(const WatchdogReport& rep,
                                  const WatchdogDumpContext& ctx) {
-  std::string os;
-  os += "{\n";
-  os += "  \"watchdog_dump\": true,\n";
-  os += "  \"schema_version\": " +
-        std::to_string(util::kWatchdogDumpSchemaVersion) + ",\n";
-  os += "  \"origin\": \"" + json_escape(ctx.origin) + "\",\n";
-  os += std::string("  \"policy\": \"") +
-        (rep.abort_on_trip ? "abort" : "record") + "\",\n";
-  os += "  \"deadline_ms\": " + std::to_string(rep.deadline_ms) + ",\n";
-  os += "  \"effective_deadline_ms\": " +
-        std::to_string(rep.effective_deadline_ms) + ",\n";
-  os += "  \"interval_ms\": " + std::to_string(rep.interval_ms) + ",\n";
-  os += "  \"trips\": " + std::to_string(rep.trips) + ",\n";
-  os += "  \"near_misses\": " + std::to_string(rep.near_misses) + ",\n";
-  os += "  \"stall_ms\": " + std::to_string(rep.stall_ms) + ",\n";
-  os += "  \"heartbeats\": [\n";
-  for (std::size_t i = 0; i < rep.slots.size(); ++i) {
-    const WatchdogSlotView& s = rep.slots[i];
-    os += "    {\"slot\": \"" + json_escape(s.label) +
-          "\", \"beats\": " + std::to_string(s.beats) +
-          ", \"age_ms\": " + std::to_string(s.age_ms) + ", \"activity\": \"" +
-          json_escape(s.activity) + "\", \"terminal\": " +
-          (s.terminal ? "true" : "false") + "}";
-    os += i + 1 < rep.slots.size() ? ",\n" : "\n";
+  using util::json::Writer;
+  std::ostringstream os;
+  Writer w(os);
+  w.begin_object(Writer::Layout::Lines);
+  w.fields("watchdog_dump", true, "schema_version",
+           util::kWatchdogDumpSchemaVersion, "origin", ctx.origin, "policy",
+           rep.abort_on_trip ? "abort" : "record", "deadline_ms",
+           rep.deadline_ms, "effective_deadline_ms", rep.effective_deadline_ms,
+           "interval_ms", rep.interval_ms, "trips", rep.trips, "near_misses",
+           rep.near_misses, "stall_ms", rep.stall_ms);
+  w.key("heartbeats").begin_array(Writer::Layout::Lines);
+  for (const WatchdogSlotView& s : rep.slots) {
+    w.begin_object();
+    w.fields("slot", s.label, "beats", s.beats, "age_ms", s.age_ms,
+             "activity", s.activity, "terminal", s.terminal);
+    w.end();
   }
-  os += "  ]";
+  w.end();
   if (ctx.diagnosis != nullptr) {
     const Diagnosis& d = *ctx.diagnosis;
-    os += ",\n  \"diagnosis\": {\"triggered\": ";
-    os += d.triggered() ? "true" : "false";
-    os += std::string(", \"kind\": \"") + diagnosis_kind_name(d.kind) +
-          "\", \"root_kind\": \"" + diagnosis_root_kind_name(d.root_kind) +
-          "\", \"root_node\": " + std::to_string(d.root_node) +
-          ", \"root_phase\": \"" + phase_name(d.root_phase) +
-          "\", \"stalled\": [";
-    for (std::size_t i = 0; i < d.stalled.size(); ++i)
-      os += (i ? ", " : "") + std::to_string(d.stalled[i]);
-    os += "], \"summary\": \"" + json_escape(d.to_string()) + "\"}";
+    w.key("diagnosis").begin_object();
+    w.fields("triggered", d.triggered(), "kind", diagnosis_kind_name(d.kind),
+             "root_kind", diagnosis_root_kind_name(d.root_kind), "root_node",
+             d.root_node, "root_phase", phase_name(d.root_phase), "stalled",
+             d.stalled, "summary", d.to_string());
+    w.end();
   }
   if (ctx.host != nullptr && ctx.host->enabled) {
     const SchedShardProfile total = ctx.host->total();
-    os += ",\n  \"host_profile\": {\"shards\": " +
-          std::to_string(ctx.host->shards.size()) +
-          ", \"tasks_resumed\": " + std::to_string(total.tasks_resumed) +
-          ", \"cv_waits\": " + std::to_string(total.cv_waits) +
-          ", \"mutex_waits\": " + std::to_string(total.mutex_waits) +
-          ", \"quiescence_checks\": " +
-          std::to_string(ctx.host->quiescence_checks) +
-          ", \"quiescence_events\": " +
-          std::to_string(ctx.host->quiescence_events) + "}";
+    w.key("host_profile").begin_object();
+    w.fields("shards", ctx.host->shards.size(), "tasks_resumed",
+             total.tasks_resumed, "cv_waits", total.cv_waits, "mutex_waits",
+             total.mutex_waits, "quiescence_checks",
+             ctx.host->quiescence_checks, "quiescence_events",
+             ctx.host->quiescence_events);
+    w.end();
   }
   if (ctx.trace_tail != nullptr) {
-    os += ",\n  \"trace_tail\": [\n";
-    for (std::size_t i = 0; i < ctx.trace_tail->size(); ++i) {
-      const TraceEvent& ev = (*ctx.trace_tail)[i];
-      os += "    {\"seq\": " + std::to_string(ev.seq) +
-            ", \"time\": " + num(ev.time) +
-            ", \"node\": " + std::to_string(ev.node) + ", \"kind\": \"" +
-            event_kind_name(ev.kind) + "\", \"phase\": \"" +
-            phase_name(ev.phase) + "\"}";
-      os += i + 1 < ctx.trace_tail->size() ? ",\n" : "\n";
+    w.key("trace_tail").begin_array(Writer::Layout::Lines);
+    for (const TraceEvent& ev : *ctx.trace_tail) {
+      w.begin_object();
+      w.fields("seq", ev.seq, "time", ev.time, "node", ev.node, "kind",
+               event_kind_name(ev.kind), "phase", phase_name(ev.phase));
+      w.end();
     }
-    os += "  ]";
+    w.end();
   }
-  os += "\n}\n";
-  return os;
+  w.end();
+  return os.str();
 }
 
 bool write_watchdog_dump(const std::string& path, const WatchdogReport& rep,
@@ -270,6 +224,16 @@ bool write_watchdog_dump(const std::string& path, const WatchdogReport& rep,
   out << render_watchdog_dump(rep, ctx);
   out.flush();
   return static_cast<bool>(out);
+}
+
+std::string dump_on_trip(const std::string& path, const WatchdogReport& rep,
+                         const WatchdogDumpContext& ctx) {
+  if (path.empty()) return {};
+  std::string note = write_watchdog_dump(path, rep, ctx)
+                         ? "; dump: "
+                         : "; dump not written: ";
+  note += path;
+  return note;
 }
 
 }  // namespace ftsort::sim

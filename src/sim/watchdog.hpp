@@ -224,4 +224,11 @@ std::string render_watchdog_dump(const WatchdogReport& rep,
 bool write_watchdog_dump(const std::string& path, const WatchdogReport& rep,
                          const WatchdogDumpContext& ctx);
 
+/// The dump step of a trip: write the dump to `path` unless it is empty,
+/// and return what the WatchdogError message should say about it —
+/// "; dump: <path>", "; dump not written: <path>" when the file could not
+/// be written, or "" when no path is configured.
+std::string dump_on_trip(const std::string& path, const WatchdogReport& rep,
+                         const WatchdogDumpContext& ctx);
+
 }  // namespace ftsort::sim

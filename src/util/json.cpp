@@ -2,7 +2,9 @@
 
 #include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <system_error>
 
@@ -308,6 +310,98 @@ std::set<std::string> object_keys(const Value& v) {
   std::set<std::string> keys;
   collect_keys(v, keys);
   return keys;
+}
+
+void Writer::put(std::string_view s) {
+  os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+  column_ += s.size();
+}
+
+void Writer::newline(std::size_t spaces) {
+  os_ << '\n' << std::string(spaces, ' ');
+  column_ = spaces;
+}
+
+void Writer::separate() {
+  if (std::exchange(after_key_, false) || stack_.empty()) return;
+  Frame& frame = stack_.back();
+  if (!frame.empty) put(",");
+  const Break b = std::exchange(pending_, Break::None);
+  if (frame.lines || b == Break::Line)
+    newline(static_cast<std::size_t>(indent_) * stack_.size());
+  else if (b == Break::Wrap)
+    newline(frame.column + 1);
+  else if (!frame.empty)
+    put(" ");
+  frame.empty = false;
+}
+
+Writer& Writer::begin(char open, char close, Layout layout) {
+  separate();
+  stack_.push_back({close, layout == Layout::Lines, true, column_});
+  put(std::string_view(&open, 1));
+  return *this;
+}
+
+Writer& Writer::end() {
+  const Frame frame = stack_.back();
+  stack_.pop_back();
+  if (frame.lines) newline(static_cast<std::size_t>(indent_) * stack_.size());
+  put(std::string_view(&frame.close, 1));
+  if (stack_.empty()) newline(0);
+  return *this;
+}
+
+Writer& Writer::key(std::string_view name) {
+  value(name);
+  put(": ");
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::value(std::string_view s) {
+  separate();
+  put("\"");
+  std::size_t plain = 0;  // start of the run not yet written
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    char esc[8] = {'\\', s[i]};
+    switch (c) {
+      case '"': case '\\': break;
+      case '\b': esc[1] = 'b'; break;
+      case '\f': esc[1] = 'f'; break;
+      case '\n': esc[1] = 'n'; break;
+      case '\r': esc[1] = 'r'; break;
+      case '\t': esc[1] = 't'; break;
+      default:
+        if (c >= 0x20) continue;
+        std::snprintf(esc, sizeof esc, "\\u%04x", c);
+    }
+    put(s.substr(plain, i - plain));
+    put(esc);
+    plain = i + 1;
+  }
+  put(s.substr(plain));
+  put("\"");
+  return *this;
+}
+
+Writer& Writer::scalar(std::string_view text) {
+  separate();
+  put(text);
+  return *this;
+}
+
+Writer& Writer::value(double v) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+  return scalar(std::string_view(buf, static_cast<std::size_t>(n)));
+}
+
+Writer& Writer::fixed(double v, int digits) {
+  char buf[48];
+  const int n = std::snprintf(buf, sizeof buf, "%.*f", digits, v);
+  return scalar(std::string_view(buf, static_cast<std::size_t>(n)));
 }
 
 }  // namespace ftsort::util::json

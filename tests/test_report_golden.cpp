@@ -13,9 +13,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "core/ft_sorter.hpp"
+#include "sim/exporters.hpp"
 #include "sort/distribution.hpp"
 #include "util/rng.hpp"
 
@@ -156,6 +159,55 @@ TEST(ReportGolden, SequentialTraceOrder) {
   }
   EXPECT_EQ(outcome.trace_events.size(), 251u);
   EXPECT_EQ(h, 4425312449373790709u);
+}
+
+// FNV-1a over the bytes of a string.
+std::uint64_t fnv1a_bytes(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3u;
+  }
+  return h;
+}
+
+TEST(ReportGolden, RecoveryExportsWithEveryInstrument) {
+  // Pins the bytes every instrument exports on a run that drops messages,
+  // times out, kills a node, salvages and re-scatters: the online-recovery
+  // scenario with metrics, trace, link stats, timeline and lineage on.
+  // Sequential only: the threaded executor's pool_delta.heap_allocations
+  // varies from run to run. Captured from the revision before the
+  // instruments shared one interface and the exports one JSON writer.
+  util::Rng rng(11);
+  const auto keys = sort::gen_uniform(200, rng);
+  core::SortConfig cfg;
+  cfg.online_recovery = true;
+  cfg.injector.kill_node_at(6, 2000.0);
+  cfg.record_metrics = true;
+  cfg.record_trace = true;
+  cfg.record_link_stats = true;
+  cfg.record_timeline = true;
+  cfg.timeline_tick = 1e6;  // ~1,000 ticks, under kTimelineMaxTicks
+  cfg.record_lineage = true;
+  const core::SortOutcome out =
+      core::FaultTolerantSorter(3, fault::FaultSet(3, {5}), cfg).sort(keys);
+  ASSERT_EQ(out.report.killed_nodes, std::vector<cube::NodeId>{6});
+  ASSERT_EQ(out.report.timeline.dropped, 0u);
+
+  std::ostringstream metrics;
+  sim::write_metrics_json(metrics, out.report);
+  sim::ChromeTraceOptions opts;
+  opts.cost = &out.report.cost;
+  opts.trace_dropped = out.report.trace_dropped;
+  opts.timeline = &out.report.timeline;
+  opts.lineage = &out.report.lineage;
+  std::ostringstream trace;
+  sim::write_chrome_trace(trace, out.trace_events, 8, opts);
+
+  EXPECT_EQ(metrics.str().size(), 248931u);
+  EXPECT_EQ(fnv1a_bytes(metrics.str()), 14481789674190613079u);
+  EXPECT_EQ(trace.str().size(), 476490u);
+  EXPECT_EQ(fnv1a_bytes(trace.str()), 14442112101209244974u);
 }
 
 TEST(ReportGolden, OfflineQ3Sequential) {

@@ -29,6 +29,7 @@
 #include "sim/watchdog.hpp"
 #include "sort/distribution.hpp"
 #include "tools/ftdiag.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace ftsort {
@@ -194,6 +195,81 @@ TEST(WatchdogMachine, SequentialTripThrowsWatchdogErrorNotDeadlock) {
     co_return;
   };
   EXPECT_THROW(machine.run(program), sim::WatchdogError);
+}
+
+TEST(WatchdogMachine, TripDumpCarriesTheTraceTail) {
+  const std::string dump = testing::TempDir() + "wd_trace_tail_dump.json";
+  sim::Machine machine(1, no_faults(1));
+  machine.trace().enable();
+  // A healthy run first: its events stay in the recorder, but the stalled
+  // run's dump must not carry them.
+  const auto ping = [](sim::NodeCtx& ctx) -> sim::Task {
+    if (ctx.id() == 0) {
+      ctx.send(1, 1, {7});
+    } else {
+      (void)co_await ctx.recv(0, 1);
+    }
+    co_return;
+  };
+  machine.run(ping);
+  const std::uint64_t run_start = machine.trace().snapshot().size();
+  ASSERT_GT(run_start, 0u);
+
+  // Node 0 records 81 events (more than the 64-event tail), then wedges.
+  machine.set_watchdog(trippy_config(dump));
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
+    if (ctx.id() == 0) {
+      for (int i = 0; i < 80; ++i) ctx.charge_compares(1);
+      ctx.send(1, 1, {7});
+      std::this_thread::sleep_for(700ms);
+    } else {
+      (void)co_await ctx.recv(0, 1);
+    }
+    co_return;
+  };
+  EXPECT_THROW(machine.run(program), sim::WatchdogError);
+
+  const util::json::ParseResult parsed = util::json::parse_file(dump);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const std::vector<util::json::Value>& tail =
+      parsed.value["trace_tail"].items();
+  ASSERT_EQ(tail.size(), 64u);
+  double prev = -1.0;
+  for (const util::json::Value& ev : tail) {
+    const double seq = ev["seq"].number(-1.0);
+    EXPECT_GE(seq, static_cast<double>(run_start));
+    EXPECT_GT(seq, prev);
+    prev = seq;
+  }
+  // The newest event is the send, the 81st event of the stalled run.
+  EXPECT_EQ(prev, static_cast<double>(run_start + 80));
+  EXPECT_EQ(tail.back()["kind"].string(), "send");
+
+  const char* argv[] = {"ftdiag", "stuck", dump.c_str()};
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(tools::run_cli(3, argv, out, err), 1) << err.str();
+}
+
+TEST(WatchdogMachine, UnwritableDumpPathIsReported) {
+  const std::string dump =
+      testing::TempDir() + "wd_no_such_dir/wd_unwritable_dump.json";
+  sim::Machine machine(1, no_faults(1));
+  machine.set_watchdog(trippy_config(dump));
+  const auto program = [](sim::NodeCtx& ctx) -> sim::Task {
+    if (ctx.id() == 0) std::this_thread::sleep_for(700ms);
+    co_return;
+  };
+  try {
+    machine.run(program);
+    FAIL() << "expected WatchdogError";
+  } catch (const sim::WatchdogError& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.find("; dump: "), std::string::npos) << what;
+    EXPECT_NE(what.find("; dump not written: " + dump), std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(std::ifstream(dump).good());
 }
 
 TEST(WatchdogMachine, HealthyRunReportsZeroTripsAndArmedConfig) {
@@ -370,6 +446,82 @@ TEST(WatchdogDump, RenderIsByteStableAndCarriesTheMarker) {
   EXPECT_FALSE(res.slots[0].terminal);
   EXPECT_TRUE(res.slots[1].terminal);
   EXPECT_NE(res.text.find("most silent: node 2"), std::string::npos);
+}
+
+TEST(WatchdogDump, RendersEveryBlockByteForByte) {
+  // Every block of a dump: two heartbeat slots (one terminal, one label
+  // that needs escaping), a triggered diagnosis, an enabled host profile
+  // and a three-event trace tail. The literal was captured from the
+  // revision before the dump went through util::json::Writer.
+  sim::WatchdogReport rep;
+  rep.enabled = true;
+  rep.abort_on_trip = false;
+  rep.deadline_ms = 150;
+  rep.interval_ms = 5;
+  rep.trips = 1;
+  rep.near_misses = 2;
+  rep.stall_ms = 731;
+  rep.effective_deadline_ms = 160;
+  rep.slots.push_back({"node 1", 41, 731, "step5_merge_exchange", false});
+  rep.slots.push_back({"pool \"main\" \\ 0", 9, 3, "terminal", true});
+
+  sim::Diagnosis diag;
+  diag.kind = sim::Diagnosis::Kind::Deadlock;
+  diag.root_kind = sim::Diagnosis::RootKind::NodeKill;
+  diag.root_node = 6;
+  diag.root_time = 2000.5;
+  diag.root_phase = sim::Phase::MergeExchange;
+  diag.stalled = {2, 4, 7};
+
+  sim::HostProfile host;
+  host.enabled = true;
+  host.shards.resize(2);
+  host.shards[0].tasks_resumed = 10;
+  host.shards[0].cv_waits = 3;
+  host.shards[0].mutex_waits = 1;
+  host.shards[1].tasks_resumed = 5;
+  host.shards[1].cv_waits = 2;
+  host.quiescence_checks = 4;
+  host.quiescence_events = 1;
+
+  const std::vector<sim::TraceEvent> tail = {
+      {0.1, 2, sim::EventKind::SpanBegin, 0, 0, 0, 0,
+       sim::Phase::MergeExchange, 17},
+      {1999.75, 2, sim::EventKind::Send, 6, 3, 25, 1,
+       sim::Phase::MergeExchange, 18},
+      {2000.5, 6, sim::EventKind::Kill, 0, 0, 0, 0,
+       sim::Phase::MergeExchange, 19}};
+
+  sim::WatchdogDumpContext ctx;
+  ctx.origin = "machine";
+  ctx.diagnosis = &diag;
+  ctx.host = &host;
+  ctx.trace_tail = &tail;
+  const std::string expected = R"json({
+  "watchdog_dump": true,
+  "schema_version": 1,
+  "origin": "machine",
+  "policy": "record",
+  "deadline_ms": 150,
+  "effective_deadline_ms": 160,
+  "interval_ms": 5,
+  "trips": 1,
+  "near_misses": 2,
+  "stall_ms": 731,
+  "heartbeats": [
+    {"slot": "node 1", "beats": 41, "age_ms": 731, "activity": "step5_merge_exchange", "terminal": false},
+    {"slot": "pool \"main\" \\ 0", "beats": 9, "age_ms": 3, "activity": "terminal", "terminal": true}
+  ],
+  "diagnosis": {"triggered": true, "kind": "deadlock", "root_kind": "node_kill", "root_node": 6, "root_phase": "step5_merge_exchange", "stalled": [2, 4, 7], "summary": "diagnosis[deadlock]: root cause: injected kill of node 6 at t=2000.5us during phase step5_merge_exchange; stalled (transitively): [2, 4, 7]"},
+  "host_profile": {"shards": 2, "tasks_resumed": 15, "cv_waits": 5, "mutex_waits": 1, "quiescence_checks": 4, "quiescence_events": 1},
+  "trace_tail": [
+    {"seq": 17, "time": 0.10000000000000001, "node": 2, "kind": "span_begin", "phase": "step5_merge_exchange"},
+    {"seq": 18, "time": 1999.75, "node": 2, "kind": "send", "phase": "step5_merge_exchange"},
+    {"seq": 19, "time": 2000.5, "node": 6, "kind": "kill", "phase": "step5_merge_exchange"}
+  ]
+}
+)json";
+  EXPECT_EQ(sim::render_watchdog_dump(rep, ctx), expected);
 }
 
 TEST(WatchdogDump, StuckRefusesNonDumpsAndNewerSchemas) {

@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Compare every JSON export of two builds byte for byte.
+
+Usage: tools/export_cmp.py PARENT_BUILD CHANGE_BUILD
+
+Each argument is a CMake build directory of this repository (with the
+bench and example binaries built). From each one the script runs
+
+  bench/bench_harness --smoke --out --metrics-out --trace-out
+  bench/bench_campaign --smoke --out
+  examples/quickstart --trace --metrics
+  examples/recovery_demo --lineage --timeline --trace --metrics
+  examples/campaign_demo --out
+
+into a scratch directory of its own, then compares each pair of exports
+with `cmp`. BENCH_sort.json is compared after zeroing `wall_ns`,
+`allocations` and `pool_heap_allocations`: host timing and allocator
+counts that differ between two runs of the same build.
+
+Exit status: 0 when every export is identical, 1 naming every file that
+differs, 2 on a usage error or a command that failed.
+"""
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+# (binary relative to the build directory, arguments; "{out}" is replaced
+# by the run's scratch directory)
+COMMANDS = [
+    ("bench/bench_harness",
+     ["--smoke", "--out", "{out}/BENCH_sort.json",
+      "--metrics-out", "{out}/BENCH_metrics.json",
+      "--trace-out", "{out}/BENCH_trace.json"]),
+    ("bench/bench_campaign", ["--smoke", "--out", "{out}/BENCH_campaign.json"]),
+    ("examples/quickstart",
+     ["--trace", "{out}/quickstart_trace.json",
+      "--metrics", "{out}/quickstart_metrics.json"]),
+    ("examples/recovery_demo",
+     ["--lineage", "--timeline", "--trace", "{out}/recovery_trace.json",
+      "--metrics", "{out}/recovery_metrics.json"]),
+    ("examples/campaign_demo", ["--out", "{out}/campaign_demo.json"]),
+]
+
+EXPORTS = [
+    "BENCH_sort.json", "BENCH_metrics.json", "BENCH_trace.json",
+    "BENCH_campaign.json", "quickstart_trace.json", "quickstart_metrics.json",
+    "recovery_trace.json", "recovery_metrics.json", "campaign_demo.json",
+]
+
+# Counters of BENCH_sort.json that vary between runs of one build.
+HOST_COUNTERS = re.compile(
+    rb'("(?:wall_ns|allocations|pool_heap_allocations)": )\d+')
+
+
+def run_exports(build, out):
+    for binary, args in COMMANDS:
+        cmd = [os.path.join(build, binary)] + [a.format(out=out) for a in args]
+        res = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, check=False)
+        if res.returncode != 0:
+            sys.stderr.write("export_cmp: %s exited %d\n%s" %
+                             (" ".join(cmd), res.returncode,
+                              res.stderr.decode(errors="replace")))
+            sys.exit(2)
+    path = os.path.join(out, "BENCH_sort.json")
+    with open(path, "rb") as f:
+        text = f.read()
+    with open(path, "wb") as f:
+        f.write(HOST_COUNTERS.sub(rb"\g<1>0", text))
+
+
+def main(argv):
+    if len(argv) != 3:
+        sys.stderr.write(__doc__)
+        return 2
+    builds = argv[1:]
+    for build in builds:
+        if not os.path.isdir(build):
+            sys.stderr.write("export_cmp: no build directory %s\n" % build)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="export_cmp_") as scratch:
+        outs = []
+        for i, build in enumerate(builds):
+            out = os.path.join(scratch, str(i))
+            os.mkdir(out)
+            run_exports(build, out)
+            outs.append(out)
+        differ = []
+        for name in EXPORTS:
+            res = subprocess.run(["cmp", os.path.join(outs[0], name),
+                                  os.path.join(outs[1], name)],
+                                 stdout=subprocess.PIPE,
+                                 stderr=subprocess.STDOUT, check=False)
+            if res.returncode != 0:
+                differ.append(name)
+                sys.stdout.write(res.stdout.decode(errors="replace"))
+    for name in EXPORTS:
+        print("%-24s %s" % (name, "DIFFERS" if name in differ else "same"))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -91,8 +91,8 @@ struct ParsedDoc {
 
 /// Signature of the `cost_model` block of `obj` (a whole metrics export
 /// or one bench scenario object), or empty when the block is absent.
-/// Formats the constants with %g so the signature is stable across the
-/// %.17g writers in both exporters.
+/// Formats the constants with %g so the signature does not depend on the
+/// exporters' full-precision number format.
 std::string cost_signature(const Value& obj) {
   const Value& cm = obj["cost_model"];
   if (!cm.is_object()) return {};

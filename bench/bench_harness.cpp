@@ -218,13 +218,11 @@ Metrics run_end_to_end(const std::string& name, cube::Dim n,
   return m;
 }
 
-// The kernel micros call the detail:: bodies directly, so a scalar micro
-// and its `_simd` twin run side by side in one process. Where the vector
-// body is not compiled in or the CPU lacks AVX2, the twin runs the scalar
-// body and is tagged "scalar".
-using MergeSplitKernel = void (*)(std::span<const sort::Key>,
-                                  std::span<const sort::Key>, sort::SplitHalf,
-                                  std::vector<sort::Key>&, std::uint64_t&);
+// The kernel micros call the detail:: bodies directly, so the pairwise
+// select and its `_simd` twin run side by side in one process (the
+// merge-split has the scalar body only). Where the vector body is not
+// compiled in or the CPU lacks AVX2, the twin runs the scalar body and is
+// tagged "scalar".
 using PairwiseKernel = void (*)(std::span<const sort::Key>,
                                 std::span<const sort::Key>, sort::SplitHalf,
                                 std::vector<sort::Key>&,
@@ -237,13 +235,6 @@ bool use_simd(Metrics& m, bool simd) {
   return vector;
 }
 
-MergeSplitKernel merge_split_body([[maybe_unused]] bool simd) {
-#if FTSORT_SIMD_KERNELS
-  if (simd) return sort::detail::merge_split_into_simd;
-#endif
-  return sort::detail::merge_split_into_scalar;
-}
-
 PairwiseKernel pairwise_body([[maybe_unused]] bool simd) {
 #if FTSORT_SIMD_KERNELS
   if (simd) return sort::detail::pairwise_select_rev_into_simd;
@@ -251,8 +242,8 @@ PairwiseKernel pairwise_body([[maybe_unused]] bool simd) {
   return sort::detail::pairwise_select_rev_into_scalar;
 }
 
-Metrics run_micro_merge_split(const std::string& name, bool simd,
-                              std::size_t block, int iters, int reps) {
+Metrics run_micro_merge_split(const std::string& name, std::size_t block,
+                              int iters, int reps) {
   util::Rng rng(99);
   auto a = sort::gen_uniform(block, rng);
   auto b = sort::gen_uniform(block, rng);
@@ -261,14 +252,16 @@ Metrics run_micro_merge_split(const std::string& name, bool simd,
 
   Metrics m;
   m.name = name;
-  const MergeSplitKernel kernel = merge_split_body(use_simd(m, simd));
+  m.kernel_backend = "scalar";
   std::vector<sort::Key> out;
   std::uint64_t comparisons = 0;
   measure(m, reps, [&] {
     comparisons = 0;
     for (int i = 0; i < iters; ++i) {
-      kernel(a, b, sort::SplitHalf::Lower, out, comparisons);
-      kernel(a, b, sort::SplitHalf::Upper, out, comparisons);
+      sort::detail::merge_split_into_scalar(a, b, sort::SplitHalf::Lower, out,
+                                            comparisons);
+      sort::detail::merge_split_into_scalar(a, b, sort::SplitHalf::Upper, out,
+                                            comparisons);
     }
   });
   m.comparisons = comparisons;
@@ -677,12 +670,8 @@ int harness_main(int argc, char** argv) {
     });
   }
   plan.emplace_back("micro_merge_split_into", [=] {
-    return run_micro_merge_split("micro_merge_split_into", false,
-                                 micro_block, micro_iters, micro_reps);
-  });
-  plan.emplace_back("micro_merge_split_into_simd", [=] {
-    return run_micro_merge_split("micro_merge_split_into_simd", true,
-                                 micro_block, micro_iters, micro_reps);
+    return run_micro_merge_split("micro_merge_split_into", micro_block,
+                                 micro_iters, micro_reps);
   });
   plan.emplace_back("micro_pairwise_rev_into", [=] {
     return run_micro_pairwise("micro_pairwise_rev_into", false, micro_block,

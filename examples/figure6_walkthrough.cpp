@@ -3,13 +3,15 @@
 // Q_5 with faulty processors {3, 5, 16, 24} is partitioned by
 // D_β = (0, 1, 3) into F_5^3; 47 keys are distributed over the 24 live
 // processors (blocks of 2, one dummy). This program drives the sorting
-// algorithm *phase by phase* using the library's SPMD primitives and
-// prints every intermediate state, mirroring Fig. 6(a)–(i):
+// algorithm *phase by phase*: Steps 3-8 are each node's exchange list from
+// core::node_schedule, run one phase run at a time, and every intermediate
+// state is printed, mirroring Fig. 6(a)–(i):
 //   (a) distribution, (b) after Step 3, then after each Step 7 and Step 8
 //   of the subcube-level merge (i = 0..2, j = i..0).
 //
 //   $ ./figure6_walkthrough [--keys 47] [--seed 6]
 #include <iostream>
+#include <span>
 #include <sstream>
 
 #include "core/ft_sorter.hpp"
@@ -32,9 +34,28 @@ struct Walkthrough {
   std::vector<std::vector<Key>> block_of;  // by machine address
   sort::ExchangeProtocol protocol = sort::ExchangeProtocol::HalfExchange;
 
+  // Steps 3-8 per machine address, cut into runs of one phase each.
+  std::vector<std::vector<sort::ExchangeStep>> schedule;
+  std::vector<std::vector<std::span<const sort::ExchangeStep>>> runs;
+
   explicit Walkthrough(const fault::FaultSet& faults)
       : plan(partition::Plan::build(faults)),
-        layout(core::plan_layout(plan)) {}
+        layout(core::plan_layout(plan)),
+        schedule(cube::num_nodes(plan.n())),
+        runs(schedule.size()) {
+    for (const cube::NodeId u : layout.slots) {
+      schedule[u] = core::node_schedule(plan, layout, u,
+                                        core::Step8Mode::BitonicMerge);
+      const std::span<const sort::ExchangeStep> steps(schedule[u]);
+      for (std::size_t k = 0; k < steps.size();) {
+        std::size_t end = k + 1;
+        while (end < steps.size() && steps[end].phase == steps[k].phase)
+          ++end;
+        runs[u].push_back(steps.subspan(k, end - k));
+        k = end;
+      }
+    }
+  }
 
   void scatter(const std::vector<Key>& keys) {
     block_of =
@@ -45,6 +66,16 @@ struct Walkthrough {
   void run_phase(const sim::Machine::Program& program) {
     sim::Machine machine(plan.n(), plan.faults());
     machine.run(program);
+  }
+
+  /// Run phase run `r` of every live node's exchange list.
+  void run_steps(std::size_t r) {
+    run_phase([this, r](sim::NodeCtx& ctx) -> sim::Task {
+      if (runs[ctx.id()].empty()) co_return;  // idle processor
+      sort::ExchangeScratch scratch;
+      co_await sort::run_schedule(ctx, runs[ctx.id()][r],
+                                  block_of[ctx.id()], protocol, scratch);
+    });
   }
 
   void print_state(const std::string& label) {
@@ -104,62 +135,25 @@ int main(int argc, char** argv) {
     ctx.charge_compares(comparisons);
   });
   // Step 3b: single-fault bitonic sort per subcube, direction by parity.
-  wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task {
-    const auto role = wt.plan.role_of(ctx.id());
-    if (!role.live) co_return;
-    const bool ascending = cube::bit(role.v, 0) == 0;
-    sort::ExchangeScratch scratch;
-    co_await sort::block_bitonic_sort(ctx, wt.layout.subcubes[role.v],
-                                      role.logical_w,
-                                      wt.block_of[ctx.id()], ascending,
-                                      wt.protocol, 0, scratch);
-  });
+  wt.run_steps(0);
   wt.print_state(
       "(b) after Step 3: each subcube sorted (ascending iff v even)");
 
-  // Steps 4-8.
+  // Steps 4-8: each Step 7 exchange and each Step 8 re-sort (merge
+  // variant) is one phase run.
   const cube::Dim m = wt.plan.m();
+  std::size_t run = 1;
   char figure_label = 'c';
   for (cube::Dim i = 0; i < m; ++i) {
     for (cube::Dim j = i; j >= 0; --j) {
-      // Step 7: inter-subcube merge-split between corresponding nodes.
-      wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task {
-        const auto role = wt.plan.role_of(ctx.id());
-        if (!role.live) co_return;
-        const int mask =
-            (i + 1 == m) ? 0 : cube::bit(role.v, i + 1);
-        const cube::NodeId v2 = cube::neighbor(role.v, j);
-        const cube::NodeId partner = wt.plan.physical(v2, role.logical_w);
-        const auto keep = (cube::bit(role.v, j) == mask)
-                              ? sort::SplitHalf::Lower
-                              : sort::SplitHalf::Upper;
-        sort::ExchangeScratch scratch;
-        co_await sort::exchange_merge_split_into(
-            ctx, partner, 0, wt.block_of[ctx.id()], scratch, keep,
-            wt.protocol);
-      });
+      wt.run_steps(run++);
       std::ostringstream label7;
       label7 << "(" << figure_label++ << ") after Step 7, i=" << i
              << " j=" << j << " (exchange along subcube dimension " << j
              << ")";
       wt.print_state(label7.str());
 
-      // Step 8: re-sort each subcube (merge variant).
-      wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task {
-        const auto role = wt.plan.role_of(ctx.id());
-        if (!role.live) co_return;
-        const int mask =
-            (i + 1 == m) ? 0 : cube::bit(role.v, i + 1);
-        const int v_jm1 = (j == 0) ? 0 : cube::bit(role.v, j - 1);
-        const auto keep = (cube::bit(role.v, j) == mask)
-                              ? sort::SplitHalf::Lower
-                              : sort::SplitHalf::Upper;
-        sort::ExchangeScratch scratch;
-        co_await sort::block_bitonic_merge(
-            ctx, wt.layout.subcubes[role.v], role.logical_w,
-            wt.block_of[ctx.id()], /*ascending=*/v_jm1 == mask, keep,
-            wt.protocol, 0, scratch);
-      });
+      wt.run_steps(run++);
       std::ostringstream label8;
       label8 << "(" << figure_label++ << ") after Step 8, i=" << i
              << " j=" << j << " (subcubes re-sorted)";

@@ -1,6 +1,7 @@
 #include "core/ft_sorter.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sort/distribution.hpp"
 #include "sort/sequential.hpp"
@@ -10,11 +11,39 @@ namespace ftsort::core {
 
 namespace {
 
+/// The offline sort's wire tags: [0, T_s) the Step 3 sort; then two per
+/// inter-subcube exchange; then one re-sort span per exchange, wide enough
+/// for either Step 8 variant; the host I/O past all of them.
+struct TagLayout {
+  std::uint32_t ts;           ///< Step 3's span, T_s
+  std::uint32_t msteps;       ///< inter-subcube exchanges, m(m+1)/2
+  std::uint32_t resort_span;  ///< one Step 8's span
+
+  explicit TagLayout(const partition::Plan& plan)
+      : ts(sort::bitonic_tag_span(plan.s())),
+        msteps(static_cast<std::uint32_t>(plan.m()) *
+               (static_cast<std::uint32_t>(plan.m()) + 1) / 2),
+        resort_span(std::max(ts, sort::bitonic_merge_tag_span(plan.s()))) {}
+
+  sim::Tag exchange(std::uint32_t step) const { return ts + step * 2; }
+  sim::Tag resort(std::uint32_t step) const {
+    return ts + msteps * 2 + step * resort_span;
+  }
+  sim::Tag host() const { return resort(msteps) + resort_span + 1; }
+};
+
 /// §3 heuristic audit: pair every Ψ candidate's predicted overhead profile
-/// (retained by partition::select_sequence) with the run's measured
-/// re-index extra hops (sim/link_stats.hpp audit table).
-sim::ReindexAudit build_reindex_audit(const partition::Plan& plan,
-                                      const sim::LinkStatsSnapshot& links) {
+/// (retained by partition::select_sequence) with the re-index extra hops
+/// the run's Step 7 exchanges paid. Corresponding processors of
+/// neighbouring subcubes are one hop apart before re-indexing; whatever
+/// the router charges beyond that is the measured penalty along the
+/// exchange's logical dimension j. Exchanges between two fault-carrying
+/// subcubes are the formula's own scope; the rest (dangling pairs) it does
+/// not model.
+sim::ReindexAudit build_reindex_audit(
+    const partition::Plan& plan,
+    std::span<const std::vector<sort::ExchangeStep>> schedule,
+    const cube::Router& router) {
   sim::ReindexAudit audit;
   audit.enabled = true;
   const partition::Selection& sel = plan.selection();
@@ -28,11 +57,21 @@ sim::ReindexAudit build_reindex_audit(const partition::Plan& plan,
     c.chosen = idx == sel.beta;
     audit.candidates.push_back(std::move(c));
   }
-  audit.measured_h =
-      sim::measured_reindex_by_dim(links.reindex_fault_extra, plan.m());
+  audit.measured_h.assign(static_cast<std::size_t>(plan.m()), 0);
+  audit.measured_all_h = audit.measured_h;
+  for (cube::NodeId u = 0; u < schedule.size(); ++u) {
+    const cube::NodeId v = plan.role_of(u).v;
+    for (const sort::ExchangeStep& st : schedule[u]) {
+      if (st.phase != sim::Phase::MergeExchange) continue;
+      const cube::NodeId v2 = plan.role_of(st.partner).v;
+      const auto j = static_cast<std::size_t>(std::countr_zero(v ^ v2));
+      const int extra = router.hops(u, st.partner) - 1;
+      audit.measured_all_h[j] = std::max(audit.measured_all_h[j], extra);
+      if (plan.has_dead() && plan.dead_is_fault(v) && plan.dead_is_fault(v2))
+        audit.measured_h[j] = std::max(audit.measured_h[j], extra);
+    }
+  }
   for (const int h : audit.measured_h) audit.measured_total += h;
-  audit.measured_all_h =
-      sim::measured_reindex_by_dim(links.reindex_extra, plan.m());
   for (const int h : audit.measured_all_h) audit.measured_all_total += h;
   return audit;
 }
@@ -54,6 +93,59 @@ PlanLayout plan_layout(const partition::Plan& plan) {
     }
   }
   return layout;
+}
+
+std::vector<sort::ExchangeStep> node_schedule(const partition::Plan& plan,
+                                              const PlanLayout& layout,
+                                              cube::NodeId u,
+                                              Step8Mode step8) {
+  const partition::Plan::Role role = plan.role_of(u);
+  FTSORT_REQUIRE(role.live);
+  const cube::NodeId v = role.v;
+  const cube::NodeId lw = role.logical_w;
+  const sort::LogicalCube& lc = layout.subcubes[v];
+  const cube::Dim m = plan.m();
+  const TagLayout tags(plan);
+  // Every live node's list has this length: Step 3, then per exchange one
+  // step and a Step 8. Sizing it once matters: growing it by doubling put
+  // `bulk`'s peak RSS up 5.8% (EXPERIMENTS, "One Steps 3-8 schedule").
+  const std::uint32_t sort_steps = tags.ts / 2;
+  const std::uint32_t resort_steps =
+      step8 == Step8Mode::FullSort ? sort_steps
+                                   : static_cast<std::uint32_t>(plan.s()) + 1;
+  std::vector<sort::ExchangeStep> out;
+  out.reserve(sort_steps + tags.msteps * (1 + resort_steps));
+  // Step 3: the single-fault bitonic sort of this subcube; ascending iff
+  // the subcube address is even.
+  sort::append_bitonic_sort(lc, lw, m == 0 || cube::bit(v, 0) == 0,
+                            sim::Phase::SubcubeSort, 0, out);
+  // Steps 4-8: bitonic-like sort across subcubes.
+  std::uint32_t step = 0;
+  for (cube::Dim i = 0; i < m; ++i) {
+    // Step 5: mask = v_{i+1} (v_m = 0).
+    const int mask = (i + 1 == m) ? 0 : cube::bit(v, i + 1);
+    for (cube::Dim j = i; j >= 0; --j, ++step) {
+      // Step 7: merge-split with the corresponding processor of the
+      // neighbouring subcube along dimension j.
+      const sort::SplitHalf keep = (cube::bit(v, j) == mask)
+                                       ? sort::SplitHalf::Lower
+                                       : sort::SplitHalf::Upper;
+      out.push_back({sim::Phase::MergeExchange, tags.exchange(step),
+                     plan.physical(cube::neighbor(v, j), lw), keep});
+      // Step 8: re-sort this subcube; ascending iff v_{j-1} == mask
+      // (v_{-1} = 0). The content is blockwise bitonic after the split,
+      // so the merge variant needs only s substeps.
+      const bool ascending = ((j == 0) ? 0 : cube::bit(v, j - 1)) == mask;
+      if (step8 == Step8Mode::BitonicMerge)
+        sort::append_bitonic_merge(lc, lw, ascending, keep,
+                                   sim::Phase::Resort, tags.resort(step),
+                                   out);
+      else
+        sort::append_bitonic_sort(lc, lw, ascending, sim::Phase::Resort,
+                                  tags.resort(step), out);
+    }
+  }
+  return out;
 }
 
 void prepare_machine(sim::Machine& machine, const SortConfig& config,
@@ -117,14 +209,16 @@ SortOutcome FaultTolerantSorter::sort(
   }
   const partition::Plan& plan = plan_;
   const cube::Dim n = plan.n();
-  const cube::Dim m = plan.m();
-  const cube::Dim s = plan.s();
 
-  // Step 1: one logical cube per subcube; Step 2: scatter in slot order.
+  // Step 1: one logical cube per subcube; Step 2: scatter in slot order;
+  // Steps 3-8: one exchange list per live node.
   const PlanLayout layout = plan_layout(plan);
   sort::Placement placed =
       sort::scatter(keys, layout.slots, cube::num_nodes(n));
   std::vector<std::vector<sort::Key>>& block_of = placed.block_of;
+  std::vector<std::vector<sort::ExchangeStep>> schedule(cube::num_nodes(n));
+  for (const cube::NodeId u : layout.slots)
+    schedule[u] = node_schedule(plan, layout, u, config_.step8);
 
   // Host entry node: lowest live machine address (only meaningful when
   // host I/O is charged).
@@ -137,32 +231,13 @@ SortOutcome FaultTolerantSorter::sort(
     }
   }
 
-  // Tag layout: [0, T_s) intra-subcube Step 3 sort; then 2 tags per
-  // inter-subcube exchange; then T_s per Step 8 re-sort.
-  const std::uint32_t ts = sort::bitonic_tag_span(s);
-  const std::uint32_t msteps =
-      static_cast<std::uint32_t>(m) * (static_cast<std::uint32_t>(m) + 1) /
-      2;
-  const auto tag_exchange = [ts](std::uint32_t step) {
-    return ts + step * 2;
-  };
-  const std::uint32_t resort_span =
-      std::max(ts, sort::bitonic_merge_tag_span(s));
-  const auto tag_resort = [ts, msteps, resort_span](std::uint32_t step) {
-    return ts + msteps * 2 + step * resort_span;
-  };
-
   // Host I/O tags sit past everything the sort itself uses.
-  const std::uint32_t tag_host = tag_resort(msteps) + resort_span + 1;
+  const sim::Tag tag_host = TagLayout(plan).host();
 
   const auto protocol = sort::resolve_protocol(config_.protocol,
                                                config_.coalesce, config_.cost);
   const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
-    const partition::Plan::Role role = plan.role_of(ctx.id());
-    if (!role.live) co_return;  // dangling processor: idles
-    const cube::NodeId v = role.v;
-    const cube::NodeId lw = role.logical_w;
-    const sort::LogicalCube& lc = layout.subcubes[v];
+    if (!plan.role_of(ctx.id()).live) co_return;  // dangling: idles
     std::vector<sort::Key>& block = block_of[ctx.id()];
 
     // Step 2 (optional): the host pushes every key through the entry
@@ -185,71 +260,16 @@ SortOutcome FaultTolerantSorter::sort(
     // performs; after warm-up the whole sort's hot path is allocation-free.
     sort::ExchangeScratch scratch;
 
-    // Step 3: local sort (heapsort per the paper, configurable), then the
-    // single-fault bitonic sort of this subcube; ascending iff the subcube
-    // address is even.
+    // Step 3: local sort (heapsort per the paper, configurable); then the
+    // subcube's bitonic sort and Steps 4-8, one span per phase run.
     {
       const sim::PhaseSpan span = ctx.span(sim::Phase::LocalSort);
       std::uint64_t comparisons = 0;
       sort::local_sort(config_.local_sort, block, comparisons);
       ctx.charge_compares(comparisons);
     }
-    const bool v_even = cube::bit(v, 0) == 0;
-    {
-      const sim::PhaseSpan span = ctx.span(sim::Phase::SubcubeSort);
-      co_await sort::block_bitonic_sort(ctx, lc, lw, block,
-                                        /*ascending=*/m == 0 || v_even,
-                                        protocol, /*tag_base=*/0, scratch);
-    }
-
-    // Steps 4-8: bitonic-like sort across subcubes.
-    std::uint32_t step = 0;
-    for (cube::Dim i = 0; i < m; ++i) {
-      // Step 5: mask = v_{i+1} (v_m = 0).
-      const int mask = (i + 1 == m) ? 0 : cube::bit(v, i + 1);
-      for (cube::Dim j = i; j >= 0; --j, ++step) {
-        // Step 7: merge-split with the corresponding processor of the
-        // neighbouring subcube along dimension j.
-        const cube::NodeId v2 = cube::neighbor(v, j);
-        const cube::NodeId partner = plan.physical(v2, lw);
-        // §3 audit: corresponding processors of neighbouring subcubes are
-        // one hop apart before re-indexing; whatever the router charges
-        // beyond that is the measured re-index penalty along dimension j.
-        // Exchanges between two fault-carrying subcubes are the formula's
-        // own scope; the rest (dangling pairs) it does not model.
-        if (ctx.link_stats_enabled()) {
-          const bool fault_pair = plan.has_dead() &&
-                                  plan.dead_is_fault(v) &&
-                                  plan.dead_is_fault(v2);
-          ctx.note_reindex_hops(j, ctx.hops_to(partner) - 1, fault_pair);
-        }
-        const sort::SplitHalf keep = (cube::bit(v, j) == mask)
-                                         ? sort::SplitHalf::Lower
-                                         : sort::SplitHalf::Upper;
-        {
-          const sim::PhaseSpan span = ctx.span(sim::Phase::MergeExchange);
-          co_await sort::exchange_merge_split_into(
-              ctx, partner, tag_exchange(step), block, scratch, keep,
-              protocol);
-        }
-        // Step 8: re-sort this subcube; ascending iff v_{j-1} == mask
-        // (v_{-1} = 0). The content is blockwise bitonic after the split,
-        // so the merge variant needs only s substeps.
-        const int v_jm1 = (j == 0) ? 0 : cube::bit(v, j - 1);
-        const sim::PhaseSpan span = ctx.span(sim::Phase::Resort);
-        if (config_.step8 == Step8Mode::BitonicMerge) {
-          co_await sort::block_bitonic_merge(ctx, lc, lw, block,
-                                             /*ascending=*/v_jm1 == mask,
-                                             keep, protocol,
-                                             tag_resort(step), scratch);
-        } else {
-          co_await sort::block_bitonic_sort(ctx, lc, lw, block,
-                                            /*ascending=*/v_jm1 == mask,
-                                            protocol, tag_resort(step),
-                                            scratch);
-        }
-      }
-    }
+    co_await sort::run_schedule(ctx, schedule[ctx.id()], block, protocol,
+                                scratch);
 
     // Final gather (optional): blocks stream back to the host through the
     // entry node in output order.
@@ -283,8 +303,8 @@ SortOutcome FaultTolerantSorter::sort(
     outcome.trace_events = machine.trace().snapshot();
   }
   if (config_.record_link_stats)
-    outcome.report.reindex_audit = build_reindex_audit(plan,
-                                                       outcome.report.links);
+    outcome.report.reindex_audit =
+        build_reindex_audit(plan, schedule, machine.router());
 
   // Gather in slot order (the algorithm's output placement).
   outcome.sorted = sort::gather(block_of, layout.slots);

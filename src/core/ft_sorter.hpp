@@ -14,6 +14,8 @@
 //            mask = v_{i+1} vs v_j), then each subcube re-sorts itself
 //            (ascending iff v_{j-1} == mask, with v_{-1} = 0).
 // The result, gathered in subcube-address order, is globally ascending.
+// Steps 3-8 after the local sort are one exchange list per node
+// (`node_schedule`), which this sorter and online recovery both walk.
 #pragma once
 
 #include <span>
@@ -93,7 +95,8 @@ struct SortConfig {
   /// Populate RunReport::links with the per-link traffic matrix and — for
   /// the plain (non-recovery) sort — RunReport::reindex_audit with the §3
   /// heuristic audit (sim/link_stats.hpp): predicted Σ max(h_i) of every
-  /// Ψ candidate next to the measured re-index extra hops per dimension.
+  /// Ψ candidate next to the measured re-index extra hops per dimension,
+  /// computed after the run from the Step 7 partners and the router.
   bool record_link_stats = false;
   /// Populate RunReport::timeline with the sim-time sampler series
   /// (sim/timeline.hpp): per-node queue depth, in-flight keys per
@@ -186,6 +189,20 @@ struct PlanLayout {
 };
 
 PlanLayout plan_layout(const partition::Plan& plan);
+
+/// Steps 3-8 as machine node `u` (live in `plan`) runs them, with
+/// `layout = plan_layout(plan)`: the single-fault bitonic sort of its
+/// subcube, then for i = 0..m-1, j = i..0 the Step 7 exchange with the
+/// corresponding processor of the neighbouring subcube along j and the
+/// `step8` re-sort. Every live node's list has one length and one phase
+/// sequence; `tag` is the offline sort's layout (Step 3, the exchanges,
+/// one re-sort span per exchange). FaultTolerantSorter::sort walks it with
+/// sort::run_schedule; recovery_sort walks the FullSort list with its own
+/// witnessed exchange and numbers tags by list position.
+std::vector<sort::ExchangeStep> node_schedule(const partition::Plan& plan,
+                                              const PlanLayout& layout,
+                                              cube::NodeId u,
+                                              Step8Mode step8);
 
 /// Arm `machine` with the injector and every instrument `config` asks for.
 /// Lineage ids are assigned to the scattered `block_of` in slot order, so

@@ -11,7 +11,6 @@
 #include "core/ft_sorter.hpp"
 #include "sim/machine.hpp"
 #include "sort/distribution.hpp"
-#include "sort/resilient_schedule.hpp"
 #include "sort/sequential.hpp"
 #include "util/contracts.hpp"
 
@@ -61,52 +60,23 @@ std::uint64_t checksum(std::span<const Key> keys) {
 struct AttemptState {
   partition::Plan plan;
   PlanLayout layout;
-  std::uint32_t steps = 0;     ///< global exchange-step count
+  /// Per machine node, its Steps 3-8 exchange list with the FullSort
+  /// Step 8 (empty for idle nodes); every live list has one length.
+  std::vector<std::vector<sort::ExchangeStep>> schedule;
+  std::uint32_t steps = 0;     ///< that length: the attempt's step tags
   std::uint32_t tag_base = 0;  ///< first wire tag of this attempt
 };
 
 AttemptState make_attempt(partition::Plan plan, std::uint32_t tag_base) {
-  AttemptState a{std::move(plan), {}, 0, tag_base};
+  AttemptState a{std::move(plan), {}, {}, 0, tag_base};
   a.layout = plan_layout(a.plan);
-  const cube::Dim m = a.plan.m();
-  const std::uint32_t t3 = sort::bitonic_sort_steps(a.plan.s());
-  const std::uint32_t msteps =
-      static_cast<std::uint32_t>(m) * (static_cast<std::uint32_t>(m) + 1) /
-      2;
-  // Step 3, then per inter-subcube exchange one swap plus a full Step 8.
-  a.steps = t3 + msteps * (1 + t3);
+  a.schedule.resize(cube::num_nodes(a.plan.n()));
+  for (const NodeId u : a.layout.slots)
+    a.schedule[u] =
+        node_schedule(a.plan, a.layout, u, Step8Mode::FullSort);
+  a.steps = static_cast<std::uint32_t>(
+      a.schedule[a.layout.slots.front()].size());
   return a;
-}
-
-/// The full resilient schedule of machine node `u`: Step 3, then Steps 4-8
-/// with the FullSort Step 8 variant — the same structure as ft_sorter's
-/// program, flattened to (step, partner, keep) triples.
-std::vector<sort::ScheduleStep> node_schedule(const AttemptState& a,
-                                              NodeId u) {
-  const partition::Plan::Role role = a.plan.role_of(u);
-  FTSORT_REQUIRE(role.live);
-  const NodeId v = role.v;
-  const NodeId lw = role.logical_w;
-  const sort::LogicalCube& lc = a.layout.subcubes[v];
-  const cube::Dim m = a.plan.m();
-  std::vector<sort::ScheduleStep> out;
-  std::uint32_t step = 0;
-  const bool v_even = cube::bit(v, 0) == 0;
-  sort::append_bitonic_sort_schedule(lc, lw, m == 0 || v_even, step, out);
-  for (cube::Dim i = 0; i < m; ++i) {
-    const int mask = (i + 1 == m) ? 0 : cube::bit(v, i + 1);
-    for (cube::Dim j = i; j >= 0; --j) {
-      const NodeId partner = a.plan.physical(cube::neighbor(v, j), lw);
-      const sort::SplitHalf keep = (cube::bit(v, j) == mask)
-                                       ? sort::SplitHalf::Lower
-                                       : sort::SplitHalf::Upper;
-      out.push_back({step++, partner, keep});
-      const int v_jm1 = (j == 0) ? 0 : cube::bit(v, j - 1);
-      sort::append_bitonic_sort_schedule(lc, lw, v_jm1 == mask, step, out);
-    }
-  }
-  FTSORT_ENSURE(step == a.steps);
-  return out;
 }
 
 struct Shared {
@@ -186,8 +156,12 @@ sim::Task node_program(sim::NodeCtx& ctx, Shared& sh, const SortConfig& cfg) {
         ctx.charge_compares(comps);
       }
       const sim::PhaseSpan span = ctx.span(sim::Phase::RecoverySort);
-      for (const sort::ScheduleStep& st : node_schedule(at, me)) {
-        const sim::Tag tag = at.tag_base + st.step;
+      // One tag per list position; the offline tag field is not used.
+      const std::vector<sort::ExchangeStep>& steps = at.schedule[me];
+      for (std::uint32_t k = 0; k < steps.size(); ++k) {
+        const sort::ExchangeStep& st = steps[k];
+        if (st.skip) continue;
+        const sim::Tag tag = at.tag_base + k;
         ctx.send(st.partner, tag, block);  // a copy: aborts need no rollback
         auto reply =
             co_await ctx.recv_or_timeout(st.partner, tag, rc.detect_patience);
@@ -203,7 +177,7 @@ sim::Task node_program(sim::NodeCtx& ctx, Shared& sh, const SortConfig& cfg) {
                                opposite(st.keep), theirs_scratch, c2);
         ctx.charge_compares(c1 + c2);  // witness upkeep is charged work
         auto& w = witness[st.partner];
-        w.first = st.step;
+        w.first = k;
         std::swap(w.second, theirs_scratch);  // recycle the old witness
         std::swap(block, mine_scratch);
         if (ctx.lineage_enabled()) {
@@ -211,7 +185,7 @@ sim::Task node_program(sim::NodeCtx& ctx, Shared& sh, const SortConfig& cfg) {
           // witness-capture step, so both sides of the pair get stamped
           // with their partner as freshest witness at resolution time.
           ctx.note_lineage_retain(st.partner, tag, block,
-                                  static_cast<std::int32_t>(st.step));
+                                  static_cast<std::int32_t>(k));
         }
       }
     }

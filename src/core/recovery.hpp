@@ -12,12 +12,15 @@
 // returning corrupt output.
 //
 // Protocol per attempt (full detail in DESIGN.md):
-//   sort      every live node runs the §3 schedule with full-block swaps,
-//             bounding each partner wait by `detect_patience`; a timeout
-//             aborts the attempt, keeping the pre-step block (sends are
-//             copies, so an abort never needs rollback). Completed
-//             exchanges record a *witness*: the partner's post-step block,
-//             recomputed locally from the swapped data.
+//   sort      every live node walks its core::node_schedule list — the
+//             offline sorter's Steps 3-8, with the FullSort Step 8 — by
+//             full-block swaps, one wire tag per list position, bounding
+//             each partner wait by `detect_patience`; a timeout aborts the
+//             attempt, keeping the pre-step block (sends are copies, so an
+//             abort never needs rollback). Completed exchanges record a
+//             *witness*: the partner's post-step block, recomputed locally
+//             from the swapped data — which the half exchange never sends,
+//             hence the whole-block swaps.
 //   check-in  everyone reports FINISHED / ABORTED / IDLE to the
 //             coordinator (lowest statically-healthy address); a processor
 //             that misses roll call within `collect_patience` is dead —

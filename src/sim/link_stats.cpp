@@ -56,32 +56,16 @@ std::vector<double> dimension_utilization(const LinkStatsSnapshot& snap,
   return util;
 }
 
-std::vector<int> measured_reindex_by_dim(
-    const std::vector<std::vector<int>>& table, cube::Dim m) {
-  std::vector<int> by_dim(static_cast<std::size_t>(m), 0);
-  for (const std::vector<int>& row : table)
-    for (cube::Dim j = 0; j < m && j < static_cast<cube::Dim>(row.size());
-         ++j)
-      by_dim[static_cast<std::size_t>(j)] =
-          std::max(by_dim[static_cast<std::size_t>(j)],
-                   row[static_cast<std::size_t>(j)]);
-  return by_dim;
-}
-
 void LinkStats::enable(std::uint32_t num_nodes, cube::Dim n) {
   const auto dims = static_cast<std::size_t>(n);
   snap_.dim = n;
   snap_.num_nodes = num_nodes;
   snap_.cells.assign(num_nodes * dims, LinkCell{});
-  snap_.reindex_extra.assign(num_nodes, std::vector<int>(dims, 0));
-  snap_.reindex_fault_extra = snap_.reindex_extra;
   enabled_ = true;
 }
 
 void LinkStats::on_run_start() {
   std::fill(snap_.cells.begin(), snap_.cells.end(), LinkCell{});
-  for (auto* table : {&snap_.reindex_extra, &snap_.reindex_fault_extra})
-    for (std::vector<int>& row : *table) std::fill(row.begin(), row.end(), 0);
 }
 
 void LinkStats::on_send(const SendEvent& ev) {
@@ -98,18 +82,6 @@ void LinkStats::on_send(const SendEvent& ev) {
     cell.key_hops += keys;
     ++cell.phase_traversals[phase];
     cell.phase_key_hops[phase] += keys;
-  }
-}
-
-void LinkStats::note_reindex(cube::NodeId u, cube::Dim logical_dim,
-                             int extra_hops, bool fault_pair) {
-  FTSORT_REQUIRE(extra_hops >= 0);
-  const auto j = static_cast<std::size_t>(logical_dim);
-  int& slot = snap_.reindex_extra[u][j];
-  slot = std::max(slot, extra_hops);
-  if (fault_pair) {
-    int& fslot = snap_.reindex_fault_extra[u][j];
-    fslot = std::max(fslot, extra_hops);
   }
 }
 

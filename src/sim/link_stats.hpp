@@ -20,12 +20,9 @@
 // accumulated as floating point, so threaded runs stay byte-identical to
 // sequential ones.
 //
-// The registry also hosts the §3 heuristic audit's measured side: a
-// per-node, per-logical-dimension maximum of the extra hops Step-7
-// exchanges actually paid over the one-hop healthy-neighbour baseline
-// (NodeCtx::note_reindex_hops). `max` is order-independent, so this table
-// is deterministic too. The predicted side (per-candidate Σ max(h_i)) is
-// filled by the algorithm layer into ReindexAudit.
+// The §3 heuristic audit (ReindexAudit) rides in the same report but is
+// plain data: the algorithm layer computes both its sides after the run,
+// the measured one from its Step 7 partners and the machine's router.
 //
 // Off by default, like every instrument.
 #pragma once
@@ -67,15 +64,6 @@ struct LinkStatsSnapshot {
   std::uint32_t num_nodes = 0;  ///< 2^n
   /// Row-major traffic matrix: cells[u * dim + d] is link (u, d).
   std::vector<LinkCell> cells;
-  /// Measured §3 audit table: reindex_extra[u][j] is the maximum extra
-  /// hops node u paid on a Step-7 exchange along logical dimension j
-  /// (0 when u never noted one). Rows sized `dim`, j < m in practice.
-  std::vector<std::vector<int>> reindex_extra;
-  /// Same maximum restricted to exchanges between two *fault-carrying*
-  /// subcubes — the exact scope of the §3 formula, which ignores the
-  /// penalty dangling processors introduce. reindex_fault_extra ≤
-  /// reindex_extra cell-wise; the gap is the formula's blind spot.
-  std::vector<std::vector<int>> reindex_fault_extra;
 
   bool empty() const { return cells.empty(); }
   const LinkCell& at(cube::NodeId u, cube::Dim d) const {
@@ -106,19 +94,12 @@ std::vector<double> dimension_utilization(const LinkStatsSnapshot& snap,
                                           const CostModel& cost,
                                           SimTime makespan);
 
-/// Column maxima of a measured audit table (either of the snapshot's two):
-/// entry j is the largest extra-hop count any node recorded along logical
-/// dimension j, restricted to the first `m` dimensions. Applied to
-/// reindex_fault_extra the result is directly comparable to the §3
-/// prediction h_j of the chosen cutting sequence.
-std::vector<int> measured_reindex_by_dim(
-    const std::vector<std::vector<int>>& table, cube::Dim m);
-
 /// §3 heuristic audit: the predicted extra-routing profile of every
 /// candidate cutting sequence in Ψ next to what the run actually measured.
 /// Plain data, filled by the algorithm layer (core/ft_sorter) after the
-/// run; `enabled` stays false unless link stats were recorded and the plan
-/// had a non-trivial fault pattern.
+/// run from its Step 7 partners and the machine's router; `enabled` stays
+/// false unless link stats were recorded for an offline (non-recovery)
+/// sort.
 struct ReindexAudit {
   struct Candidate {
     std::vector<cube::Dim> cuts;   ///< the candidate cutting sequence
@@ -157,13 +138,6 @@ class LinkStats final : public Instrument {
   void on_send(const SendEvent& ev) override;
   /// RunReport::links.
   void collect(RunReport& report) const override;
-
-  /// Audit hook: record that node `u` paid `extra_hops` beyond one hop on
-  /// a Step-7 exchange along logical dimension `logical_dim`. Keeps the
-  /// per-(node, dimension) maximum; `fault_pair` additionally feeds the
-  /// formula-scope table.
-  void note_reindex(cube::NodeId u, cube::Dim logical_dim, int extra_hops,
-                    bool fault_pair);
 
  private:
   LinkStatsSnapshot snap_;  ///< the run so far

@@ -46,22 +46,6 @@ void NodeCtx::charge_time(SimTime t) {
   machine_->check_alive(id_);
 }
 
-int NodeCtx::hops_to(cube::NodeId dst) const {
-  return machine_->router().hops(id_, dst);
-}
-
-bool NodeCtx::link_stats_enabled() const {
-  return machine_->link_stats().enabled();
-}
-
-void NodeCtx::note_reindex_hops(cube::Dim logical_dim, int extra_hops,
-                                bool fault_pair) {
-  if (!link_stats_enabled()) return;
-  const auto lock = machine_->lock_for(id_);
-  machine_->link_stats().note_reindex(id_, logical_dim, extra_hops,
-                                      fault_pair);
-}
-
 bool NodeCtx::lineage_enabled() const {
   return machine_->lineage().enabled();
 }

@@ -139,21 +139,6 @@ class NodeCtx {
     return RecvTimeoutAwaiter{*this, src, tag, patience};
   }
 
-  /// Number of link traversals a message from this node to `dst` costs
-  /// under the machine's routing policy.
-  int hops_to(cube::NodeId dst) const;
-
-  /// True when the machine's per-link traffic registry is recording; use
-  /// to gate calls to note_reindex_hops (and the hops_to it needs).
-  bool link_stats_enabled() const;
-  /// Heuristic-audit hook (sim/link_stats.hpp): record that this node's
-  /// Step-7 exchange along logical dimension `logical_dim` crossed
-  /// `extra_hops` links beyond the healthy-neighbour single hop;
-  /// `fault_pair` marks exchanges between two fault-carrying subcubes (the
-  /// §3 formula's scope). No-op when link stats are disabled.
-  void note_reindex_hops(cube::Dim logical_dim, int extra_hops,
-                         bool fault_pair);
-
   /// True when the machine's key-lineage registry is recording; use to
   /// gate the custody hooks below (they are no-ops when disabled, but the
   /// caller usually wants to skip building their arguments too).
@@ -292,8 +277,9 @@ struct RunReport {
   /// snapshot's grand_total().key_hops equals `key_hops` exactly.
   LinkStatsSnapshot links;
   /// §3 heuristic audit — predicted vs measured re-index routing overhead.
-  /// Filled by the algorithm layer (core/ft_sorter) when link stats were
-  /// recorded; enabled == false otherwise.
+  /// Filled after the run by the algorithm layer (core/ft_sorter), from its
+  /// Step 7 partners and router(), when link stats were recorded;
+  /// enabled == false otherwise.
   ReindexAudit reindex_audit;
   /// Where the makespan went, per phase. Empty unless metrics were enabled;
   /// the critical-path fields additionally need the trace enabled.

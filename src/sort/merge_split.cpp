@@ -117,12 +117,6 @@ void pairwise_select_rev_into_scalar(std::span<const Key> a,
 void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
                       SplitHalf keep, std::vector<Key>& out,
                       std::uint64_t& comparisons) {
-#if FTSORT_SIMD_KERNELS
-  if (active_kernel_backend() == KernelBackend::Simd) {
-    detail::merge_split_into_simd(mine, theirs, keep, out, comparisons);
-    return;
-  }
-#endif
   detail::merge_split_into_scalar(mine, theirs, keep, out, comparisons);
 }
 

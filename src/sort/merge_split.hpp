@@ -67,9 +67,10 @@ ExchangeProtocol resolve_protocol(ExchangeProtocol configured,
                                   CoalescePolicy policy,
                                   const sim::CostModel& cost);
 
-/// Which compiled implementation the split/select kernels below dispatch
-/// to. Scalar is the reference (the oracle tests compare against); Simd is
-/// the vectorized hot path, byte-identical in output AND comparison count.
+/// Which compiled implementation the pairwise select below dispatches to
+/// (the merge-split has one, scalar body). Scalar is the reference (the
+/// oracle tests compare against); Simd is the vectorized hot path,
+/// byte-identical in output AND comparison count.
 enum class KernelBackend {
   Scalar,
   Simd,

@@ -1,18 +1,15 @@
 // Internal entry points behind the KernelBackend dispatch in
 // merge_split.cpp, also called directly — side by side — by the
 // equivalence tests and bench_harness's kernel micros. The `_scalar`
-// kernels are the reference loops (defined in merge_split.cpp); the `_simd`
-// kernels live in merge_split_simd.cpp, which is the only translation unit
-// compiled with vector ISA flags — keep every call to them behind
-// `simd_kernels_available()` so no AVX2 instruction can execute on a CPU
-// without it.
+// kernels are the reference loops (defined in merge_split.cpp); the one
+// `_simd` kernel, the pairwise select, lives in merge_split_simd.cpp, which
+// is the only translation unit compiled with vector ISA flags — keep every
+// call to it behind `simd_kernels_available()` so no AVX2 instruction can
+// execute on a CPU without it. The merge-split is the scalar loop on every
+// CPU.
 //
 // Contract shared by both backends, enforced by tests/test_merge_split.cpp:
 // byte-identical output AND identical comparison counts on every input.
-// The SIMD merge does not replay the scalar comparison sequence — it
-// computes the count analytically (the count depends only on the inputs:
-// comparisons accrue until the first input run exhausts, and the exhaustion
-// point is a rank, found by binary search).
 #pragma once
 
 #include "sort/merge_split.hpp"
@@ -30,9 +27,6 @@ void pairwise_select_rev_into_scalar(std::span<const Key> a,
                                      std::uint64_t& comparisons);
 
 #if FTSORT_SIMD_KERNELS
-void merge_split_into_simd(std::span<const Key> mine,
-                           std::span<const Key> theirs, SplitHalf keep,
-                           std::vector<Key>& out, std::uint64_t& comparisons);
 void pairwise_select_rev_into_simd(std::span<const Key> a,
                                    std::span<const Key> b, SplitHalf keep,
                                    std::vector<Key>& kept,

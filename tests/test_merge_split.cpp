@@ -300,12 +300,11 @@ TEST(ResolveProtocol, AutoEngagesOnlyUnderCutThrough) {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar-vs-SIMD kernel equivalence. The vectorized kernels must be
-// indistinguishable from the scalar oracle: byte-identical output AND an
-// identical comparison count, over random, duplicate-heavy, presorted,
-// disjoint-range, and odd-sized inputs. The sweeps call both detail::
-// bodies directly; they skip where the vector body is not compiled in or
-// the CPU lacks AVX2.
+// Scalar-vs-SIMD kernel equivalence. The vectorized pairwise select must
+// be indistinguishable from the scalar oracle: byte-identical output AND
+// an identical comparison count. The sweep calls both detail:: bodies
+// directly; it skips where the vector body is not compiled in or the CPU
+// lacks AVX2.
 
 TEST(KernelBackends, CpuPicksTheBackend) {
   EXPECT_EQ(active_kernel_backend(), simd_kernels_available()
@@ -314,71 +313,6 @@ TEST(KernelBackends, CpuPicksTheBackend) {
 }
 
 #if FTSORT_SIMD_KERNELS
-/// One ascending input drawn from an adversarial family.
-std::vector<Key> sorted_family(int family, std::size_t n, util::Rng& rng) {
-  std::vector<Key> v;
-  switch (family) {
-    case 0:  // uniform random
-      v = gen_uniform(n, rng);
-      break;
-    case 1:  // duplicate-heavy: long tie runs stress tie-insensitivity
-      v = gen_few_distinct(n, 3, rng);
-      break;
-    case 2:  // all equal
-      v.assign(n, 42);
-      break;
-    case 3:  // presorted dense ramp
-      for (std::size_t i = 0; i < n; ++i)
-        v.push_back(static_cast<Key>(i + rng.below(2)));
-      break;
-    case 4:  // disjoint low range: exhausts the other input immediately
-      for (std::size_t i = 0; i < n; ++i)
-        v.push_back(static_cast<Key>(rng.below(1000)));
-      break;
-    case 5:  // disjoint high range
-      for (std::size_t i = 0; i < n; ++i)
-        v.push_back(static_cast<Key>(1'000'000'000 + rng.below(1000)));
-      break;
-    default:  // dummy-key tail, as left behind by padded exchanges
-      v = gen_uniform(n, rng);
-      std::sort(v.begin(), v.end());
-      for (std::size_t i = n - std::min(n, n / 3); i < n; ++i)
-        v[i] = sim::kDummyKey;
-      break;
-  }
-  std::sort(v.begin(), v.end());
-  return v;
-}
-
-TEST(KernelBackends, MergeSplitScalarAndSimdMatchBitForBit) {
-  if (!simd_kernels_available()) GTEST_SKIP() << "no AVX2 on this CPU";
-  util::Rng rng(77);
-  std::vector<Key> ref;
-  std::vector<Key> out;
-  const std::size_t sizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 9,
-                               12, 15, 16, 17, 31, 33, 100};
-  for (const std::size_t na : sizes) {
-    for (const std::size_t nb : sizes) {
-      for (int fa = 0; fa < 7; ++fa) {
-        for (int fb = 0; fb < 7; ++fb) {
-          const auto a = sorted_family(fa, na, rng);
-          const auto b = sorted_family(fb, nb, rng);
-          for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
-            std::uint64_t c_ref = 0;
-            std::uint64_t c_out = 0;
-            detail::merge_split_into_scalar(a, b, keep, ref, c_ref);
-            detail::merge_split_into_simd(a, b, keep, out, c_out);
-            ASSERT_EQ(out, ref) << "na=" << na << " nb=" << nb
-                                << " fa=" << fa << " fb=" << fb;
-            ASSERT_EQ(c_out, c_ref) << "na=" << na << " nb=" << nb
-                                    << " fa=" << fa << " fb=" << fb;
-          }
-        }
-      }
-    }
-  }
-}
-
 TEST(KernelBackends, PairwiseScalarAndSimdMatchBitForBit) {
   if (!simd_kernels_available()) GTEST_SKIP() << "no AVX2 on this CPU";
   util::Rng rng(78);

@@ -161,6 +161,60 @@ TEST(ReportGolden, SequentialTraceOrder) {
   EXPECT_EQ(h, 4425312449373790709u);
 }
 
+// FNV-1a over every field of every event, in seq order.
+std::uint64_t trace_hash(const std::vector<sim::TraceEvent>& events) {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  for (const sim::TraceEvent& ev : events) {
+    for (const std::uint64_t word :
+         {ev.seq, std::uint64_t{ev.node}, static_cast<std::uint64_t>(ev.kind),
+          std::uint64_t{ev.peer}, std::uint64_t{ev.tag}, ev.keys,
+          static_cast<std::uint64_t>(ev.hops),
+          static_cast<std::uint64_t>(ev.phase),
+          std::bit_cast<std::uint64_t>(ev.time)})
+      h = fnv1a(h, word);
+  }
+  return h;
+}
+
+TEST(ReportGolden, OfflineStepsTraceOrder) {
+  // Pins the offline Steps 4-8 event by event: the paper's Example 1
+  // (Q_5, faults {3, 5, 16, 24}; m = 3, s = 2), whose BitonicMerge Step 8
+  // needs the reversal swap, and the same sort with the full exchange, the
+  // FullSort Step 8 and the host I/O. Captured from the revision before
+  // both sort engines walked one generated exchange schedule.
+  util::Rng rng(5);
+  const auto keys = sort::gen_uniform(200, rng);
+  const fault::FaultSet faults(5, {3, 5, 16, 24});
+  const auto traced = [&](core::SortConfig cfg) {
+    cfg.record_trace = true;
+    const core::FaultTolerantSorter sorter(5, faults, cfg);
+    EXPECT_EQ(sorter.plan().m(), 3);
+    EXPECT_EQ(sorter.plan().s(), 2);
+    core::SortOutcome out = sorter.sort(keys);
+    EXPECT_TRUE(std::is_sorted(out.sorted.begin(), out.sorted.end()));
+    EXPECT_EQ(out.sorted.size(), keys.size());
+    return out;
+  };
+
+  const core::SortOutcome merge = traced({});
+  // The reversal swap is the only Step 8 send of a whole block.
+  std::size_t swaps = 0;
+  for (const sim::TraceEvent& ev : merge.trace_events)
+    swaps += ev.kind == sim::EventKind::Send &&
+             ev.phase == sim::Phase::Resort && ev.keys == merge.block_size;
+  EXPECT_EQ(swaps, 48u);
+  EXPECT_EQ(merge.trace_events.size(), 3096u);
+  EXPECT_EQ(trace_hash(merge.trace_events), 3076363338952024243u);
+
+  core::SortConfig full;
+  full.protocol = sort::ExchangeProtocol::FullExchange;
+  full.step8 = core::Step8Mode::FullSort;
+  full.charge_host_io = true;
+  const core::SortOutcome full_sort = traced(full);
+  EXPECT_EQ(full_sort.trace_events.size(), 2324u);
+  EXPECT_EQ(trace_hash(full_sort.trace_events), 14894966972877336528u);
+}
+
 // FNV-1a over the bytes of a string.
 std::uint64_t fnv1a_bytes(std::string_view bytes) {
   std::uint64_t h = 0xcbf29ce484222325u;

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
+#include <optional>
+#include <string>
 
 #include "core/ft_sorter.hpp"
+#include "fault/scenario.hpp"
 #include "sort/distribution.hpp"
 #include "sort/spmd_bitonic.hpp"
 #include "util/rng.hpp"
@@ -244,6 +248,100 @@ TEST(SingleFaultSort, FewerKeysThanNodes) {
   const auto result = single_fault_sort(4, fault::FaultSet(4, {7}), keys);
   EXPECT_EQ(result.sorted, expected);
   EXPECT_EQ(result.block_size, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// core::node_schedule: the one Steps 3-8 exchange list both sort engines
+// walk. Every live node of a plan must see the same shape, and every step
+// must meet its partner's step at the same position.
+
+void expect_partners_agree(const partition::Plan& plan, core::Step8Mode step8) {
+  const std::string where = plan.to_string() +
+                            (step8 == core::Step8Mode::FullSort ? " full"
+                                                                : " merge");
+  const core::PlanLayout layout = core::plan_layout(plan);
+  std::vector<std::vector<ExchangeStep>> lists(cube::num_nodes(plan.n()));
+  for (const cube::NodeId u : layout.slots)
+    lists[u] = core::node_schedule(plan, layout, u, step8);
+  const std::vector<ExchangeStep>& first = lists[layout.slots.front()];
+
+  const std::uint32_t t3 = static_cast<std::uint32_t>(plan.s()) *
+                           static_cast<std::uint32_t>(plan.s() + 1) / 2;
+  const std::uint32_t msteps = static_cast<std::uint32_t>(plan.m()) *
+                               static_cast<std::uint32_t>(plan.m() + 1) / 2;
+  const std::uint32_t resort = step8 == core::Step8Mode::FullSort
+                                   ? t3
+                                   : static_cast<std::uint32_t>(plan.s()) + 1;
+  ASSERT_EQ(first.size(), t3 + msteps * (1 + resort)) << where;
+
+  for (const cube::NodeId u : layout.slots) {
+    const std::vector<ExchangeStep>& mine = lists[u];
+    ASSERT_EQ(mine.size(), first.size()) << where << " node " << u;
+    for (std::size_t k = 0; k < mine.size(); ++k) {
+      const ExchangeStep& st = mine[k];
+      const std::string at = where + " node " + std::to_string(u) +
+                             " step " + std::to_string(k);
+      ASSERT_EQ(st.phase, first[k].phase) << at;
+      // The reversal slot closes every BitonicMerge re-sort, and only it.
+      const bool merge_end = step8 == core::Step8Mode::BitonicMerge &&
+                             st.phase == sim::Phase::Resort &&
+                             (k + 1 == mine.size() ||
+                              mine[k + 1].phase != sim::Phase::Resort);
+      ASSERT_EQ(st.swap, merge_end) << at;
+      if (st.skip) {
+        // A skip sits exactly where the logical partner is dead, or in a
+        // reversal slot with nothing to reverse.
+        if (st.swap) {
+          EXPECT_EQ(st.partner, u) << at;
+        } else {
+          EXPECT_FALSE(plan.role_of(st.partner).live) << at;
+        }
+        continue;
+      }
+      ASSERT_NE(st.partner, u) << at;
+      ASSERT_TRUE(plan.role_of(st.partner).live) << at;
+      const ExchangeStep& theirs = lists[st.partner][k];
+      EXPECT_FALSE(theirs.skip) << at;
+      EXPECT_EQ(theirs.partner, u) << at;
+      EXPECT_EQ(theirs.tag, st.tag) << at;
+      EXPECT_EQ(theirs.swap, st.swap) << at;
+      if (!st.swap) {
+        EXPECT_NE(theirs.keep, st.keep) << at;
+      }
+    }
+  }
+}
+
+void expect_partners_agree(const fault::FaultSet& faults) {
+  std::optional<partition::Plan> plan;
+  try {
+    plan = partition::Plan::build(faults);
+  } catch (const std::exception&) {
+    return;  // no single-fault structure
+  }
+  if (plan->live_count() == 0) return;
+  for (const core::Step8Mode step8 :
+       {core::Step8Mode::BitonicMerge, core::Step8Mode::FullSort})
+    expect_partners_agree(*plan, step8);
+}
+
+TEST(NodeSchedule, PartnersAgree) {
+  // Every fault set of Q_3 and Q_4 with at most n - 1 faults.
+  for (const cube::Dim n : {3, 4}) {
+    const std::uint32_t nodes = cube::num_nodes(n);
+    for (std::uint32_t set = 0; set < (1u << nodes); ++set) {
+      if (std::popcount(set) > n - 1) continue;
+      std::vector<cube::NodeId> faulty;
+      for (cube::NodeId u = 0; u < nodes; ++u)
+        if ((set >> u) & 1u) faulty.push_back(u);
+      expect_partners_agree(fault::FaultSet(n, faulty));
+    }
+  }
+  // And random ones on Q_6.
+  util::Rng rng(2006);
+  for (int trial = 0; trial < 100; ++trial)
+    expect_partners_agree(fault::random_faults(
+        6, 1 + static_cast<std::size_t>(trial) % 5, rng));
 }
 
 }  // namespace

@@ -12,7 +12,18 @@ bench and example binaries built). From each one the script runs
   examples/recovery_demo --lineage --timeline --trace --metrics
   examples/campaign_demo --out
 
-into a scratch directory of its own, then compares each pair of exports
+and saves the standard output of five programs that run every variant of
+the Steps 3-8 schedule (the Fig. 6 walkthrough phase by phase, the
+FullSort Step 8, full vs half exchange, both Step 8 modes, the MFS and
+ring baselines):
+
+  examples/figure6_walkthrough
+  bench/bench_formula
+  bench/bench_ablation_protocol
+  bench/bench_ablation_cost
+  bench/bench_alternatives
+
+into a scratch directory of its own, then compares each pair of files
 with `cmp`. BENCH_sort.json is compared after zeroing `wall_ns`,
 `allocations` and `pool_heap_allocations`: host timing and allocator
 counts that differ between two runs of the same build.
@@ -27,28 +38,35 @@ import subprocess
 import sys
 import tempfile
 
-# (binary relative to the build directory, arguments; "{out}" is replaced
-# by the run's scratch directory)
+# (binary relative to the build directory, arguments, file its standard
+# output is saved to or None; "{out}" is replaced by the run's scratch
+# directory)
 COMMANDS = [
     ("bench/bench_harness",
      ["--smoke", "--out", "{out}/BENCH_sort.json",
       "--metrics-out", "{out}/BENCH_metrics.json",
-      "--trace-out", "{out}/BENCH_trace.json"]),
-    ("bench/bench_campaign", ["--smoke", "--out", "{out}/BENCH_campaign.json"]),
+      "--trace-out", "{out}/BENCH_trace.json"], None),
+    ("bench/bench_campaign",
+     ["--smoke", "--out", "{out}/BENCH_campaign.json"], None),
     ("examples/quickstart",
      ["--trace", "{out}/quickstart_trace.json",
-      "--metrics", "{out}/quickstart_metrics.json"]),
+      "--metrics", "{out}/quickstart_metrics.json"], None),
     ("examples/recovery_demo",
      ["--lineage", "--timeline", "--trace", "{out}/recovery_trace.json",
-      "--metrics", "{out}/recovery_metrics.json"]),
-    ("examples/campaign_demo", ["--out", "{out}/campaign_demo.json"]),
+      "--metrics", "{out}/recovery_metrics.json"], None),
+    ("examples/campaign_demo", ["--out", "{out}/campaign_demo.json"], None),
+    ("examples/figure6_walkthrough", [], "figure6_walkthrough.txt"),
+    ("bench/bench_formula", [], "bench_formula.txt"),
+    ("bench/bench_ablation_protocol", [], "bench_ablation_protocol.txt"),
+    ("bench/bench_ablation_cost", [], "bench_ablation_cost.txt"),
+    ("bench/bench_alternatives", [], "bench_alternatives.txt"),
 ]
 
 EXPORTS = [
     "BENCH_sort.json", "BENCH_metrics.json", "BENCH_trace.json",
     "BENCH_campaign.json", "quickstart_trace.json", "quickstart_metrics.json",
     "recovery_trace.json", "recovery_metrics.json", "campaign_demo.json",
-]
+] + [stdout for _, _, stdout in COMMANDS if stdout]
 
 # Counters of BENCH_sort.json that vary between runs of one build.
 HOST_COUNTERS = re.compile(
@@ -56,15 +74,18 @@ HOST_COUNTERS = re.compile(
 
 
 def run_exports(build, out):
-    for binary, args in COMMANDS:
+    for binary, args, stdout in COMMANDS:
         cmd = [os.path.join(build, binary)] + [a.format(out=out) for a in args]
-        res = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+        res = subprocess.run(cmd, stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, check=False)
         if res.returncode != 0:
             sys.stderr.write("export_cmp: %s exited %d\n%s" %
                              (" ".join(cmd), res.returncode,
                               res.stderr.decode(errors="replace")))
             sys.exit(2)
+        if stdout:
+            with open(os.path.join(out, stdout), "wb") as f:
+                f.write(res.stdout)
     path = os.path.join(out, "BENCH_sort.json")
     with open(path, "rb") as f:
         text = f.read()
@@ -98,7 +119,7 @@ def main(argv):
                 differ.append(name)
                 sys.stdout.write(res.stdout.decode(errors="replace"))
     for name in EXPORTS:
-        print("%-24s %s" % (name, "DIFFERS" if name in differ else "same"))
+        print("%-28s %s" % (name, "DIFFERS" if name in differ else "same"))
     return 1 if differ else 0
 
 

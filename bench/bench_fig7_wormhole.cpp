@@ -8,9 +8,9 @@
 // is printed as the paper-default anchor; at t_s=0 the two modes only
 // differ by the pipelining of the body, so the wormhole columns show
 // how much of the multi-hop tax is start-up replication vs body
-// store-and-forwarding. The coalesced column adds the half->full
-// exchange rewrite (CoalescePolicy::Auto under cut-through): same keys
-// per direction, half the messages and rounds.
+// store-and-forwarding. The coalesced column runs the full exchange
+// instead of the half exchange: same keys per direction, half the
+// messages and rounds.
 //
 // Output feeds the "Fig. 7 under cut-through" table in EXPERIMENTS.md.
 #include <cstdint>
@@ -32,15 +32,16 @@ using namespace ftsort;
 constexpr cube::Dim kN = 6;          // Q_6, as in Figure 7
 constexpr std::size_t kFaults = 2;   // r = 2
 constexpr std::uint64_t kSeed = 1706;  // matches bench_harness fig7_q6_r2*
+constexpr auto kHalf = sort::ExchangeProtocol::HalfExchange;
+constexpr auto kFull = sort::ExchangeProtocol::FullExchange;
 
 core::SortOutcome run_once(const fault::FaultSet& faults,
                            const std::vector<sim::Key>& keys,
                            const sim::CostModel& cost,
-                           sort::CoalescePolicy coalesce, bool instrument) {
+                           sort::ExchangeProtocol protocol, bool instrument) {
   core::SortConfig cfg;
   cfg.cost = cost;
-  cfg.protocol = sort::ExchangeProtocol::HalfExchange;
-  cfg.coalesce = coalesce;
+  cfg.protocol = protocol;
   cfg.record_metrics = instrument;
   cfg.record_trace = instrument;
   const core::FaultTolerantSorter sorter(kN, faults, cfg);
@@ -54,10 +55,9 @@ std::string ms(double sim_time) { return util::Table::fixed(sim_time, 0); }
 int main() {
   std::cout << "=== Figure 7 under cut-through: Q_6, r=2, seed " << kSeed
             << " ===\n"
-            << "half-exchange configured throughout; 'wormhole+coalesce' is "
-               "CoalescePolicy::Auto\n(engages under cut-through, rewriting "
-               "each split exchange to one full-exchange\nmessage per "
-               "direction).\n\n";
+            << "half exchange throughout; 'wormhole+coalesce' runs the full "
+               "exchange\n(one message per direction for each split "
+               "exchange).\n\n";
 
   util::Rng rng(kSeed);
   const fault::FaultSet faults = fault::random_faults(kN, kFaults, rng);
@@ -74,18 +74,14 @@ int main() {
   for (const std::size_t m : {32'000u, 100'000u, 320'000u}) {
     util::Rng krng(kSeed + m);
     const auto keys = sort::gen_uniform(m, krng);
-    const double t0 =
-        run_once(faults, keys, saf0, sort::CoalescePolicy::Off, false)
-            .report.makespan;
-    const double t_saf =
-        run_once(faults, keys, saf, sort::CoalescePolicy::Off, false)
-            .report.makespan;
-    const double t_ct =
-        run_once(faults, keys, ct, sort::CoalescePolicy::Off, false)
-            .report.makespan;
-    const double t_ctc =
-        run_once(faults, keys, ct, sort::CoalescePolicy::Auto, false)
-            .report.makespan;
+    const auto makespan = [&](const sim::CostModel& cost,
+                              sort::ExchangeProtocol protocol) {
+      return run_once(faults, keys, cost, protocol, false).report.makespan;
+    };
+    const double t0 = makespan(saf0, kHalf);
+    const double t_saf = makespan(saf, kHalf);
+    const double t_ct = makespan(ct, kHalf);
+    const double t_ctc = makespan(ct, kFull);
     sweep.add_row({std::to_string(m), ms(t0), ms(t_saf), ms(t_ct), ms(t_ctc),
                    util::Table::fixed(t_ctc / t_saf, 3)});
   }
@@ -96,10 +92,8 @@ int main() {
   // coalescing win lands, split into communication and computation.
   util::Rng krng(kSeed + 320'000u);
   const auto keys = sort::gen_uniform(320'000, krng);
-  const auto obs_saf =
-      run_once(faults, keys, saf, sort::CoalescePolicy::Off, true);
-  const auto obs_ctc =
-      run_once(faults, keys, ct, sort::CoalescePolicy::Auto, true);
+  const auto obs_saf = run_once(faults, keys, saf, kHalf, true);
+  const auto obs_ctc = run_once(faults, keys, ct, kFull, true);
 
   util::Table phases({"phase", "saf crit", "saf comm", "saf compute",
                       "ct+co crit", "ct+co comm", "ct+co compute", "delta"},

@@ -179,8 +179,8 @@ Metrics run_end_to_end(const std::string& name, cube::Dim n,
   m.comparisons = outcome.report.comparisons;
   m.keys_routed = outcome.report.keys_sent;
   m.messages = outcome.report.messages;
-  m.pool_heap_allocations = outcome.report.pool.heap_allocations();
-  m.pool_checkouts = outcome.report.pool.checkouts;
+  m.pool_heap_allocations = outcome.report.pool_delta.heap_allocations();
+  m.pool_checkouts = outcome.report.pool_delta.checkouts;
 
   // One separate instrumented run per scenario: the per-phase block and the
   // exportable trace come from here, so the timed reps above stay free of
@@ -650,20 +650,18 @@ int harness_main(int argc, char** argv) {
     core::SortConfig cfg;
     cfg.cost = sim::CostModel::wormhole();
     cfg.protocol = sort::ExchangeProtocol::HalfExchange;
-    cfg.coalesce = sort::CoalescePolicy::Off;
     plan.emplace_back("fig7_q6_r2_wormhole", [=] {
       return run_end_to_end("fig7_q6_r2_wormhole", 6, 2, m_fig7, cfg, 1706,
                             reps);
     });
   }
-  {  // Same machine with coalescing engaged (Auto → full exchange under
-     // cut-through): same keys per direction, half the messages and rounds.
-     // The makespan delta against fig7_q6_r2_wormhole is the measured
-     // end-to-end win of the coalescing rewrite.
+  {  // Same machine with the exchange coalesced into the full exchange:
+     // same keys per direction, half the messages and rounds. The makespan
+     // delta against fig7_q6_r2_wormhole is the measured end-to-end win of
+     // coalescing.
     core::SortConfig cfg;
     cfg.cost = sim::CostModel::wormhole();
-    cfg.protocol = sort::ExchangeProtocol::HalfExchange;
-    cfg.coalesce = sort::CoalescePolicy::Auto;
+    cfg.protocol = sort::ExchangeProtocol::FullExchange;
     plan.emplace_back("fig7_q6_r2_wormhole_coalesced", [=] {
       return run_end_to_end("fig7_q6_r2_wormhole_coalesced", 6, 2, m_fig7,
                             cfg, 1706, reps);

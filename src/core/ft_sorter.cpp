@@ -234,8 +234,6 @@ SortOutcome FaultTolerantSorter::sort(
   // Host I/O tags sit past everything the sort itself uses.
   const sim::Tag tag_host = TagLayout(plan).host();
 
-  const auto protocol = sort::resolve_protocol(config_.protocol,
-                                               config_.coalesce, config_.cost);
   const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
     if (!plan.role_of(ctx.id()).live) co_return;  // dangling: idles
     std::vector<sort::Key>& block = block_of[ctx.id()];
@@ -268,8 +266,8 @@ SortOutcome FaultTolerantSorter::sort(
       sort::local_sort(config_.local_sort, block, comparisons);
       ctx.charge_compares(comparisons);
     }
-    co_await sort::run_schedule(ctx, schedule[ctx.id()], block, protocol,
-                                scratch);
+    co_await sort::run_schedule(ctx, schedule[ctx.id()], block,
+                                config_.protocol, scratch);
 
     // Final gather (optional): blocks stream back to the host through the
     // entry node in output order.

@@ -52,13 +52,11 @@ enum class Executor { Sequential, Threaded };
 struct SortConfig {
   fault::FaultModel model = fault::FaultModel::Partial;
   sim::CostModel cost = sim::CostModel::ncube7();
+  /// The exchange every Steps 3-8 comparator runs, exactly as set. The
+  /// default is the paper's half exchange; under a cut-through `cost`,
+  /// where the per-message start-up dominates, FullExchange sends the same
+  /// keys in half the messages (sort/merge_split.hpp).
   sort::ExchangeProtocol protocol = sort::ExchangeProtocol::HalfExchange;
-  /// Exchange coalescing. Auto rewrites the two-round half exchange into
-  /// the one-round full exchange exactly when `cost` routes cut-through
-  /// (same keys per direction, half the messages — the start-up term is
-  /// what dominates there). Under the default store-and-forward model Auto
-  /// changes nothing, so default reports stay byte-identical.
-  sort::CoalescePolicy coalesce = sort::CoalescePolicy::Auto;
   Step8Mode step8 = Step8Mode::BitonicMerge;
   Executor executor = Executor::Sequential;
   /// Step 3's local sort; the paper prescribes heapsort.

@@ -20,7 +20,8 @@
 // checks out, the receiving node returns). Statistics count every
 // checkout, every checkout that had to touch the heap (`fresh` when the
 // free list was empty, `grows` when a recycled buffer was too small), and
-// every return, giving the benchmark harness an exact allocation ledger.
+// every return, giving the benchmark harness an exact allocation ledger;
+// a run reports its slice of it as RunReport::pool_delta.
 #pragma once
 
 #include <atomic>
@@ -37,6 +38,11 @@ namespace ftsort::sim {
 using Key = std::int64_t;
 
 /// Allocation ledger of one pool (or the aggregate over all pools).
+/// `checkouts` and `returns` follow from a run's sends and receives. On the
+/// threaded executor `fresh` and `grows` also follow the host's timing:
+/// whether a checkout finds a recycled buffer depends on when a receiver on
+/// another worker gave it back. So `heap_allocations()` is reproducible on
+/// the sequential executor only.
 struct PoolStats {
   std::uint64_t checkouts = 0;  ///< buffers handed out
   std::uint64_t fresh = 0;      ///< checkouts served by a new heap vector
@@ -100,9 +106,8 @@ class BufferPool {
     return free_.size();
   }
 
-  // Host-side contention ledger (Machine::profile_host). Wall-clock data,
-  // deliberately kept out of PoolStats: PoolStats feeds deterministic
-  // golden-report and executor-equivalence comparisons.
+  // Host-side contention ledger (Machine::profile_host): wall-clock data,
+  // kept out of PoolStats, which the metrics export carries.
   void set_profiling(bool on) {
     profiling_.store(on, std::memory_order_relaxed);
   }

@@ -24,26 +24,39 @@ bool NodeCtx::is_faulty(cube::NodeId u) const {
   return machine_->faults().is_faulty(u);
 }
 
+std::unique_lock<std::mutex> NodeCtx::lock() {
+  return machine_->lock(worker_);
+}
+
+void NodeCtx::check_alive(bool checked_out) {
+  if (clock_ < kill_time_) return;
+  killed_ = true;
+  if (machine_->instrumented())
+    machine_->notify(&Instrument::on_kill,
+                     KillEvent{id_, phase_, clock_, checked_out});
+  throw KilledSignal{};
+}
+
 void NodeCtx::charge_compares(std::uint64_t k) {
   if (k == 0) return;
   const SimTime dt = machine_->cost().compare_time(k);
   clock_ += dt;
-  const auto lock = machine_->lock_for(id_);
+  const auto lk = lock();
   machine_->comparisons_ += k;
   if (machine_->instrumented())
     machine_->notify(&Instrument::on_charge,
                      ChargeEvent{id_, phase_, clock_, k, dt});
-  machine_->check_alive(id_);
+  check_alive();
 }
 
 void NodeCtx::charge_time(SimTime t) {
   FTSORT_REQUIRE(t >= 0.0);
   clock_ += t;
-  const auto lock = machine_->lock_for(id_);
+  const auto lk = lock();
   if (machine_->instrumented())
     machine_->notify(&Instrument::on_charge,
                      ChargeEvent{id_, phase_, clock_, 0, t});
-  machine_->check_alive(id_);
+  check_alive();
 }
 
 bool NodeCtx::lineage_enabled() const {
@@ -53,7 +66,7 @@ bool NodeCtx::lineage_enabled() const {
 void NodeCtx::note_lineage_retain(cube::NodeId partner, Tag tag,
                                   std::span<const Key> kept,
                                   std::int32_t witness_step) {
-  const auto lock = machine_->lock_for(id_);
+  const auto lk = lock();
   machine_->lineage().note_retain(id_, partner, tag, kept, phase_,
                                   witness_step);
 }
@@ -61,7 +74,7 @@ void NodeCtx::note_lineage_retain(cube::NodeId partner, Tag tag,
 void NodeCtx::note_lineage_rescatter(
     const std::vector<std::vector<Key>>& blocks,
     std::span<const Lineage::SalvageInfo> salvage) {
-  const auto lock = machine_->lock_for(id_);
+  const auto lk = lock();
   machine_->lineage().note_rescatter(blocks, salvage, phase_);
 }
 
@@ -78,7 +91,7 @@ PhaseSpan::PhaseSpan(NodeCtx& ctx, Phase p, bool engage)
   // Reported before the phase switches so the walk's gap attribution stays
   // with the enclosing phase; the event itself carries the new phase.
   if (m.instrumented()) {
-    const auto lock = m.lock_for(ctx_.id_);
+    const auto lock = ctx_.lock();
     m.notify(&Instrument::on_span, SpanEvent{ctx_.id_, p, ctx_.clock_, true});
   }
   ctx_.phase_ = p;
@@ -88,7 +101,7 @@ PhaseSpan::~PhaseSpan() {
   if (!engaged_) return;
   Machine& m = *ctx_.machine_;
   if (m.instrumented()) {
-    const auto lock = m.lock_for(ctx_.id_);
+    const auto lock = ctx_.lock();
     m.notify(&Instrument::on_span,
              SpanEvent{ctx_.id_, ctx_.phase_, ctx_.clock_, false});
   }
@@ -121,8 +134,8 @@ void NodeCtx::send_buffer(cube::NodeId dst, Tag tag, PooledBuffer&& payload,
   FTSORT_REQUIRE(dst != id_);
   FTSORT_REQUIRE(cube::valid_node(dst, machine_->dim()));
   FTSORT_REQUIRE(!machine_->faults().is_faulty(dst));
-  const auto lock = machine_->lock_for(id_);
-  machine_->check_alive(id_, checked_out);
+  const auto lk = lock();
+  check_alive(checked_out);
 
   // The walk the message takes, when an instrument charges it link by link
   // (LinkStats, Lineage). The router's hop count summarises the same walk,
@@ -157,33 +170,83 @@ void NodeCtx::send_buffer(cube::NodeId dst, Tag tag, PooledBuffer&& payload,
   machine_->post(std::move(msg));
 }
 
+bool NodeCtx::find(cube::NodeId src, Tag tag) {
+  for (found_ = 0; found_ < inbox_.size(); ++found_)
+    if (inbox_[found_].src == src && inbox_[found_].tag == tag) return true;
+  found_ = kNoMessage;
+  return false;
+}
+
+bool NodeCtx::ready(cube::NodeId src, Tag tag) {
+  const auto lk = lock();
+  return find(src, tag);
+}
+
+bool NodeCtx::wait(cube::NodeId src, Tag tag, std::coroutine_handle<> h,
+                   std::optional<SimTime> deadline) {
+  // A node program is one sequential coroutine chain, so at most one
+  // outstanding recv can exist per node. Statically faulty processors can
+  // never send (only injector victims can die after sending).
+  FTSORT_REQUIRE(!is_faulty(src));
+  const auto lk = lock();
+  if (find(src, tag)) return false;
+  FTSORT_INVARIANT(!waiting_);
+  waiting_ = true;
+  want_src_ = src;
+  want_tag_ = tag;
+  waiter_ = h;
+  deadline_ = deadline;
+  return true;
+}
+
+std::optional<Message> NodeCtx::take(cube::NodeId src, Tag tag) {
+  const auto lk = lock();
+  const SimTime before = clock_;
+  if (found_ == kNoMessage) {
+    // Only a recv_or_timeout wait has a deadline to time out at.
+    FTSORT_INVARIANT(deadline_.has_value());
+    clock_ = std::max(clock_, *deadline_);
+    ++machine_->timeouts_;
+    if (machine_->instrumented())
+      machine_->notify(&Instrument::on_timeout,
+                       TimeoutEvent{id_, src, tag, phase_, clock_,
+                                    clock_ - before});
+    check_alive();
+    return std::nullopt;
+  }
+  FTSORT_INVARIANT(found_ < inbox_.size() && inbox_[found_].src == src &&
+                   inbox_[found_].tag == tag);
+  Message msg = std::move(inbox_[found_]);
+  inbox_.erase(inbox_.begin() + static_cast<std::ptrdiff_t>(found_));
+  clock_ = std::max(clock_, msg.arrival);
+  if (machine_->instrumented())
+    machine_->notify(&Instrument::on_recv,
+                     RecvEvent{id_, phase_, clock_, clock_ - before, msg});
+  check_alive();
+  return msg;
+}
+
 bool NodeCtx::RecvAwaiter::await_ready() const noexcept {
-  return ctx.machine_->has_message(ctx.id_, src, tag);
+  return ctx.ready(src, tag);
 }
 
 bool NodeCtx::RecvAwaiter::await_suspend(std::coroutine_handle<> h) {
-  return ctx.machine_->register_waiter(ctx.id_, src, tag, h,
-                                       /*has_deadline=*/false, 0.0);
+  return ctx.wait(src, tag, h, std::nullopt);
 }
 
-Message NodeCtx::RecvAwaiter::await_resume() {
-  const auto lock = ctx.machine_->lock_for(ctx.id_);
-  return ctx.machine_->pop_message(ctx.id_, src, tag);
-}
+Message NodeCtx::RecvAwaiter::await_resume() { return *ctx.take(src, tag); }
 
 bool NodeCtx::RecvTimeoutAwaiter::await_ready() const noexcept {
-  return ctx.machine_->has_message(ctx.id_, src, tag);
+  return ctx.ready(src, tag);
 }
 
 bool NodeCtx::RecvTimeoutAwaiter::await_suspend(std::coroutine_handle<> h) {
   FTSORT_REQUIRE(patience >= 0.0);
-  return ctx.machine_->register_waiter(ctx.id_, src, tag, h,
-                                       /*has_deadline=*/true,
-                                       ctx.clock_ + patience);
+  return ctx.wait(src, tag, h, ctx.clock_ + patience);
 }
 
 std::optional<Message> NodeCtx::RecvTimeoutAwaiter::await_resume() {
-  return ctx.machine_->finish_recv_or_timeout(ctx.id_, src, tag);
+  return ctx.take(src, tag);
 }
 
 Machine::Machine(cube::Dim n, fault::FaultSet faults,
@@ -224,16 +287,13 @@ std::unique_lock<std::mutex> Machine::lock(std::size_t worker) {
 
 Diagnosis Machine::diagnose(Diagnosis::Kind kind) const {
   DiagnosisInput in;
-  for (cube::NodeId u = 0; u < size(); ++u) {
-    const NodeState* st = nodes_[u].get();
-    if (st == nullptr) continue;
-    if (st->killed) {
-      in.kills.push_back({u, st->ctx.clock_, st->ctx.phase_});
-    } else if (!st->task.done() && st->waiting) {
-      in.waits.push_back({u, static_cast<cube::NodeId>(st->want_channel >> 32),
-                          static_cast<Tag>(st->want_channel & 0xffffffffu),
-                          st->ctx.clock_, st->ctx.phase_,
-                          /*expired=*/false});
+  for (const auto& node : nodes_) {
+    if (!node) continue;
+    if (node->killed_) {
+      in.kills.push_back({node->id_, node->clock_, node->phase_});
+    } else if (!node->task_.done() && node->waiting_) {
+      in.waits.push_back({node->id_, node->want_src_, node->want_tag_,
+                          node->clock_, node->phase_, /*expired=*/false});
     }
   }
   for (const auto& cut : injector_.cuts())
@@ -253,46 +313,10 @@ Diagnosis Machine::diagnose(Diagnosis::Kind kind) const {
   return sim::diagnose(std::move(in), kind);
 }
 
-PoolStats Machine::pool_stats() const {
+PoolStats Machine::pool_total() const {
   PoolStats total;
   for (const BufferPool& pool : pools_) total += pool.stats();
   return total;
-}
-
-PoolStats Machine::pool_stats_delta() const {
-  const PoolStats now = pool_stats();
-  FTSORT_INVARIANT(now.checkouts >= pool_mark_.checkouts);
-  FTSORT_INVARIANT(now.returns >= pool_mark_.returns);
-  PoolStats delta;
-  delta.checkouts = now.checkouts - pool_mark_.checkouts;
-  delta.fresh = now.fresh - pool_mark_.fresh;
-  delta.grows = now.grows - pool_mark_.grows;
-  delta.returns = now.returns - pool_mark_.returns;
-  return delta;
-}
-
-Machine::NodeState& Machine::state_of(cube::NodeId id) {
-  FTSORT_REQUIRE(cube::valid_node(id, n_));
-  FTSORT_INVARIANT(nodes_[id] != nullptr);
-  return *nodes_[id];
-}
-
-std::size_t Machine::inbox_find(const NodeState& st, std::uint64_t channel) {
-  for (std::size_t k = 0; k < st.inbox.size(); ++k) {
-    const Message& m = st.inbox[k];
-    if (channel_key(m.src, m.tag) == channel) return k;
-  }
-  return kNotFound;
-}
-
-void Machine::check_alive(cube::NodeId id, bool checked_out) {
-  NodeState& st = state_of(id);
-  if (st.ctx.clock_ < st.kill_time) return;
-  st.killed = true;
-  if (instrumented())
-    notify(&Instrument::on_kill,
-           KillEvent{id, st.ctx.phase_, st.ctx.clock_, checked_out});
-  throw KilledSignal{};
 }
 
 void Machine::post(Message msg) {
@@ -300,12 +324,13 @@ void Machine::post(Message msg) {
   keys_sent_ += msg.payload.size();
   key_hops_ += msg.payload.size() * static_cast<std::uint64_t>(msg.hops);
 
-  NodeState& dst = state_of(msg.dst);
+  NodeCtx* dst = nodes_[msg.dst].get();
+  FTSORT_INVARIANT(dst != nullptr);
   // Dynamic-fault drop rules: dead on arrival, or the direct link between
   // adjacent endpoints was cut before the send. Both are purely logical,
   // so each executor drops exactly the same messages.
   const bool dropped =
-      msg.arrival >= dst.kill_time ||
+      msg.arrival >= dst->kill_time_ ||
       (cube::hamming(msg.src, msg.dst) == 1 &&
        msg.sent_at >= injector_.link_cut_time(msg.src, msg.dst));
   if (instrumented()) notify(&Instrument::on_post, PostEvent{msg, dropped});
@@ -314,99 +339,37 @@ void Machine::post(Message msg) {
     return;
   }
 
-  const std::uint64_t channel = channel_key(msg.src, msg.tag);
-  const cube::NodeId to = msg.dst;
-  dst.inbox.push_back(std::move(msg));
-  if (dst.waiting && dst.want_channel == channel) wake(to);
+  const bool awaited = dst->waiting_ && dst->want_src_ == msg.src &&
+                       dst->want_tag_ == msg.tag;
+  dst->inbox_.push_back(std::move(msg));
+  if (!awaited) return;
+  // The receiver found its channel empty when it blocked, so this is the
+  // channel's first message.
+  dst->found_ = dst->inbox_.size() - 1;
+  wake(*dst);
 }
 
-void Machine::wake(cube::NodeId u) {
-  NodeState& st = *nodes_[u];
-  st.waiting = false;
-  if (st.running) {
+void Machine::wake(NodeCtx& node) {
+  node.waiting_ = false;
+  if (node.running_) {
     // Still inside the resume() that suspended it: that worker re-queues
     // it once resume() returns.
-    st.wake_pending = true;
+    node.wake_pending_ = true;
     return;
   }
-  ready_.push_back(u);
+  ready_.push_back(node.id_);
   if (workers_ > 1) idle_cv_.notify_one();
-}
-
-bool Machine::has_message(cube::NodeId node, cube::NodeId src, Tag tag) {
-  const auto lock = lock_for(node);
-  return inbox_find(state_of(node), channel_key(src, tag)) != kNotFound;
-}
-
-bool Machine::register_waiter(cube::NodeId node, cube::NodeId src, Tag tag,
-                              std::coroutine_handle<> h, bool has_deadline,
-                              SimTime deadline) {
-  // A node program is one sequential coroutine chain, so at most one
-  // outstanding recv can exist per node. Statically faulty processors can
-  // never send (only injector victims can die after sending).
-  FTSORT_REQUIRE(!faults_.is_faulty(src));
-  const auto lock = lock_for(node);
-  NodeState& st = state_of(node);
-  const std::uint64_t channel = channel_key(src, tag);
-  // With several workers a sender may have posted since await_ready.
-  if (inbox_find(st, channel) != kNotFound) return false;
-  FTSORT_INVARIANT(!st.waiting);
-  st.waiting = true;
-  st.want_channel = channel;
-  st.waiter = h;
-  st.has_deadline = has_deadline;
-  st.deadline = deadline;
-  return true;
-}
-
-Message Machine::pop_message(cube::NodeId node, cube::NodeId src, Tag tag) {
-  NodeState& st = state_of(node);
-  const std::size_t k = inbox_find(st, channel_key(src, tag));
-  FTSORT_INVARIANT(k != kNotFound);
-  Message msg = std::move(st.inbox[k]);
-  st.inbox.erase(st.inbox.begin() + static_cast<std::ptrdiff_t>(k));
-  const SimTime before = st.ctx.clock_;
-  st.ctx.clock_ = std::max(st.ctx.clock_, msg.arrival);
-  if (instrumented())
-    notify(&Instrument::on_recv,
-           RecvEvent{node, st.ctx.phase_, st.ctx.clock_,
-                     st.ctx.clock_ - before, msg});
-  check_alive(node);
-  return msg;
-}
-
-std::optional<Message> Machine::finish_recv_or_timeout(cube::NodeId node,
-                                                       cube::NodeId src,
-                                                       Tag tag) {
-  const auto lock = lock_for(node);
-  NodeState& st = state_of(node);
-  if (st.timed_out) {
-    st.timed_out = false;
-    st.has_deadline = false;
-    const SimTime before = st.ctx.clock_;
-    st.ctx.clock_ = std::max(st.ctx.clock_, st.deadline);
-    ++timeouts_;
-    if (instrumented())
-      notify(&Instrument::on_timeout,
-             TimeoutEvent{node, src, tag, st.ctx.phase_, st.ctx.clock_,
-                          st.ctx.clock_ - before});
-    check_alive(node);
-    return std::nullopt;
-  }
-  st.has_deadline = false;
-  return pop_message(node, src, tag);
 }
 
 std::string Machine::deadlock_message() const {
   std::ostringstream os;
   os << "simulation deadlock: every live node is blocked;";
   for (const auto& node : nodes_) {
-    if (!node || node->task.done() || node->killed) continue;
-    os << " node " << node->ctx.id();
-    if (node->waiting) {
-      os << " waits for src=" << (node->want_channel >> 32)
-         << " tag=" << (node->want_channel & 0xffffffffu) << " ["
-         << phase_name(node->ctx.phase_) << "];";
+    if (!node || node->task_.done() || node->killed_) continue;
+    os << " node " << node->id_;
+    if (node->waiting_) {
+      os << " waits for src=" << node->want_src_ << " tag=" << node->want_tag_
+         << " [" << phase_name(node->phase_) << "];";
     } else {
       os << " is not runnable;";
     }
@@ -418,51 +381,47 @@ std::string Machine::deadlock_message() const {
   return os.str();
 }
 
-std::optional<cube::NodeId> Machine::fire_quiescence_event() {
+NodeCtx* Machine::fire_quiescence_event() {
   // Candidate logical events for blocked nodes: recv-timeout expiry at its
   // deadline, and the death of a node whose kill time can now never be
   // outrun. The earliest (time, kind, node) triple fires; kills order
   // after timeouts on exact ties so a node with deadline == kill time
   // still observes its timeout. At quiescence no node is runnable or
   // running, so the states read here are stable.
-  NodeState* best = nullptr;
+  NodeCtx* best = nullptr;
   SimTime best_time = 0.0;
   int best_kind = 0;  // 0 = timeout, 1 = kill
-  cube::NodeId best_node = 0;
-  const auto consider = [&](NodeState& st, SimTime t, int kind,
-                            cube::NodeId u) {
-    if (best != nullptr &&
-        std::tie(best_time, best_kind, best_node) <= std::tie(t, kind, u))
+  const auto consider = [&](NodeCtx& node, SimTime t, int kind) {
+    if (best != nullptr && std::tie(best_time, best_kind, best->id_) <=
+                               std::tie(t, kind, node.id_))
       return;
-    best = &st;
+    best = &node;
     best_time = t;
     best_kind = kind;
-    best_node = u;
   };
-  for (cube::NodeId u = 0; u < size(); ++u) {
-    NodeState* st = nodes_[u].get();
-    if (st == nullptr || !st->waiting) continue;
-    if (st->has_deadline) consider(*st, st->deadline, 0, u);
-    if (st->kill_time < kNever)
-      consider(*st, std::max(st->ctx.clock_, st->kill_time), 1, u);
+  for (const auto& node : nodes_) {
+    if (!node || !node->waiting_) continue;
+    if (node->deadline_) consider(*node, *node->deadline_, 0);
+    if (node->kill_time_ < kNever)
+      consider(*node, std::max(node->clock_, node->kill_time_), 1);
   }
-  if (best == nullptr) return std::nullopt;
+  if (best == nullptr) return nullptr;
 
-  NodeState& st = *best;
-  FTSORT_INVARIANT(st.waiting);
+  FTSORT_INVARIANT(best->waiting_);
   if (best_kind == 0) {
-    st.timed_out = true;
-    wake(best_node);
-    return best_node;
+    // Resumed with no message found, take() times the wait out.
+    FTSORT_INVARIANT(best->found_ == NodeCtx::kNoMessage);
+    wake(*best);
+    return best;
   }
   // A blocked node dies: its coroutine is abandoned, never resumed.
-  st.waiting = false;
-  st.killed = true;
-  st.waiter = nullptr;
+  best->waiting_ = false;
+  best->killed_ = true;
+  best->waiter_ = nullptr;
   if (instrumented())
     notify(&Instrument::on_kill,
-           KillEvent{best_node, st.ctx.phase_, st.ctx.clock_, false});
-  return best_node;
+           KillEvent{best->id_, best->phase_, best->clock_, false});
+  return best;
 }
 
 void Machine::instantiate_programs(const Program& program) {
@@ -477,7 +436,7 @@ void Machine::instantiate_programs(const Program& program) {
     active_[num_active_++] = instrument;
     routes_ = routes_ || instrument->wants_path();
   }
-  pool_mark_ = pool_stats();
+  pool_mark_ = pool_total();
   prof_quiescence_checks_ = prof_quiescence_events_ = 0;
   if (profile_host_)
     for (BufferPool& pool : pools_) pool.reset_contention();
@@ -495,9 +454,8 @@ void Machine::instantiate_programs(const Program& program) {
       nodes_[u] = nullptr;
       continue;
     }
-    nodes_[u] = std::unique_ptr<NodeState>(new NodeState(NodeCtx(*this, u)));
-    nodes_[u]->kill_time = injector_.node_kill_time(u);
-    nodes_[u]->task = program(nodes_[u]->ctx);
+    nodes_[u].reset(new NodeCtx(*this, u, injector_.node_kill_time(u)));
+    nodes_[u]->task_ = program(*nodes_[u]);
   }
 }
 
@@ -506,18 +464,17 @@ void Machine::stop_workers() {
   if (workers_ > 1) idle_cv_.notify_all();
 }
 
-void Machine::beat(cube::NodeId u) {
+void Machine::beat(const NodeCtx& node) {
   if (wd_slot_.empty()) {
     active_watchdog_->beat(0);
     return;
   }
   // The activity word is the node's ambient phase; only the worker that
   // just resumed the node, or the idle machine, reads it here.
-  const NodeState& st = *nodes_[u];
-  active_watchdog_->beat(wd_slot_[u],
-                         st.task.done() || st.killed
+  active_watchdog_->beat(wd_slot_[node.id_],
+                         node.task_.done() || node.killed_
                              ? Watchdog::kActivityTerminal
-                             : static_cast<std::uint64_t>(st.ctx.phase_));
+                             : static_cast<std::uint64_t>(node.phase_));
 }
 
 void Machine::schedule(std::size_t worker) {
@@ -561,14 +518,14 @@ void Machine::schedule(std::size_t worker) {
         ++prof_quiescence_checks_;
         const bool pending = std::any_of(
             nodes_.begin(), nodes_.end(), [](const auto& node) {
-              return node && !node->task.done() && !node->killed;
+              return node && !node->task_.done() && !node->killed_;
             });
         if (!pending) {
           stop_workers();
           break;
         }
-        const std::optional<cube::NodeId> fired = fire_quiescence_event();
-        if (!fired) {
+        const NodeCtx* fired = fire_quiescence_event();
+        if (fired == nullptr) {
           deadlocked_ = true;
           deadlock_msg_ = deadlock_message();
           stop_workers();
@@ -579,22 +536,22 @@ void Machine::schedule(std::size_t worker) {
         continue;
       }
     }
-    NodeState& st = *nodes_[u];
-    st.running = true;
-    st.worker = worker;
+    NodeCtx& node = *nodes_[u];
+    node.running_ = true;
+    node.worker_ = worker;
     ++busy_;
-    const std::coroutine_handle<> h = std::exchange(st.waiter, nullptr);
+    const std::coroutine_handle<> h = std::exchange(node.waiter_, nullptr);
     if (lk.owns_lock()) lk.unlock();
     ++prof.tasks_resumed;
     if (h)
       h.resume();
     else
-      st.task.start();
+      node.task_.start();
     lk = lock(worker);
     --busy_;
-    st.running = false;
-    if (std::exchange(st.wake_pending, false)) wake(u);
-    if (active_watchdog_ != nullptr) beat(u);
+    node.running_ = false;
+    if (std::exchange(node.wake_pending_, false)) wake(node);
+    if (active_watchdog_ != nullptr) beat(node);
   }
 }
 
@@ -602,24 +559,24 @@ RunReport Machine::collect_report() {
   RunReport report;
   report.cost = cost_;
   report.node_clocks.assign(size(), 0.0);
-  for (cube::NodeId u = 0; u < size(); ++u) {
-    if (!nodes_[u]) continue;
-    NodeState& st = *nodes_[u];
-    report.node_clocks[u] = st.ctx.now();
-    if (st.killed) {
+  for (const auto& node : nodes_) {
+    if (!node) continue;
+    report.node_clocks[node->id_] = node->clock_;
+    if (node->killed_) {
       // Died mid-run: clock frozen at death; excluded from the makespan.
-      report.killed_nodes.push_back(u);
+      report.killed_nodes.push_back(node->id_);
       continue;
     }
     try {
-      st.task.take_result();
+      node->task_.take_result();
     } catch (const std::exception& e) {
       running_ = false;
-      for (auto& node : nodes_) node.reset();
-      throw std::runtime_error("node " + std::to_string(u) +
-                               " failed: " + e.what());
+      const std::string what =
+          "node " + std::to_string(node->id_) + " failed: " + e.what();
+      for (auto& each : nodes_) each.reset();
+      throw std::runtime_error(what);
     }
-    report.makespan = std::max(report.makespan, st.ctx.now());
+    report.makespan = std::max(report.makespan, node->clock_);
   }
   report.messages = messages_;
   report.keys_sent = keys_sent_;
@@ -627,8 +584,13 @@ RunReport Machine::collect_report() {
   report.comparisons = comparisons_;
   report.messages_dropped = messages_dropped_;
   report.timeouts = timeouts_;
-  report.pool = pool_stats();
-  report.pool_delta = pool_stats_delta();
+  const PoolStats pool = pool_total();
+  FTSORT_INVARIANT(pool.checkouts >= pool_mark_.checkouts);
+  FTSORT_INVARIANT(pool.returns >= pool_mark_.returns);
+  report.pool_delta = {pool.checkouts - pool_mark_.checkouts,
+                       pool.fresh - pool_mark_.fresh,
+                       pool.grows - pool_mark_.grows,
+                       pool.returns - pool_mark_.returns};
   for (std::size_t i = 0; i < num_active_; ++i) active_[i]->collect(report);
   // Critical-path attribution needs the trace; this run's events only (the
   // trace may hold earlier runs' history).
@@ -651,7 +613,7 @@ RunReport Machine::collect_report() {
   if (injector_.empty() && report.timeouts == 0) {
     for (const auto& node : nodes_) {
       if (!node) continue;
-      FTSORT_ENSURE(node->inbox.empty());
+      FTSORT_ENSURE(node->inbox_.empty());
     }
   }
   for (auto& node : nodes_) node.reset();

@@ -2,8 +2,9 @@
 //
 // A `Machine` is an n-cube of processors with a fault set, a routing policy
 // derived from the fault model, and the paper's cost model. Each healthy
-// processor executes one coroutine program against its `NodeCtx`, which
-// provides message passing (`send` / `co_await recv`) and logical-clock
+// processor is one `NodeCtx`: it holds the processor's clock, phase,
+// mailbox, wait and kill state and its coroutine program, and provides
+// that program message passing (`send` / `co_await recv`) and logical-clock
 // accounting. Execution is driven by a deterministic run-to-completion
 // scheduler: identical inputs produce identical message orders, logical
 // times, and results on every host.
@@ -79,9 +80,14 @@ class DeadlockError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-/// Per-node interface handed to node programs.
+/// One simulated processor, and the interface handed to its program: the
+/// node's clock and phase, its mailbox, its wait, kill and worker state,
+/// and the program itself. The Machine owns one per healthy node.
 class NodeCtx {
  public:
+  NodeCtx(const NodeCtx&) = delete;
+  NodeCtx& operator=(const NodeCtx&) = delete;
+
   cube::NodeId id() const { return id_; }
   cube::Dim dim() const;
   SimTime now() const { return clock_; }
@@ -173,17 +179,72 @@ class NodeCtx {
  private:
   friend class Machine;
   friend class PhaseSpan;
-  NodeCtx(Machine& machine, cube::NodeId id) : machine_(&machine), id_(id) {}
+  NodeCtx(Machine& machine, cube::NodeId id, SimTime kill_time)
+      : machine_(&machine), id_(id), kill_time_(kill_time) {}
 
+  /// The machine lock when the run has several workers (contention is
+  /// charged to this node's worker); an empty lock otherwise. Also reached
+  /// from PhaseSpan destructors while a finished run tears its nodes down.
+  std::unique_lock<std::mutex> lock();
+  /// Throws KilledSignal (and reports the death) once the clock has reached
+  /// the kill time; `checked_out` marks a death at a send that just took a
+  /// payload buffer from the pool. Caller holds the lock.
+  void check_alive(bool checked_out = false);
   /// The three send forms meet here; `checked_out` marks a buffer the span
   /// form just took from this node's pool.
   void send_buffer(cube::NodeId dst, Tag tag, PooledBuffer&& payload,
                    bool checked_out);
 
+  // The receive steps. `found_` remembers where the first message on the
+  // awaited channel sits; the index stays valid until take() because only
+  // this node removes messages from its inbox, and senders only append.
+  /// Scan the inbox for (src, tag) and remember the match. Caller holds
+  /// the lock.
+  bool find(cube::NodeId src, Tag tag);
+  /// await_ready: a message on (src, tag) is already queued.
+  bool ready(cube::NodeId src, Tag tag);
+  /// await_suspend: re-check the inbox and register the waiter under one
+  /// lock acquisition, so a sender posting after the check finds the node
+  /// waiting. False (resume at once) when a message raced in.
+  bool wait(cube::NodeId src, Tag tag, std::coroutine_handle<> h,
+            std::optional<SimTime> deadline);
+  /// await_resume: take the found message and charge the receive. A wait
+  /// resumed with no message found was a recv_or_timeout timed out at
+  /// quiescence: the clock moves to its deadline and nullopt returns.
+  std::optional<Message> take(cube::NodeId src, Tag tag);
+
+  static constexpr std::size_t kNoMessage = static_cast<std::size_t>(-1);
+
+  // Teardown runs in reverse: the inbox goes first, then the program, whose
+  // frames' PhaseSpans still read the fields declared before it.
   Machine* machine_;
   cube::NodeId id_;
   SimTime clock_ = 0.0;
   Phase phase_ = Phase::Unattributed;
+  std::size_t worker_ = 0;  ///< profile shard of the worker running it
+  // Worker-pool state. A node woken while a worker is still inside its
+  // resume() is queued only once that resume() returns, so its coroutine
+  // never runs on two workers at once.
+  bool running_ = false;
+  bool wake_pending_ = false;
+  // Dynamic-fault state.
+  SimTime kill_time_ = kNever;
+  bool killed_ = false;  ///< died mid-run (thrown or abandoned)
+  // Wait state: the channel a blocked recv waits on, and its deadline when
+  // it came through recv_or_timeout.
+  bool waiting_ = false;
+  cube::NodeId want_src_ = 0;
+  Tag want_tag_ = 0;
+  std::optional<SimTime> deadline_;
+  /// Where the next resume continues; null until the node first blocks
+  /// (an unstarted node is started instead).
+  std::coroutine_handle<> waiter_;
+  std::size_t found_ = kNoMessage;
+  Task task_;
+  // Pending messages in arrival order. Matching a (src, tag) channel scans
+  // front to back, which preserves per-channel FIFO; the capacity persists
+  // across steps, so steady-state delivery allocates nothing.
+  std::vector<Message> inbox_;
 };
 
 /// RAII scope for a node's ambient phase (see NodeCtx::span). Must be kept
@@ -260,14 +321,10 @@ struct RunReport {
   std::uint64_t timeouts = 0;          ///< recv_or_timeout expirations
   std::vector<SimTime> node_clocks;  ///< final clock per node (0 if idle)
   std::vector<cube::NodeId> killed_nodes;  ///< injector victims, ascending
-  /// Payload buffer-pool ledger at collection time. NOTE: cumulative over
-  /// the machine's *lifetime* (pools stay warm between runs), so repeated
-  /// runs on one machine show `heap_allocations()` approaching a plateau —
-  /// comparing `pool` across two reports of the same machine double-counts.
-  /// Use `pool_delta` for this run's traffic.
-  PoolStats pool;
-  /// Pool ledger of this run only (collection-time stats minus the mark
-  /// taken when the run started).
+  /// Payload buffer-pool ledger of this run only: every node pool's
+  /// counters at collection time minus the mark taken when the run started
+  /// (the pools stay warm across runs of one machine). `heap_allocations()`
+  /// varies from run to run on the threaded executor (sim/buffer_pool.hpp).
   PoolStats pool_delta;
   /// Per-node, per-phase counters. Empty unless `Machine::metrics()` was
   /// enabled for the run.
@@ -350,15 +407,6 @@ class Machine {
   Timeline& timeline() { return timeline_; }
   Lineage& lineage() { return lineage_; }
 
-  /// Aggregate payload-allocation ledger over all node pools. Cumulative
-  /// across runs on this machine (pools stay warm); callers interested in a
-  /// single run take a delta.
-  PoolStats pool_stats() const;
-
-  /// Pool ledger accumulated since the current (or most recent) run
-  /// started — the per-run view of `pool_stats()`.
-  PoolStats pool_stats_delta() const;
-
   /// Install a mid-run fault schedule; applies to every subsequent run on
   /// either executor. Pass a default-constructed injector to clear.
   void set_injector(FaultInjector injector) {
@@ -409,58 +457,10 @@ class Machine {
   friend class NodeCtx;
   friend class PhaseSpan;
 
-  struct NodeState {
-    explicit NodeState(NodeCtx c) : ctx(std::move(c)) {}
-    NodeCtx ctx;
-    Task task;
-    // Pending messages in arrival order. Matching a (src, tag) channel
-    // scans front-to-back, which preserves per-channel FIFO; the vector's
-    // capacity persists across steps, so steady-state delivery allocates
-    // nothing.
-    std::vector<Message> inbox;
-    bool waiting = false;
-    std::uint64_t want_channel = 0;
-    /// Where the next resume continues; null until the node first blocks
-    /// (an unstarted node is started instead).
-    std::coroutine_handle<> waiter;
-    bool has_deadline = false;  ///< waiting via recv_or_timeout
-    SimTime deadline = 0.0;     ///< clock + patience at suspension
-    bool timed_out = false;     ///< set when the waiter is resumed empty
-    // Dynamic-fault state.
-    SimTime kill_time = kNever;
-    bool killed = false;  ///< died mid-run (thrown or abandoned)
-    // Worker-pool state. A node woken while a worker is still inside its
-    // resume() is queued only once that resume() returns, so its coroutine
-    // never runs on two workers at once.
-    bool running = false;
-    bool wake_pending = false;
-    std::size_t worker = 0;  ///< profile shard of the worker running it
-  };
-
-  static std::uint64_t channel_key(cube::NodeId src, Tag tag) {
-    return (static_cast<std::uint64_t>(src) << 32) | tag;
-  }
-  /// First pending message on `channel`, or npos.
-  static std::size_t inbox_find(const NodeState& st, std::uint64_t channel);
-  static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
-
-  NodeState& state_of(cube::NodeId id);
   /// The machine lock when the run has several workers; an empty lock on
   /// the sequential executor. Contended acquisitions are charged to
   /// `worker`'s profile shard when profiling is on.
   std::unique_lock<std::mutex> lock(std::size_t worker);
-  /// lock() on behalf of node `u`'s program. Also reached from PhaseSpan
-  /// destructors while a finished run tears its nodes down, after the
-  /// workers have stopped.
-  std::unique_lock<std::mutex> lock_for(cube::NodeId u) {
-    if (workers_ == 1) return {};
-    return lock(nodes_[u]->worker);
-  }
-  /// Throws KilledSignal (and reports the death) once the node's clock has
-  /// reached its scheduled kill time; `checked_out` marks a death at a send
-  /// that just took a payload buffer from the pool. Caller holds the
-  /// machine lock.
-  void check_alive(cube::NodeId id, bool checked_out = false);
   /// True when the run has an active instrument: the one check a charge
   /// site makes before it builds an event.
   bool instrumented() const { return num_active_ != 0; }
@@ -469,25 +469,19 @@ class Machine {
   void notify(void (Instrument::*on)(const Event&), const Event& ev) {
     for (std::size_t i = 0; i < num_active_; ++i) (active_[i]->*on)(ev);
   }
-  /// Deliver a sent message. Caller holds the machine lock.
+  /// Deliver a sent message, waking its receiver when it waits on the
+  /// message's channel. Caller holds the machine lock.
   void post(Message msg);
-  /// Make blocked node `u` runnable. Caller holds the machine lock.
-  void wake(cube::NodeId u);
-  bool has_message(cube::NodeId node, cube::NodeId src, Tag tag);
-  bool register_waiter(cube::NodeId node, cube::NodeId src, Tag tag,
-                       std::coroutine_handle<> h, bool has_deadline,
-                       SimTime deadline);
-  /// Take the first message on (src, tag) and charge the receive. Caller
-  /// holds the machine lock.
-  Message pop_message(cube::NodeId node, cube::NodeId src, Tag tag);
-  std::optional<Message> finish_recv_or_timeout(cube::NodeId node,
-                                                cube::NodeId src, Tag tag);
+  /// Make blocked node `node` runnable. Caller holds the machine lock.
+  void wake(NodeCtx& node);
   std::string deadlock_message() const;
   /// At global quiescence, fire the earliest logical event among pending
   /// recv timeouts and deaths of blocked nodes and return its node, or
-  /// nullopt if none exists (a genuine deadlock). Caller holds the machine
+  /// nullptr if none exists (a genuine deadlock). Caller holds the machine
   /// lock.
-  std::optional<cube::NodeId> fire_quiescence_event();
+  NodeCtx* fire_quiescence_event();
+  /// Sum of every node pool's ledger.
+  PoolStats pool_total() const;
   void instantiate_programs(const Program& program);
   /// Both executors: run the programs on one worker, or on the threaded
   /// executor's pool (the calling thread is worker 0), then collect the
@@ -499,9 +493,9 @@ class Machine {
   void schedule(std::size_t worker);
   /// Make every worker leave its loop. Caller holds the machine lock.
   void stop_workers();
-  /// Beat node `u`'s heartbeat slot (the "scheduler" slot on the
-  /// sequential executor) after it ran or a quiescence event touched it.
-  void beat(cube::NodeId u);
+  /// Beat `node`'s heartbeat slot (the "scheduler" slot on the sequential
+  /// executor) after it ran or a quiescence event touched it.
+  void beat(const NodeCtx& node);
   RunReport collect_report();
   /// Build the armed watchdog for a run, or nullptr when disabled. The
   /// threaded executor gets one slot per healthy node (wd_slot_[u]), the
@@ -533,12 +527,12 @@ class Machine {
   std::size_t num_active_ = 0;
   bool routes_ = false;  ///< an active instrument wants SendEvent::path
   FaultInjector injector_;
-  PoolStats pool_mark_;            ///< pool_stats() at run start
+  PoolStats pool_mark_;  ///< pool_total() at run start
 
   // Declared before nodes_ so in-flight payload handles (inside inboxes)
   // are destroyed before the pools they return to.
   std::vector<BufferPool> pools_;  // index = address; persists across runs
-  std::vector<std::unique_ptr<NodeState>> nodes_;  // index = address
+  std::vector<std::unique_ptr<NodeCtx>> nodes_;  // index = address
   std::uint64_t messages_ = 0;
   std::uint64_t keys_sent_ = 0;
   std::uint64_t key_hops_ = 0;

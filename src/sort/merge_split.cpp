@@ -25,24 +25,6 @@ KernelBackend active_kernel_backend() {
   return backend;
 }
 
-ExchangeProtocol resolve_protocol(ExchangeProtocol configured,
-                                  CoalescePolicy policy,
-                                  const sim::CostModel& cost) {
-  if (configured == ExchangeProtocol::FullExchange) return configured;
-  switch (policy) {
-    case CoalescePolicy::Off:
-      return configured;
-    case CoalescePolicy::On:
-      return ExchangeProtocol::FullExchange;
-    case CoalescePolicy::Auto:
-      return cost.routing == sim::RoutingMode::CutThrough
-                 ? ExchangeProtocol::FullExchange
-                 : configured;
-  }
-  FTSORT_INVARIANT(false);
-  return configured;
-}
-
 namespace detail {
 
 void merge_split_into_scalar(std::span<const Key> mine,

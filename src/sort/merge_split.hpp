@@ -24,9 +24,9 @@
 // traffic; it costs an extra round trip and extra local work (pairwise
 // select + two unimodal sorts + a merge, ≈2b comparisons vs the full
 // exchange's ≤b). Under a cost model where the per-message start-up term
-// dominates (cut-through), the 4-message/2-round shape is strictly worse —
-// which is why CoalescePolicy::Auto rewrites it to the single-round full
-// exchange there. See resolve_protocol.
+// dominates (cut-through), the 4-message/2-round shape is strictly worse,
+// so a cut-through configuration asks for the full exchange. A sort runs
+// the protocol it is configured with; nothing rewrites it.
 //
 // The messaging halves of these protocols live in spmd_bitonic.*; this
 // header holds the pure computational kernels.
@@ -36,7 +36,6 @@
 #include <span>
 #include <vector>
 
-#include "sim/cost_model.hpp"
 #include "sort/sequential.hpp"
 
 namespace ftsort::sort {
@@ -48,24 +47,6 @@ enum class ExchangeProtocol {
   FullExchange,  ///< swap whole blocks, compute locally
   HalfExchange,  ///< the paper's send-half / compare / return protocol
 };
-
-/// Exchange coalescing: whether the sorter may rewrite the paper's
-/// two-round half exchange into the one-round full exchange (same keys per
-/// direction, half the messages and rounds — see the file header).
-enum class CoalescePolicy {
-  Off,   ///< run the configured protocol verbatim
-  Auto,  ///< coalesce exactly when the cost model routes cut-through
-  On,    ///< always coalesce
-};
-
-/// The protocol a sort actually runs: `configured` filtered through the
-/// coalescing policy under the active cost model. FullExchange is already
-/// maximally coalesced and passes through untouched; under the default
-/// (store-and-forward, Auto) configuration the result is always
-/// `configured`, which is what keeps default reports byte-identical.
-ExchangeProtocol resolve_protocol(ExchangeProtocol configured,
-                                  CoalescePolicy policy,
-                                  const sim::CostModel& cost);
 
 /// Which compiled implementation the pairwise select below dispatches to
 /// (the merge-split has one, scalar body). Scalar is the reference (the

@@ -143,9 +143,10 @@ INSTANTIATE_TEST_SUITE_P(AllShapes, ExecutorEquivalence,
                            return kShapes[param_info.param].name;
                          });
 
-// The coalescing rewrite (CoalescePolicy::Auto under cut-through routing)
-// must preserve executor equivalence: fewer, larger messages through the
-// same pool, byte-identical reports across schedulers.
+// The coalesced exchange under cut-through routing (the full exchange, as
+// a cut-through configuration sets it) must preserve executor
+// equivalence: fewer, larger messages through the same pool, byte-identical
+// reports across schedulers.
 TEST(ExecutorEquivalence, CoalescedCutThroughRunsMatchByteForByte) {
   const Shape& shape = kShapes[2];  // q4_two_faults
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -157,8 +158,7 @@ TEST(ExecutorEquivalence, CoalescedCutThroughRunsMatchByteForByte) {
       core::SortConfig cfg;
       cfg.executor = exec;
       cfg.cost = sim::CostModel::wormhole();
-      cfg.protocol = sort::ExchangeProtocol::HalfExchange;
-      cfg.coalesce = sort::CoalescePolicy::Auto;
+      cfg.protocol = sort::ExchangeProtocol::FullExchange;
       cfg.record_metrics = true;
       cfg.record_link_stats = true;
       core::FaultTolerantSorter sorter(
@@ -171,30 +171,6 @@ TEST(ExecutorEquivalence, CoalescedCutThroughRunsMatchByteForByte) {
     expect_identical(results[0], results[1],
                      "coalesced seed " + std::to_string(seed));
   }
-}
-
-// Forcing the rewrite under the default store-and-forward model must give
-// exactly the run a FullExchange configuration would have produced — the
-// rewrite is a config-time substitution, not a new protocol.
-TEST(ExecutorEquivalence, ForcedCoalescingEqualsConfiguredFullExchange) {
-  util::Rng rng(4242);
-  const auto keys = sort::gen_uniform(300, rng);
-  core::SortConfig coalesced;
-  coalesced.protocol = sort::ExchangeProtocol::HalfExchange;
-  coalesced.coalesce = sort::CoalescePolicy::On;
-  core::SortConfig full;
-  full.protocol = sort::ExchangeProtocol::FullExchange;
-  full.coalesce = sort::CoalescePolicy::Off;
-  const fault::FaultSet faults(4, {3, 12});
-  const auto a =
-      core::FaultTolerantSorter(4, faults, coalesced).sort(keys);
-  const auto b = core::FaultTolerantSorter(4, faults, full).sort(keys);
-  EXPECT_EQ(a.sorted, b.sorted);
-  EXPECT_DOUBLE_EQ(a.report.makespan, b.report.makespan);
-  EXPECT_EQ(a.report.messages, b.report.messages);
-  EXPECT_EQ(a.report.keys_sent, b.report.keys_sent);
-  EXPECT_EQ(a.report.comparisons, b.report.comparisons);
-  EXPECT_EQ(a.report.node_clocks, b.report.node_clocks);
 }
 
 // Offline (non-recovery) sorts must stay equivalent as well — the injector

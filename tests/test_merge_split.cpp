@@ -275,31 +275,6 @@ TEST(PairwiseSelectRevInto, EquivalentToReversedCopy) {
 }
 
 // ---------------------------------------------------------------------------
-// Exchange coalescing: the protocol rewrite is a pure function of the
-// configured protocol, the policy, and the cost model's routing mode.
-
-TEST(ResolveProtocol, AutoEngagesOnlyUnderCutThrough) {
-  const sim::CostModel saf = sim::CostModel::ncube7();
-  const sim::CostModel ct = sim::CostModel::wormhole();
-  using EP = ExchangeProtocol;
-  using CP = CoalescePolicy;
-  // Full exchange is already the coalesced form — nothing to rewrite.
-  EXPECT_EQ(resolve_protocol(EP::FullExchange, CP::Off, saf),
-            EP::FullExchange);
-  EXPECT_EQ(resolve_protocol(EP::FullExchange, CP::Auto, ct),
-            EP::FullExchange);
-  // Off never rewrites, On always does, Auto keys off the routing mode.
-  EXPECT_EQ(resolve_protocol(EP::HalfExchange, CP::Off, ct),
-            EP::HalfExchange);
-  EXPECT_EQ(resolve_protocol(EP::HalfExchange, CP::On, saf),
-            EP::FullExchange);
-  EXPECT_EQ(resolve_protocol(EP::HalfExchange, CP::Auto, saf),
-            EP::HalfExchange);
-  EXPECT_EQ(resolve_protocol(EP::HalfExchange, CP::Auto, ct),
-            EP::FullExchange);
-}
-
-// ---------------------------------------------------------------------------
 // Scalar-vs-SIMD kernel equivalence. The vectorized pairwise select must
 // be indistinguishable from the scalar oracle: byte-identical output AND
 // an identical comparison count. The sweep calls both detail:: bodies

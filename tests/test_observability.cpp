@@ -208,8 +208,8 @@ TEST(ObservabilityMetrics, OffByDefaultLeavesReportEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool accounting: RunReport::pool is cumulative over the Machine's
-// lifetime (the documented footgun); pool_delta is this run's slice.
+// Pool accounting: the pools stay warm over the Machine's lifetime, and
+// pool_delta is this run's slice of their ledger.
 
 TEST(ObservabilityPool, PoolDeltaIsPerRunWhilePoolIsCumulative) {
   sim::Machine machine(2, fault::FaultSet(2));
@@ -227,14 +227,13 @@ TEST(ObservabilityPool, PoolDeltaIsPerRunWhilePoolIsCumulative) {
   };
   const sim::RunReport r1 = machine.run(program);
   const sim::RunReport r2 = machine.run(program);
-  ASSERT_GT(r1.pool.checkouts, 0u);
+  ASSERT_GT(r1.pool_delta.checkouts, 0u);
   // Identical runs, identical per-run deltas...
   EXPECT_EQ(r1.pool_delta.checkouts, r2.pool_delta.checkouts);
   EXPECT_EQ(r1.pool_delta.returns, r2.pool_delta.returns);
-  // ...while the raw PoolStats keep growing across runs.
-  EXPECT_EQ(r2.pool.checkouts,
-            r1.pool.checkouts + r2.pool_delta.checkouts);
-  EXPECT_GT(r2.pool.checkouts, r1.pool.checkouts);
+  // ...except that the second run reuses the buffer the first one returned.
+  EXPECT_EQ(r1.pool_delta.heap_allocations(), 1u);
+  EXPECT_EQ(r2.pool_delta.heap_allocations(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -239,6 +243,104 @@ TEST(Recovery, RandomInjectionSweepSortsOrDegrades) {
   // recoverable; only coordinator kills may degrade.
   EXPECT_GT(recovered, 0u);
   EXPECT_EQ(recovered + degraded, 40u);
+}
+
+// ---------------------------------------------------------------------------
+// Every single kill: each node, the coordinator included, dies at each time
+// of a grid built from the fault-free run. Every run must return the sorted
+// input with a clean lineage audit, or degrade; nothing else may happen.
+
+enum class Fate { Clean, Recovered, Degraded };
+
+struct KillRun {
+  Fate fate = Fate::Clean;
+  sim::SimTime makespan = 0.0;
+  std::vector<cube::NodeId> killed;
+  bool operator==(const KillRun&) const = default;
+};
+
+/// Every distinct event time of the fault-free traced run and every
+/// message arrival, each taken just below, exactly and just above.
+std::vector<sim::SimTime> kill_grid(cube::Dim n,
+                                    const std::vector<sort::Key>& keys) {
+  core::SortConfig cfg = recovery_config();
+  cfg.record_trace = true;
+  const auto out =
+      core::FaultTolerantSorter(n, fault::FaultSet(n), cfg).sort(keys);
+  std::set<sim::SimTime> base;
+  for (const sim::TraceEvent& ev : out.trace_events) {
+    base.insert(ev.time);
+    if (ev.kind == sim::EventKind::Send)
+      base.insert(ev.time + cfg.cost.transfer_time(ev.keys, ev.hops));
+  }
+  constexpr sim::SimTime kInf = std::numeric_limits<sim::SimTime>::infinity();
+  std::set<sim::SimTime> grid;
+  for (const sim::SimTime t : base)
+    for (const sim::SimTime k :
+         {std::nextafter(t, -kInf), t, std::nextafter(t, kInf)})
+      if (k >= 0.0) grid.insert(k);
+  return {grid.begin(), grid.end()};
+}
+
+/// Every `stride`-th (victim, time) pair of Q_n's sweep, victim-major.
+std::vector<KillRun> kill_sweep(cube::Dim n, core::Executor exec,
+                                std::size_t stride) {
+  util::Rng rng(2024 + static_cast<std::uint64_t>(n));
+  const auto keys = sort::gen_uniform(32, rng);
+  const auto expected = sorted_copy(keys);
+  const std::vector<sim::SimTime> grid = kill_grid(n, keys);
+  std::vector<KillRun> runs;
+  std::size_t index = 0;
+  for (cube::NodeId victim = 0; victim < cube::num_nodes(n); ++victim) {
+    for (const sim::SimTime when : grid) {
+      if (index++ % stride != 0) continue;
+      core::SortConfig cfg = recovery_config(exec);
+      cfg.record_lineage = true;
+      cfg.injector.kill_node_at(victim, when);
+      const std::string where = "Q_" + std::to_string(n) + " kill " +
+                                std::to_string(victim) + " at " +
+                                std::to_string(when);
+      try {
+        const auto out =
+            core::FaultTolerantSorter(n, fault::FaultSet(n), cfg).sort(keys);
+        EXPECT_EQ(out.sorted, expected) << where;
+        EXPECT_TRUE(out.report.lineage.audit.checked &&
+                    out.report.lineage.audit.ok)
+            << where;
+        runs.push_back({out.report.killed_nodes.empty() ? Fate::Clean
+                                                        : Fate::Recovered,
+                        out.report.makespan, out.report.killed_nodes});
+      } catch (const core::DegradationError&) {
+        runs.push_back({Fate::Degraded, 0.0, {}});
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << where << " threw " << e.what();
+      }
+    }
+  }
+  return runs;
+}
+
+std::array<std::size_t, 4> runs_and_fates(const std::vector<KillRun>& runs) {
+  std::array<std::size_t, 4> counts{runs.size(), 0, 0, 0};
+  for (const KillRun& run : runs)
+    ++counts[1 + static_cast<std::size_t>(run.fate)];
+  return counts;
+}
+
+TEST(RecoverySweep, EverySingleKill) {
+  // Runs, clean, recovered, degraded.
+  using Counts = std::array<std::size_t, 4>;
+  EXPECT_EQ(runs_and_fates(kill_sweep(3, core::Executor::Sequential, 1)),
+            (Counts{688, 86, 523, 79}));
+  EXPECT_EQ(runs_and_fates(kill_sweep(4, core::Executor::Sequential, 1)),
+            (Counts{2048, 382, 1548, 118}));
+}
+
+TEST(RecoverySweep, ThreadedExecutorMatchesEverySixteenthKill) {
+  for (const cube::Dim n : {3, 4})
+    EXPECT_EQ(kill_sweep(n, core::Executor::Threaded, 16),
+              kill_sweep(n, core::Executor::Sequential, 16))
+        << "Q_" << n;
 }
 
 }  // namespace

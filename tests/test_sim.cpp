@@ -2,6 +2,8 @@
 // logical clocks, cost accounting, deadlock detection, tracing.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "sim/machine.hpp"
 
 namespace ftsort::sim {
@@ -394,6 +396,144 @@ TEST(CostModelValues, NamesIdentifyTheConstructors) {
   EXPECT_EQ(CostModel::ncube7().mode_name(), "store_and_forward");
   EXPECT_EQ(CostModel::wormhole().mode_name(), "cut_through");
 }
+
+// ---------------------------------------------------------------------------
+// The receive path on both executors: a queued message, a late sender, a
+// timeout at quiescence, the timeout-then-kill tie, and per-channel FIFO.
+// Each case must give the same results on either executor.
+
+class ReceivePath : public ::testing::TestWithParam<bool> {
+ protected:
+  RunReport run(Machine& machine, const Machine::Program& program) {
+    return GetParam() ? machine.run_threaded(program) : machine.run(program);
+  }
+};
+
+TEST_P(ReceivePath, QueuedMessageIsTakenAtOnce) {
+  Machine machine(1, no_faults(1));
+  std::vector<Key> got;
+  std::vector<SimTime> clocks;
+  const auto program = [&](NodeCtx& ctx) -> Task {
+    if (ctx.id() == 0) {
+      ctx.send(1, 1, {7, 8});  // arrives at 16
+      ctx.send(1, 2, {9});     // sent at 16, arrives at 24
+      co_return;
+    }
+    ctx.charge_time(20.0);
+    for (const Tag tag : {Tag{1}, Tag{2}}) {
+      const std::optional<Message> m =
+          co_await ctx.recv_or_timeout(0, tag, 1.0);
+      if (m) got.insert(got.end(), m->payload.begin(), m->payload.end());
+      clocks.push_back(ctx.now());
+    }
+  };
+  const RunReport report = run(machine, program);
+  EXPECT_EQ(got, (std::vector<Key>{7, 8, 9}));
+  // clock = max(clock, arrival): the first arrival is already behind it.
+  EXPECT_EQ(clocks, (std::vector<SimTime>{20.0, 24.0}));
+  EXPECT_EQ(report.timeouts, 0u);
+}
+
+TEST_P(ReceivePath, LaterSendBeatsThePatience) {
+  // Node 1 blocks with a 1 µs patience before node 0 sends; no timeout can
+  // fire while node 0 is still runnable, so the message wins.
+  Machine machine(1, no_faults(1));
+  std::optional<Message> got;
+  const auto program = [&](NodeCtx& ctx) -> Task {
+    if (ctx.id() == 0) {
+      (void)co_await ctx.recv(1, 9);  // clock 8
+      ctx.charge_time(1000.0);
+      ctx.send(1, 1, {5});            // arrives at 1016
+    } else {
+      ctx.send(0, 9, {0});
+      got = co_await ctx.recv_or_timeout(0, 1, 1.0);  // deadline 9
+    }
+  };
+  const RunReport report = run(machine, program);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload.vec(), std::vector<Key>{5});
+  EXPECT_EQ(report.timeouts, 0u);
+  EXPECT_DOUBLE_EQ(report.node_clocks[1], 1016.0);
+}
+
+TEST_P(ReceivePath, TimesOutAtTheDeadlineWhenNoMessageCanArrive) {
+  Machine machine(1, no_faults(1));
+  bool timed_out = false;
+  const auto program = [&](NodeCtx& ctx) -> Task {
+    if (ctx.id() == 0) co_return;
+    ctx.charge_time(100.0);
+    timed_out = !(co_await ctx.recv_or_timeout(0, 1, 50.0)).has_value();
+  };
+  const RunReport report = run(machine, program);
+  EXPECT_TRUE(timed_out);
+  EXPECT_EQ(report.timeouts, 1u);
+  EXPECT_DOUBLE_EQ(report.node_clocks[1], 150.0);
+  EXPECT_TRUE(report.killed_nodes.empty());
+}
+
+TEST_P(ReceivePath, DeadlineAtTheKillTimeTimesOutThenDies) {
+  // A timeout and a kill due at the same instant: the timeout fires first,
+  // then the node dies at its next check.
+  Machine machine(1, no_faults(1));
+  FaultInjector injector;
+  injector.kill_node_at(1, 150.0);
+  machine.set_injector(injector);
+  machine.trace().enable();
+  bool resumed = false;
+  const auto program = [&](NodeCtx& ctx) -> Task {
+    if (ctx.id() == 0) co_return;
+    ctx.charge_time(100.0);
+    (void)co_await ctx.recv_or_timeout(0, 1, 50.0);
+    resumed = true;
+  };
+  const RunReport report = run(machine, program);
+  EXPECT_FALSE(resumed);
+  EXPECT_EQ(report.timeouts, 1u);
+  EXPECT_EQ(report.killed_nodes, std::vector<cube::NodeId>{1});
+  EXPECT_DOUBLE_EQ(report.node_clocks[1], 150.0);
+  std::vector<EventKind> kinds;
+  for (const TraceEvent& ev : machine.trace().run_events()) {
+    EXPECT_EQ(ev.node, 1u);
+    EXPECT_DOUBLE_EQ(ev.time, 150.0);
+    kinds.push_back(ev.kind);
+  }
+  EXPECT_EQ(kinds, (std::vector<EventKind>{EventKind::Timeout,
+                                           EventKind::Kill}));
+}
+
+TEST_P(ReceivePath, EachSourceAndTagIsItsOwnFifo) {
+  // Two sources share tag 1 and interleave it with tag 2; the receiver
+  // asks for the channels in an order unlike any arrival order.
+  Machine machine(2, no_faults(2));
+  std::vector<Key> got;
+  const auto program = [&](NodeCtx& ctx) -> Task {
+    if (ctx.id() == 0) {
+      ctx.send(2, 1, {10});
+      ctx.send(2, 2, {20});
+      ctx.send(2, 1, {11});
+    } else if (ctx.id() == 1) {
+      ctx.send(2, 1, {30});
+      ctx.send(2, 1, {31});
+      ctx.send(2, 2, {40});
+    } else if (ctx.id() == 2) {
+      got.push_back((co_await ctx.recv(1, 1)).payload[0]);
+      got.push_back((*co_await ctx.recv_or_timeout(0, 1, 1.0)).payload[0]);
+      got.push_back((co_await ctx.recv(0, 2)).payload[0]);
+      got.push_back((*co_await ctx.recv_or_timeout(1, 2, 1.0)).payload[0]);
+      got.push_back((co_await ctx.recv(0, 1)).payload[0]);
+      got.push_back((co_await ctx.recv(1, 1)).payload[0]);
+    }
+    co_return;
+  };
+  const RunReport report = run(machine, program);
+  EXPECT_EQ(got, (std::vector<Key>{30, 10, 20, 40, 11, 31}));
+  EXPECT_EQ(report.timeouts, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Executors, ReceivePath, ::testing::Bool(),
+                         [](const auto& param_info) {
+                           return param_info.param ? "Threaded" : "Sequential";
+                         });
 
 }  // namespace
 }  // namespace ftsort::sim

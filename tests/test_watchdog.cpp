@@ -294,8 +294,8 @@ TEST(WatchdogMachine, HealthyRunReportsZeroTripsAndArmedConfig) {
 
 // ---------------------------------------------------------------------------
 // Determinism: arming the watchdog changes nothing but its own config
-// echo in the metrics export, and the executors still agree on every
-// logical result while armed.
+// echo in the metrics export, with every instrument recording, and the
+// executors still agree on every logical result while armed.
 
 core::SortOutcome sort_fig7(core::Executor exec, bool watchdog) {
   util::Rng rng(1706);
@@ -307,6 +307,8 @@ core::SortOutcome sort_fig7(core::Executor exec, bool watchdog) {
   cfg.record_metrics = true;
   cfg.record_trace = true;
   cfg.record_link_stats = true;
+  cfg.record_timeline = true;
+  cfg.record_lineage = true;
   if (watchdog) {
     cfg.watchdog.enabled = true;
     cfg.watchdog.deadline_ms = 60'000;

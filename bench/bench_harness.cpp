@@ -258,10 +258,8 @@ Metrics run_micro_merge_split(const std::string& name, std::size_t block,
   measure(m, reps, [&] {
     comparisons = 0;
     for (int i = 0; i < iters; ++i) {
-      sort::detail::merge_split_into_scalar(a, b, sort::SplitHalf::Lower, out,
-                                            comparisons);
-      sort::detail::merge_split_into_scalar(a, b, sort::SplitHalf::Upper, out,
-                                            comparisons);
+      sort::merge_split_into(a, b, sort::SplitHalf::Lower, out, comparisons);
+      sort::merge_split_into(a, b, sort::SplitHalf::Upper, out, comparisons);
     }
   });
   m.comparisons = comparisons;

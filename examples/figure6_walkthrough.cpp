@@ -72,9 +72,8 @@ struct Walkthrough {
   void run_steps(std::size_t r) {
     run_phase([this, r](sim::NodeCtx& ctx) -> sim::Task {
       if (runs[ctx.id()].empty()) co_return;  // idle processor
-      sort::ExchangeScratch scratch;
       co_await sort::run_schedule(ctx, runs[ctx.id()][r],
-                                  block_of[ctx.id()], protocol, scratch);
+                                  block_of[ctx.id()], protocol);
     });
   }
 
@@ -128,11 +127,9 @@ int main(int argc, char** argv) {
 
   // Step 3a: local heapsort.
   wt.run_phase([&](sim::NodeCtx& ctx) -> sim::Task {
-    const auto role = wt.plan.role_of(ctx.id());
-    if (!role.live) co_return;
-    std::uint64_t comparisons = 0;
-    sort::heapsort(wt.block_of[ctx.id()], comparisons);
-    ctx.charge_compares(comparisons);
+    if (wt.plan.role_of(ctx.id()).live)
+      sort::local_sort(ctx, sort::LocalSort::Heapsort, wt.block_of[ctx.id()]);
+    co_return;
   });
   // Step 3b: single-fault bitonic sort per subcube, direction by parity.
   wt.run_steps(0);

@@ -1,7 +1,6 @@
 #include "baseline/mfs_sorter.hpp"
 
 #include "sort/distribution.hpp"
-#include "sort/sequential.hpp"
 #include "util/contracts.hpp"
 
 namespace ftsort::baseline {
@@ -19,29 +18,25 @@ MfsSortResult mfs_bitonic_sort(cube::Dim n, const fault::FaultSet& faults,
   lc.s = sub.dim();
   lc.phys = sub.members();  // increasing global order == logical order
 
-  // The subcube's members, in logical order, are the slot list.
+  // The subcube's members, in logical order, are the slot list; each
+  // walks its block bitonic sort.
   sort::Placement placed = sort::scatter(keys, lc.phys, cube::num_nodes(n));
   std::vector<std::vector<sort::Key>>& block_of = placed.block_of;
-  std::vector<cube::NodeId> logical_of(cube::num_nodes(n),
-                                       cube::num_nodes(n));
-  for (cube::NodeId logical = 0; logical < lc.size(); ++logical)
-    logical_of[lc.phys[logical]] = logical;
+  std::vector<std::vector<sort::ExchangeStep>> schedule(cube::num_nodes(n));
+  std::vector<bool> member(cube::num_nodes(n), false);
+  for (cube::NodeId logical = 0; logical < lc.size(); ++logical) {
+    member[lc.phys[logical]] = true;
+    sort::append_bitonic_sort(lc, logical, /*ascending=*/true,
+                              sim::Phase::SubcubeSort, /*tag_base=*/0,
+                              schedule[lc.phys[logical]]);
+  }
 
   sim::Machine machine(n, faults, model, cost);
   const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
-    const cube::NodeId logical = logical_of[ctx.id()];
-    if (logical == cube::num_nodes(n)) co_return;  // outside the subcube
+    if (!member[ctx.id()]) co_return;  // outside the subcube
     std::vector<sort::Key>& block = block_of[ctx.id()];
-    {
-      const sim::PhaseSpan span = ctx.span(sim::Phase::LocalSort);
-      std::uint64_t comparisons = 0;
-      sort::heapsort(block, comparisons);
-      ctx.charge_compares(comparisons);
-    }
-    sort::ExchangeScratch scratch;
-    co_await sort::block_bitonic_sort(ctx, lc, logical, block,
-                                      /*ascending=*/true, protocol,
-                                      /*tag_base=*/0, scratch);
+    sort::local_sort(ctx, sort::LocalSort::Heapsort, block);
+    co_await sort::run_schedule(ctx, schedule[ctx.id()], block, protocol);
   };
 
   MfsSortResult result;

@@ -1,8 +1,6 @@
 #include "baseline/ring_sorter.hpp"
 
 #include "sort/distribution.hpp"
-#include "sort/merge_split.hpp"
-#include "sort/sequential.hpp"
 #include "util/contracts.hpp"
 
 namespace ftsort::baseline {
@@ -17,6 +15,32 @@ std::vector<cube::NodeId> healthy_ring(const fault::FaultSet& faults) {
   return ring;
 }
 
+namespace {
+
+/// Odd-even transposition for ring position `me`: phase p pairs positions
+/// (i, i+1) with i ≡ p (mod 2), and as many phases as positions sort the
+/// line. An end of the line whose partner does not exist sits its phase
+/// out as a skip.
+std::vector<sort::ExchangeStep> transposition_steps(
+    std::span<const cube::NodeId> ring, std::size_t me) {
+  const std::size_t live = ring.size();
+  std::vector<sort::ExchangeStep> steps;
+  steps.reserve(live);
+  for (std::size_t phase = 0; phase < live; ++phase) {
+    const bool is_left = (me % 2) == (phase % 2);
+    const bool idle = is_left ? me + 1 == live : me == 0;
+    const cube::NodeId partner =
+        idle ? ring[me] : ring[is_left ? me + 1 : me - 1];
+    steps.push_back({sim::Phase::MergeExchange, static_cast<sim::Tag>(phase),
+                     partner,
+                     is_left ? sort::SplitHalf::Lower : sort::SplitHalf::Upper,
+                     /*swap=*/false, /*skip=*/idle});
+  }
+  return steps;
+}
+
+}  // namespace
+
 RingSortResult ring_odd_even_sort(cube::Dim n,
                                   const fault::FaultSet& faults,
                                   std::span<const sort::Key> keys,
@@ -25,48 +49,24 @@ RingSortResult ring_odd_even_sort(cube::Dim n,
   FTSORT_REQUIRE(faults.dim() == n);
   RingSortResult result;
   result.ring = healthy_ring(faults);
-  const std::size_t live = result.ring.size();
-  FTSORT_REQUIRE(live > 0);
+  FTSORT_REQUIRE(!result.ring.empty());
 
-  // Position of each machine node along the ring.
-  std::vector<std::size_t> position(cube::num_nodes(n), live);
-  for (std::size_t p = 0; p < live; ++p) position[result.ring[p]] = p;
-
-  // The ring is the slot list: block p on the p-th node along it.
+  // The ring is the slot list: block p on the p-th node along it. Every
+  // healthy node is on the ring, so every program walks a list.
   sort::Placement placed =
       sort::scatter(keys, result.ring, cube::num_nodes(n));
   result.block_size = placed.block_size;
   std::vector<std::vector<sort::Key>>& block_of = placed.block_of;
+  std::vector<std::vector<sort::ExchangeStep>> schedule(cube::num_nodes(n));
+  for (std::size_t p = 0; p < result.ring.size(); ++p)
+    schedule[result.ring[p]] = transposition_steps(result.ring, p);
 
   sim::Machine machine(n, faults, model, cost);
   const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
-    const std::size_t me = position[ctx.id()];
-    if (me == live) co_return;  // not on the ring (cannot happen: healthy)
     std::vector<sort::Key>& block = block_of[ctx.id()];
-    {
-      const sim::PhaseSpan span = ctx.span(sim::Phase::LocalSort);
-      std::uint64_t comparisons = 0;
-      sort::heapsort(block, comparisons);
-      ctx.charge_compares(comparisons);
-    }
-
-    // Odd-even transposition: phase p pairs positions (i, i+1) with
-    // i ≡ p (mod 2). `live` phases guarantee a sorted ring.
-    sort::ExchangeScratch scratch;
-    for (std::size_t phase = 0; phase < live; ++phase) {
-      const bool is_left = (me % 2) == (phase % 2);
-      const std::size_t partner_pos =
-          is_left ? me + 1 : me - 1;
-      // Ends of the line sit out when their partner does not exist.
-      if (is_left && partner_pos >= live) continue;
-      if (!is_left && me == 0) continue;
-      const cube::NodeId partner = result.ring[partner_pos];
-      co_await sort::exchange_merge_split_into(
-          ctx, partner, static_cast<sim::Tag>(phase), block, scratch,
-          is_left ? sort::SplitHalf::Lower : sort::SplitHalf::Upper,
-          sort::ExchangeProtocol::FullExchange);
-    }
-    co_return;
+    sort::local_sort(ctx, sort::LocalSort::Heapsort, block);
+    co_await sort::run_schedule(ctx, schedule[ctx.id()], block,
+                                sort::ExchangeProtocol::FullExchange);
   };
   result.report = machine.run(program);
   result.sorted = sort::gather(block_of, result.ring);

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "sort/distribution.hpp"
-#include "sort/sequential.hpp"
 #include "util/contracts.hpp"
 
 namespace ftsort::core {
@@ -254,20 +253,11 @@ SortOutcome FaultTolerantSorter::sort(
       }
     }
 
-    // Exchange working storage, reused across every merge-split this node
-    // performs; after warm-up the whole sort's hot path is allocation-free.
-    sort::ExchangeScratch scratch;
-
     // Step 3: local sort (heapsort per the paper, configurable); then the
     // subcube's bitonic sort and Steps 4-8, one span per phase run.
-    {
-      const sim::PhaseSpan span = ctx.span(sim::Phase::LocalSort);
-      std::uint64_t comparisons = 0;
-      sort::local_sort(config_.local_sort, block, comparisons);
-      ctx.charge_compares(comparisons);
-    }
+    sort::local_sort(ctx, config_.local_sort, block);
     co_await sort::run_schedule(ctx, schedule[ctx.id()], block,
-                                config_.protocol, scratch);
+                                config_.protocol);
 
     // Final gather (optional): blocks stream back to the host through the
     // entry node in output order.

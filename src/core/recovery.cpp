@@ -149,12 +149,7 @@ sim::Task node_program(sim::NodeCtx& ctx, Shared& sh, const SortConfig& cfg) {
     std::map<NodeId, std::pair<std::uint32_t, std::vector<Key>>> witness;
     if (role.live) {
       status = kStatusFinished;
-      {
-        const sim::PhaseSpan span = ctx.span(sim::Phase::LocalSort);
-        std::uint64_t comps = 0;
-        sort::local_sort(cfg.local_sort, block, comps);
-        ctx.charge_compares(comps);
-      }
+      sort::local_sort(ctx, cfg.local_sort, block);
       const sim::PhaseSpan span = ctx.span(sim::Phase::RecoverySort);
       // One tag per list position; the offline tag field is not used.
       const std::vector<sort::ExchangeStep>& steps = at.schedule[me];

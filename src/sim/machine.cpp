@@ -78,15 +78,9 @@ void NodeCtx::note_lineage_rescatter(
   machine_->lineage().note_rescatter(blocks, salvage, phase_);
 }
 
-PhaseSpan NodeCtx::span(Phase p) { return PhaseSpan(*this, p, true); }
+PhaseSpan NodeCtx::span(Phase p) { return PhaseSpan(*this, p); }
 
-PhaseSpan NodeCtx::span_if_unattributed(Phase p) {
-  return PhaseSpan(*this, p, phase_ == Phase::Unattributed);
-}
-
-PhaseSpan::PhaseSpan(NodeCtx& ctx, Phase p, bool engage)
-    : ctx_(ctx), prev_(ctx.phase_), engaged_(engage) {
-  if (!engaged_) return;
+PhaseSpan::PhaseSpan(NodeCtx& ctx, Phase p) : ctx_(ctx), prev_(ctx.phase_) {
   Machine& m = *ctx_.machine_;
   // Reported before the phase switches so the walk's gap attribution stays
   // with the enclosing phase; the event itself carries the new phase.
@@ -98,7 +92,6 @@ PhaseSpan::PhaseSpan(NodeCtx& ctx, Phase p, bool engage)
 }
 
 PhaseSpan::~PhaseSpan() {
-  if (!engaged_) return;
   Machine& m = *ctx_.machine_;
   if (m.instrumented()) {
     const auto lock = ctx_.lock();

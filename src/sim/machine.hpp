@@ -171,10 +171,6 @@ class NodeCtx {
   /// records SpanBegin/SpanEnd trace events. Spans nest; the destructor
   /// restores the enclosing phase. Charges no time.
   PhaseSpan span(Phase p);
-  /// Like span(), but a no-op when an enclosing span already set a phase —
-  /// used by library kernels (sort/spmd_bitonic) so that a caller's
-  /// step-level tag wins over the kernel's generic one.
-  PhaseSpan span_if_unattributed(Phase p);
 
  private:
   friend class Machine;
@@ -248,8 +244,9 @@ class NodeCtx {
 };
 
 /// RAII scope for a node's ambient phase (see NodeCtx::span). Must be kept
-/// on the coroutine frame of the owning node program; non-copyable and
-/// non-movable so a span can never outlive its scope unnoticed.
+/// on the coroutine frame of the owning node program, or in a call of it
+/// that does not suspend; non-copyable and non-movable so a span can never
+/// outlive its scope unnoticed.
 class PhaseSpan {
  public:
   PhaseSpan(const PhaseSpan&) = delete;
@@ -258,11 +255,10 @@ class PhaseSpan {
 
  private:
   friend class NodeCtx;
-  PhaseSpan(NodeCtx& ctx, Phase p, bool engage);
+  PhaseSpan(NodeCtx& ctx, Phase p);
 
   NodeCtx& ctx_;
   Phase prev_ = Phase::Unattributed;
-  bool engaged_ = false;
 };
 
 /// Wall-clock scheduler counters for one shard (= one worker of the

@@ -4,13 +4,16 @@
 // blocking operations (message receive) suspend the coroutine and hand
 // control back to the deterministic scheduler. Sub-routines that
 // communicate are themselves Tasks and are composed with `co_await`, using
-// symmetric transfer so deep call chains cost no stack.
+// symmetric transfer so deep call chains cost no stack. Every Task is one
+// heap-allocated frame, so a loop that communicates belongs inside one
+// Task, not a Task per iteration: sort::run_schedule walks a node's whole
+// exchange list in one frame.
 //
 // A Task returns no value: results travel through caller-owned references
-// (a node's block, its ExchangeScratch). GCC 12.2 at -O2 miscompiles the
-// co_return value hand-off of value-returning coroutines, so keeping this
-// type void-only leaves no value path to miscompile;
-// tests/test_coro_miscompile.cpp keeps the standalone repro.
+// (a node's block). GCC 12.2 at -O2 miscompiles the co_return value
+// hand-off of value-returning coroutines, so keeping this type void-only
+// leaves no value path to miscompile; tests/test_coro_miscompile.cpp keeps
+// the standalone repro.
 #pragma once
 
 #include <coroutine>

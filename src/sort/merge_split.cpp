@@ -27,10 +27,35 @@ KernelBackend active_kernel_backend() {
 
 namespace detail {
 
-void merge_split_into_scalar(std::span<const Key> mine,
-                             std::span<const Key> theirs, SplitHalf keep,
-                             std::vector<Key>& out,
-                             std::uint64_t& comparisons) {
+void pairwise_select_rev_into_scalar(std::span<const Key> a,
+                                     std::span<const Key> b, SplitHalf keep,
+                                     std::vector<Key>& kept,
+                                     std::vector<Key>& returned,
+                                     std::uint64_t& comparisons) {
+  FTSORT_REQUIRE(a.size() == b.size());
+  const std::size_t n = a.size();
+  kept.resize(n);
+  returned.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    ++comparisons;
+    const Key bt = b[n - 1 - t];
+    const Key lo = std::min(a[t], bt);
+    const Key hi = std::max(a[t], bt);
+    if (keep == SplitHalf::Lower) {
+      kept[t] = lo;
+      returned[t] = hi;
+    } else {
+      kept[t] = hi;
+      returned[t] = lo;
+    }
+  }
+}
+
+}  // namespace detail
+
+void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
+                      SplitHalf keep, std::vector<Key>& out,
+                      std::uint64_t& comparisons) {
   const std::size_t want = mine.size();
   out.resize(want);
   if (want == 0) return;
@@ -68,38 +93,6 @@ void merge_split_into_scalar(std::span<const Key> mine,
       }
     }
   }
-}
-
-void pairwise_select_rev_into_scalar(std::span<const Key> a,
-                                     std::span<const Key> b, SplitHalf keep,
-                                     std::vector<Key>& kept,
-                                     std::vector<Key>& returned,
-                                     std::uint64_t& comparisons) {
-  FTSORT_REQUIRE(a.size() == b.size());
-  const std::size_t n = a.size();
-  kept.resize(n);
-  returned.resize(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    ++comparisons;
-    const Key bt = b[n - 1 - t];
-    const Key lo = std::min(a[t], bt);
-    const Key hi = std::max(a[t], bt);
-    if (keep == SplitHalf::Lower) {
-      kept[t] = lo;
-      returned[t] = hi;
-    } else {
-      kept[t] = hi;
-      returned[t] = lo;
-    }
-  }
-}
-
-}  // namespace detail
-
-void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
-                      SplitHalf keep, std::vector<Key>& out,
-                      std::uint64_t& comparisons) {
-  detail::merge_split_into_scalar(mine, theirs, keep, out, comparisons);
 }
 
 void pairwise_select_rev_into(std::span<const Key> a, std::span<const Key> b,

@@ -1,11 +1,11 @@
-// Internal entry points behind the KernelBackend dispatch in
-// merge_split.cpp, also called directly — side by side — by the
-// equivalence tests and bench_harness's kernel micros. The `_scalar`
-// kernels are the reference loops (defined in merge_split.cpp); the one
-// `_simd` kernel, the pairwise select, lives in merge_split_simd.cpp, which
-// is the only translation unit compiled with vector ISA flags — keep every
-// call to it behind `simd_kernels_available()` so no AVX2 instruction can
-// execute on a CPU without it. The merge-split is the scalar loop on every
+// Internal entry points behind the pairwise select's KernelBackend
+// dispatch in merge_split.cpp, also called directly — side by side — by
+// the equivalence tests and bench_harness's kernel micros. The `_scalar`
+// kernel is the reference loop (defined in merge_split.cpp); the `_simd`
+// kernel lives in merge_split_simd.cpp, which is the only translation unit
+// compiled with vector ISA flags — keep every call to it behind
+// `simd_kernels_available()` so no AVX2 instruction can execute on a CPU
+// without it. The merge-split has one body, `merge_split_into`, on every
 // CPU.
 //
 // Contract shared by both backends, enforced by tests/test_merge_split.cpp:
@@ -16,10 +16,6 @@
 
 namespace ftsort::sort::detail {
 
-void merge_split_into_scalar(std::span<const Key> mine,
-                             std::span<const Key> theirs, SplitHalf keep,
-                             std::vector<Key>& out,
-                             std::uint64_t& comparisons);
 void pairwise_select_rev_into_scalar(std::span<const Key> a,
                                      std::span<const Key> b, SplitHalf keep,
                                      std::vector<Key>& kept,

@@ -84,87 +84,76 @@ void append_bitonic_merge(const LogicalCube& lc, cube::NodeId me_logical,
                  /*swap=*/true, /*skip=*/mirror == me_logical});
 }
 
-sim::Task exchange_merge_split_into(
-    sim::NodeCtx& ctx, cube::NodeId partner, sim::Tag tag,
-    std::vector<Key>& block, ExchangeScratch& scratch, SplitHalf keep,
-    ExchangeProtocol protocol) {
-  // Generic tag; a caller's step-level span (e.g. ft_sorter's
-  // MergeExchange/Resort) takes precedence.
-  const sim::PhaseSpan span =
-      ctx.span_if_unattributed(sim::Phase::MergeExchange);
-  std::uint64_t comparisons = 0;
-  if (protocol == ExchangeProtocol::FullExchange) {
-    // Swap entire blocks, split locally.
-    ctx.send(partner, tag, std::span<const Key>(block));
-    sim::Message msg = co_await ctx.recv(partner, tag);
-    merge_split_into(block, msg.payload.span(), keep, scratch.merged,
-                     comparisons);
-    ctx.charge_compares(comparisons);
-  } else {
-    // Pairing: with both blocks ascending, the b smallest of A ∪ B are
-    // { min(A[k], B[b-1-k]) } and the b largest { max(A[k], B[b-1-k]) }.
-    // The Lower side (A) evaluates pairs k in [h, b), the Upper side (B)
-    // k in [0, h), h = b/2 — so each key crosses the wire at most once each
-    // way and the per-step traffic matches the paper's ⌈M/2N'⌉ terms. Each
-    // side first sends the bottom of its block the partner's pairs need:
-    // A[0..h) from the Lower side, B[0..b-h) from the Upper side. The
-    // reversed indexing of each pair's second element happens inside
-    // pairwise_select_rev_into; no reversed copies are materialised.
-    const bool lower = keep == SplitHalf::Lower;
-    const std::size_t b = block.size();
-    const std::size_t h = b / 2;
-    const std::size_t out = lower ? h : b - h;
-    const std::span<const Key> mine(block);
-    ctx.send(partner, tag, mine.first(out));
-    sim::Message msg = co_await ctx.recv(partner, tag);
-    FTSORT_REQUIRE(msg.payload.size() == b - out);
-    // Lower pairs: a[t] = A[h+t], b[t] = B[b-1-(h+t)] = reversed(received).
-    // Upper pairs: a[t] = A[t] (received), b[t] = B[b-1-t] = the top of my
-    // own block read backwards.
-    pairwise_select_rev_into(lower ? mine.subspan(h) : msg.payload.span(),
-                             lower ? msg.payload.span() : mine.last(h), keep,
-                             scratch.kept, scratch.returned, comparisons);
-    ctx.charge_compares(comparisons);
-    comparisons = 0;
-    // Return the losers; receive the winners of the partner's pairs. The
-    // two sets hold my final multiset exactly once (the Upper side's block
-    // top served only as comparison input).
-    ctx.send(partner, tag + 1, std::span<const Key>(scratch.returned));
-    sim::Message back = co_await ctx.recv(partner, tag + 1);
-    FTSORT_REQUIRE(back.payload.size() == out);
-    // Both parts are unimodal; sort each, then merge.
-    sort_unimodal(scratch.kept, scratch.unimodal, comparisons);
-    sort_unimodal(back.payload.vec(), scratch.unimodal, comparisons);
-    merge_sorted_into(scratch.kept, back.payload.span(), scratch.merged,
-                      comparisons);
-    ctx.charge_compares(comparisons);
-    FTSORT_ENSURE(scratch.merged.size() == b);
-  }
-  std::swap(block, scratch.merged);
-  // Custody commits here, at the merge — never at send/recv: the wire
-  // carried a copy (sim/lineage.hpp).
-  if (ctx.lineage_enabled()) ctx.note_lineage_retain(partner, tag, block);
-  co_return;
-}
-
 sim::Task run_schedule(sim::NodeCtx& ctx, std::span<const ExchangeStep> steps,
-                       std::vector<Key>& block, ExchangeProtocol protocol,
-                       ExchangeScratch& scratch) {
+                       std::vector<Key>& block, ExchangeProtocol protocol) {
+  std::vector<Key> merged;    // merge destination, swapped into the block
+  std::vector<Key> kept;      // pairwise winners (half exchange)
+  std::vector<Key> returned;  // pairwise losers sent back (half exchange)
+  std::vector<Key> unimodal;  // sort_unimodal merge scratch
   for (std::size_t k = 0; k < steps.size();) {
     const sim::Phase phase = steps[k].phase;
-    const sim::PhaseSpan span = ctx.span_if_unattributed(phase);
+    const sim::PhaseSpan span = ctx.span(phase);
     for (; k < steps.size() && steps[k].phase == phase; ++k) {
       const ExchangeStep& st = steps[k];
       if (st.skip) continue;
-      if (!st.swap) {
-        co_await exchange_merge_split_into(ctx, st.partner, st.tag, block,
-                                           scratch, st.keep, protocol);
-        continue;
+      if (st.swap) {
+        // The block moves into the message: no pool checkout, no copy.
+        ctx.send(st.partner, st.tag, std::move(block));
+        sim::Message msg = co_await ctx.recv(st.partner, st.tag);
+        msg.payload.release_into(block);
+      } else if (protocol == ExchangeProtocol::FullExchange) {
+        // Swap entire blocks, split locally.
+        ctx.send(st.partner, st.tag, std::span<const Key>(block));
+        sim::Message msg = co_await ctx.recv(st.partner, st.tag);
+        std::uint64_t comparisons = 0;
+        merge_split_into(block, msg.payload.span(), st.keep, merged,
+                         comparisons);
+        ctx.charge_compares(comparisons);
+        std::swap(block, merged);
+      } else {
+        // Pairing: with both blocks ascending, the b smallest of A ∪ B are
+        // { min(A[k], B[b-1-k]) } and the b largest { max(A[k], B[b-1-k]) }.
+        // The Lower side (A) evaluates pairs k in [h, b), the Upper side (B)
+        // k in [0, h), h = b/2 — so each key crosses the wire at most once
+        // each way and the per-step traffic matches the paper's ⌈M/2N'⌉
+        // terms. Each side first sends the bottom of its block the
+        // partner's pairs need: A[0..h) from the Lower side, B[0..b-h) from
+        // the Upper side. The reversed indexing of each pair's second
+        // element happens inside pairwise_select_rev_into; no reversed
+        // copies are materialised.
+        const bool lower = st.keep == SplitHalf::Lower;
+        const std::size_t b = block.size();
+        const std::size_t h = b / 2;
+        const std::size_t out = lower ? h : b - h;
+        const std::span<const Key> mine(block);
+        ctx.send(st.partner, st.tag, mine.first(out));
+        sim::Message msg = co_await ctx.recv(st.partner, st.tag);
+        FTSORT_REQUIRE(msg.payload.size() == b - out);
+        // Lower pairs: a[t] = A[h+t], b[t] = B[b-1-(h+t)] =
+        // reversed(received). Upper pairs: a[t] = A[t] (received), b[t] =
+        // B[b-1-t] = the top of my own block read backwards.
+        std::uint64_t comparisons = 0;
+        pairwise_select_rev_into(lower ? mine.subspan(h) : msg.payload.span(),
+                                 lower ? msg.payload.span() : mine.last(h),
+                                 st.keep, kept, returned, comparisons);
+        ctx.charge_compares(comparisons);
+        comparisons = 0;
+        // Return the losers; receive the winners of the partner's pairs.
+        // The two sets hold my final multiset exactly once (the Upper
+        // side's block top served only as comparison input).
+        ctx.send(st.partner, st.tag + 1, std::span<const Key>(returned));
+        sim::Message back = co_await ctx.recv(st.partner, st.tag + 1);
+        FTSORT_REQUIRE(back.payload.size() == out);
+        // Both parts are unimodal; sort each, then merge.
+        sort_unimodal(kept, unimodal, comparisons);
+        sort_unimodal(back.payload.vec(), unimodal, comparisons);
+        merge_sorted_into(kept, back.payload.span(), merged, comparisons);
+        ctx.charge_compares(comparisons);
+        FTSORT_ENSURE(merged.size() == b);
+        std::swap(block, merged);
       }
-      // The block moves into the message: no pool checkout, no copy.
-      ctx.send(st.partner, st.tag, std::move(block));
-      sim::Message msg = co_await ctx.recv(st.partner, st.tag);
-      msg.payload.release_into(block);
+      // Custody commits here, at the merge or the swap — never at
+      // send/recv: the wire carried a copy (sim/lineage.hpp).
       if (ctx.lineage_enabled())
         ctx.note_lineage_retain(st.partner, st.tag, block);
     }
@@ -172,18 +161,12 @@ sim::Task run_schedule(sim::NodeCtx& ctx, std::span<const ExchangeStep> steps,
   co_return;
 }
 
-sim::Task block_bitonic_sort(sim::NodeCtx& ctx, const LogicalCube& lc,
-                             cube::NodeId me_logical, std::vector<Key>& block,
-                             bool ascending, ExchangeProtocol protocol,
-                             sim::Tag tag_base, ExchangeScratch& scratch) {
-  std::vector<ExchangeStep> steps;
-  append_bitonic_sort(lc, me_logical, ascending, sim::Phase::SubcubeSort,
-                      tag_base, steps);
-  FTSORT_REQUIRE(lc.phys[me_logical] == ctx.id());
-  FTSORT_REQUIRE(is_ascending(block));
-  const sim::PhaseSpan span =
-      ctx.span_if_unattributed(sim::Phase::SubcubeSort);
-  co_await run_schedule(ctx, steps, block, protocol, scratch);
+void local_sort(sim::NodeCtx& ctx, LocalSort algorithm,
+                std::span<Key> block) {
+  const sim::PhaseSpan span = ctx.span(sim::Phase::LocalSort);
+  std::uint64_t comparisons = 0;
+  local_sort(algorithm, block, comparisons);
+  ctx.charge_compares(comparisons);
 }
 
 }  // namespace ftsort::sort

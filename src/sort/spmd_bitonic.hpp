@@ -15,9 +15,12 @@
 //
 // The comparison-exchange at each substep is a merge-split carried out by
 // either the full-exchange or the paper's half-exchange protocol (see
-// merge_split.hpp). After `block_bitonic_sort` the blocks, concatenated in
-// logical-address order, are globally ascending (or descending by blocks
-// when `ascending == false`, with each block still stored ascending).
+// merge_split.hpp), and `run_schedule` is the only coroutine that performs
+// one: Steps 3, 7 and 8, the MFS baseline's sort and the ring baseline's
+// odd-even transposition are all lists it walks. After a walk of
+// `append_bitonic_sort`'s list the blocks, concatenated in logical-address
+// order, are globally ascending (or descending by blocks when
+// `ascending == false`, with each block still stored ascending).
 #pragma once
 
 #include <span>
@@ -93,42 +96,19 @@ void append_bitonic_merge(const LogicalCube& lc, cube::NodeId me_logical,
                           sim::Phase phase, sim::Tag tag_base,
                           std::vector<ExchangeStep>& out);
 
-/// Reusable per-node working storage for the comparison-exchanges. One
-/// instance lives for a whole sort; after the first few exchanges every
-/// buffer has reached its steady-state capacity and the O(M) merge path
-/// performs no heap allocation at all.
-struct ExchangeScratch {
-  std::vector<Key> merged;    ///< merge destination, swapped into the block
-  std::vector<Key> kept;      ///< pairwise winners (half exchange)
-  std::vector<Key> returned;  ///< pairwise losers sent back (half exchange)
-  std::vector<Key> unimodal;  ///< sort_unimodal merge scratch
-};
-
-/// One comparison-exchange with `partner_phys`, in place: after completion
-/// `block` holds the lower (or upper) half of the union of the two blocks,
-/// ascending. Both sides must call it with complementary `keep` and the
-/// same `tag` (tag and tag+1 are used). All temporary storage comes from
-/// `scratch`.
-sim::Task exchange_merge_split_into(
-    sim::NodeCtx& ctx, cube::NodeId partner_phys, sim::Tag tag,
-    std::vector<Key>& block, ExchangeScratch& scratch, SplitHalf keep,
-    ExchangeProtocol protocol);
-
-/// Walks `steps` in order: every run of equal phase opens its span (unless
-/// the caller already set one), a skip does nothing, a swap trades whole
-/// blocks and every other step is one exchange_merge_split_into.
+/// Walks `steps` in order: every run of equal phase opens its span, a skip
+/// does nothing, a swap trades whole blocks and every other step is one
+/// merge-split with its partner under `protocol`, after which `block` holds
+/// the kept half of the two blocks' union, ascending. Partners walk
+/// complementary steps with the same tags (the half exchange also uses
+/// tag + 1). This one coroutine frame per walk is all a node's exchanges
+/// allocate: the merge buffers are its locals and reach their steady-state
+/// capacity in the first exchanges.
 sim::Task run_schedule(sim::NodeCtx& ctx, std::span<const ExchangeStep> steps,
-                       std::vector<Key>& block, ExchangeProtocol protocol,
-                       ExchangeScratch& scratch);
+                       std::vector<Key>& block, ExchangeProtocol protocol);
 
-/// The SPMD sort: generate the node's block bitonic sort, then walk it.
-/// `me_logical` is the caller's logical address (must be live); `block` is
-/// its sorted ascending block and is replaced by the node's slice of the
-/// result. All live blocks must have equal size. `scratch` is the caller's
-/// exchange storage, reusable across sorts.
-sim::Task block_bitonic_sort(sim::NodeCtx& ctx, const LogicalCube& lc,
-                             cube::NodeId me_logical, std::vector<Key>& block,
-                             bool ascending, ExchangeProtocol protocol,
-                             sim::Tag tag_base, ExchangeScratch& scratch);
+/// Step 3's local sort on a node: `algorithm` sorts `block` inside a
+/// LocalSort span and the node is charged the comparisons.
+void local_sort(sim::NodeCtx& ctx, LocalSort algorithm, std::span<Key> block);
 
 }  // namespace ftsort::sort

@@ -115,11 +115,11 @@ TEST(FailureInjection, WrongPayloadSizeCaughtByProtocolChecks) {
     std::vector<sim::Key> block =
         ctx.id() == 0 ? std::vector<sim::Key>{1, 2, 3, 4}
                       : std::vector<sim::Key>{5, 6};  // wrong size
-    sort::ExchangeScratch scratch;
-    co_await sort::exchange_merge_split_into(
-        ctx, ctx.id() ^ 1u, 0, block, scratch,
-        ctx.id() == 0 ? sort::SplitHalf::Lower : sort::SplitHalf::Upper,
-        sort::ExchangeProtocol::HalfExchange);
+    const sort::ExchangeStep step{
+        sim::Phase::MergeExchange, 0, ctx.id() ^ 1u,
+        ctx.id() == 0 ? sort::SplitHalf::Lower : sort::SplitHalf::Upper};
+    co_await sort::run_schedule(ctx, std::span(&step, 1), block,
+                                sort::ExchangeProtocol::HalfExchange);
   };
   EXPECT_THROW(machine.run(program), std::runtime_error);
 }

@@ -177,35 +177,98 @@ TEST(PairwiseSelect, DummiesLoseEveryComparison) {
   EXPECT_EQ(returned, (std::vector<Key>{sim::kDummyKey, sim::kDummyKey}));
 }
 
-// The dispatching kernels must match the scalar oracle bit for bit:
-// byte-identical output AND an identical comparison count (the
-// simulator's RunReport checksums depend on both), whichever backend is
-// active.
+/// The textbook count of a merge-split: one comparison per key placed
+/// while both runs still hold keys, and the split stops after |mine| keys.
+/// A tie goes to `mine`, so in the forward (Lower) merge a key of `mine`
+/// leaves before every key of `theirs` that is not smaller, and in the
+/// backward (Upper) merge before every key that is not larger. The run
+/// whose end key leaves first empties after its own keys plus the keys of
+/// the other run that leave before that end key.
+std::uint64_t textbook_merge_split_count(const std::vector<Key>& mine,
+                                         const std::vector<Key>& theirs,
+                                         SplitHalf keep) {
+  if (mine.empty() || theirs.empty()) return 0;
+  const auto below = [](const std::vector<Key>& run, Key key, bool or_equal) {
+    const auto end = or_equal ? std::upper_bound(run.begin(), run.end(), key)
+                              : std::lower_bound(run.begin(), run.end(), key);
+    return static_cast<std::size_t>(end - run.begin());
+  };
+  const auto above = [&](const std::vector<Key>& run, Key key, bool or_equal) {
+    return run.size() - below(run, key, !or_equal);
+  };
+  std::size_t both = 0;  // keys placed until one run is empty
+  if (keep == SplitHalf::Lower) {
+    const Key m = mine.back();
+    const Key t = theirs.back();
+    both = m <= t ? mine.size() + below(theirs, m, false)
+                  : theirs.size() + below(mine, t, true);
+  } else {
+    const Key m = mine.front();
+    const Key t = theirs.front();
+    both = m >= t ? mine.size() + above(theirs, m, false)
+                  : theirs.size() + above(mine, t, true);
+  }
+  return std::min(both, mine.size());
+}
+
+/// `out` must be the |mine| smallest (Lower) or largest (Upper) keys of
+/// the sorted union, counted as the textbook counts.
+::testing::AssertionResult split_matches_textbook(
+    const std::vector<Key>& mine, const std::vector<Key>& theirs,
+    SplitHalf keep, std::vector<Key>& out) {
+  std::vector<Key> all = mine;
+  all.insert(all.end(), theirs.begin(), theirs.end());
+  std::sort(all.begin(), all.end());
+  const auto first = keep == SplitHalf::Lower
+                         ? all.begin()
+                         : all.end() - static_cast<std::ptrdiff_t>(mine.size());
+  // The kernel adds to the counter; start it off zero.
+  constexpr std::uint64_t kCounterStart = 7;
+  std::uint64_t count = kCounterStart;
+  merge_split_into(mine, theirs, keep, out, count);
+  if (out.size() != mine.size() ||
+      !std::equal(out.begin(), out.end(), first))
+    return ::testing::AssertionFailure() << "output is not the union's half";
+  const std::uint64_t want = textbook_merge_split_count(mine, theirs, keep);
+  if (count - kCounterStart != want)
+    return ::testing::AssertionFailure()
+           << "count " << count - kCounterStart << ", textbook " << want;
+  return ::testing::AssertionSuccess();
+}
+
+// Output and comparison count both feed the simulator's RunReport, so the
+// kernel must match the sorted union and the textbook count on every pair
+// of sizes, from all-equal keys to the full 48-bit range.
 TEST(MergeSplitInto, MatchesReferenceBitForBit) {
   util::Rng rng(11);
   std::vector<Key> out;  // reused across every trial: exercises capacity reuse
-  std::vector<Key> ref;
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t na = 1 + static_cast<std::size_t>(trial) % 33;
-    const std::size_t nb = 1 + static_cast<std::size_t>(trial * 7) % 33;
-    auto a = gen_uniform(na, rng);
-    auto b = gen_uniform(nb, rng);
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    std::vector<Key> all = a;
-    all.insert(all.end(), b.begin(), b.end());
-    std::sort(all.begin(), all.end());
-    for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
-      std::uint64_t c_ref = 0;
-      std::uint64_t c_into = 0;
-      detail::merge_split_into_scalar(a, b, keep, ref, c_ref);
-      merge_split_into(a, b, keep, out, c_into);
-      ASSERT_EQ(out, ref);
-      ASSERT_EQ(c_into, c_ref);
-      const auto first = keep == SplitHalf::Lower
-                             ? all.begin()
-                             : all.end() - static_cast<std::ptrdiff_t>(na);
-      ASSERT_TRUE(std::equal(out.begin(), out.end(), first));
+  const auto sorted_keys = [&rng](std::size_t n, std::uint64_t range) {
+    std::vector<Key> keys(n);
+    for (Key& key : keys) key = static_cast<Key>(rng.below(range));
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  for (std::size_t na = 0; na <= 40; ++na) {
+    for (std::size_t nb = 0; nb <= 40; ++nb) {
+      for (const std::uint64_t range :
+           {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{1000},
+            std::uint64_t{1} << 48}) {
+        const auto a = sorted_keys(na, range);
+        const auto b = sorted_keys(nb, range);
+        for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper})
+          ASSERT_TRUE(split_matches_textbook(a, b, keep, out))
+              << "na=" << na << " nb=" << nb << " range=" << range;
+      }
+      // Disjoint runs: one side runs out first without ever winning.
+      const auto low = gen_sorted(na);
+      auto high = gen_sorted(nb);
+      for (Key& key : high) key += static_cast<Key>(na);
+      for (const SplitHalf keep : {SplitHalf::Lower, SplitHalf::Upper}) {
+        ASSERT_TRUE(split_matches_textbook(low, high, keep, out))
+            << "na=" << na << " nb=" << nb;
+        ASSERT_TRUE(split_matches_textbook(high, low, keep, out))
+            << "na=" << na << " nb=" << nb;
+      }
     }
   }
 }

@@ -22,7 +22,8 @@ struct RunResult {
   sim::RunReport report;
 };
 
-/// Drive block_bitonic_sort over an identity or reindexed cube.
+/// Walk each live node's block bitonic sort over an identity or reindexed
+/// cube.
 RunResult run_sort(cube::Dim s, bool dead0, std::size_t block_size,
                    bool ascending, ExchangeProtocol protocol,
                    std::uint64_t seed) {
@@ -41,9 +42,10 @@ RunResult run_sort(cube::Dim s, bool dead0, std::size_t block_size,
       dead0 ? fault::FaultSet(s, {0}) : fault::FaultSet(s);
   sim::Machine machine(s, faults);
   const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
-    ExchangeScratch scratch;
-    co_await block_bitonic_sort(ctx, lc, ctx.id(), blocks[ctx.id()],
-                                ascending, protocol, 0, scratch);
+    std::vector<ExchangeStep> steps;
+    append_bitonic_sort(lc, ctx.id(), ascending, sim::Phase::SubcubeSort, 0,
+                        steps);
+    co_await run_schedule(ctx, steps, blocks[ctx.id()], protocol);
   };
   RunResult result;
   result.report = machine.run(program);
@@ -141,9 +143,11 @@ TEST(BlockBitonic, PreservesKeyMultiset) {
   }
   sim::Machine machine(3, fault::FaultSet(3));
   const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
-    ExchangeScratch scratch;
-    co_await block_bitonic_sort(ctx, lc, ctx.id(), blocks[ctx.id()], true,
-                                ExchangeProtocol::HalfExchange, 0, scratch);
+    std::vector<ExchangeStep> steps;
+    append_bitonic_sort(lc, ctx.id(), true, sim::Phase::SubcubeSort, 0,
+                        steps);
+    co_await run_schedule(ctx, steps, blocks[ctx.id()],
+                          ExchangeProtocol::HalfExchange);
   };
   machine.run(program);
   std::vector<Key> after;

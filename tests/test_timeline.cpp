@@ -239,9 +239,9 @@ TEST(TimelineRecoveryLatency, AgreesWithTheDetectWatermark) {
   const double detect = core::detect_time(out.report);
 
   // The coordinator's final roll-call timeout fires exactly at the
-  // diagnosis detect watermark (finish_recv_or_timeout pins the clock
-  // to the deadline), so confirmation and watermark match bit for bit —
-  // and everything after the watermark is salvage + restart.
+  // diagnosis detect watermark (a timed-out receive's NodeCtx::take moves
+  // the clock to the deadline), so confirmation and watermark match bit
+  // for bit — and everything after the watermark is salvage + restart.
   EXPECT_DOUBLE_EQ(rl.episodes.back().detect_confirm, detect);
   EXPECT_DOUBLE_EQ(rl.episodes.back().rollcall_end, detect);
   EXPECT_DOUBLE_EQ(rl.salvage_total() + rl.restart_total(),

@@ -1,5 +1,6 @@
-// Coverage for the event trace, machine edge cases, and the
-// exchange_merge_split_into primitive against its pure-kernel reference.
+// Coverage for the event trace, machine edge cases, and one merge-split
+// exchange (a one-step run_schedule list) against its pure-kernel
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,17 +92,21 @@ TEST(MachineEdge, EmptyPayloadMessagesWork) {
   EXPECT_DOUBLE_EQ(report.makespan, 0.0);  // zero keys, zero startup
 }
 
-/// Run exchange_merge_split_into on a 1-cube and return both sides' blocks.
+/// The one-step list of a Q_1 exchange: node 0 keeps the lower half.
+sort::ExchangeStep exchange_step(cube::NodeId me) {
+  return {sim::Phase::MergeExchange, 0, me ^ 1u,
+          me == 0 ? sort::SplitHalf::Lower : sort::SplitHalf::Upper};
+}
+
+/// Run one exchange on a 1-cube and return both sides' blocks.
 std::pair<std::vector<Key>, std::vector<Key>> run_exchange(
     std::vector<Key> a, std::vector<Key> b,
     sort::ExchangeProtocol protocol) {
   sim::Machine machine(1, fault::FaultSet(1));
   const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
-    sort::ExchangeScratch scratch;
-    co_await sort::exchange_merge_split_into(
-        ctx, ctx.id() ^ 1u, 0, ctx.id() == 0 ? a : b, scratch,
-        ctx.id() == 0 ? sort::SplitHalf::Lower : sort::SplitHalf::Upper,
-        protocol);
+    const sort::ExchangeStep step = exchange_step(ctx.id());
+    co_await sort::run_schedule(ctx, std::span(&step, 1),
+                                ctx.id() == 0 ? a : b, protocol);
   };
   machine.run(program);
   return {a, b};
@@ -166,11 +171,9 @@ TEST(Exchange, DeterministicTiming) {
     sim::Machine machine(1, fault::FaultSet(1));
     const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
       auto block = ctx.id() == 0 ? a : b;
-      sort::ExchangeScratch scratch;
-      co_await sort::exchange_merge_split_into(
-          ctx, ctx.id() ^ 1u, 0, block, scratch,
-          ctx.id() == 0 ? sort::SplitHalf::Lower : sort::SplitHalf::Upper,
-          sort::ExchangeProtocol::HalfExchange);
+      const sort::ExchangeStep step = exchange_step(ctx.id());
+      co_await sort::run_schedule(ctx, std::span(&step, 1), block,
+                                  sort::ExchangeProtocol::HalfExchange);
     };
     *report = machine.run(program);
   }

@@ -23,6 +23,15 @@ ring baselines):
   bench/bench_ablation_cost
   bench/bench_alternatives
 
+and of seven that run the sorter against the MFS baseline across M (the
+Fig. 7 panels, under store-and-forward and cut-through, and Table 2) or
+print the human trace dump:
+
+  bench/bench_fig7a .. bench/bench_fig7d
+  bench/bench_fig7_wormhole
+  bench/bench_table2
+  examples/ncube_demo --trace
+
 into a scratch directory of its own, then compares each pair of files
 with `cmp`. BENCH_sort.json is compared after zeroing `wall_ns`,
 `allocations` and `pool_heap_allocations`: host timing and allocator
@@ -60,6 +69,13 @@ COMMANDS = [
     ("bench/bench_ablation_protocol", [], "bench_ablation_protocol.txt"),
     ("bench/bench_ablation_cost", [], "bench_ablation_cost.txt"),
     ("bench/bench_alternatives", [], "bench_alternatives.txt"),
+    ("bench/bench_fig7a", [], "bench_fig7a.txt"),
+    ("bench/bench_fig7b", [], "bench_fig7b.txt"),
+    ("bench/bench_fig7c", [], "bench_fig7c.txt"),
+    ("bench/bench_fig7d", [], "bench_fig7d.txt"),
+    ("bench/bench_fig7_wormhole", [], "bench_fig7_wormhole.txt"),
+    ("bench/bench_table2", [], "bench_table2.txt"),
+    ("examples/ncube_demo", ["--trace"], "ncube_demo_trace.txt"),
 ]
 
 EXPORTS = [

@@ -750,13 +750,11 @@ int harness_main(int argc, char** argv) {
       std::printf("host-profile %-18s mutex_waits=%" PRIu64
                   " mutex_wait_ms=%.3f cv_wakeups=%" PRIu64
                   " spurious=%" PRIu64 " resumed=%" PRIu64
-                  " quiescence=%" PRIu64 "/%" PRIu64
-                  " pool_contended=%" PRIu64 "\n",
+                  " quiescence=%" PRIu64 "/%" PRIu64 "\n",
                   m.name.c_str(), t.mutex_waits,
                   static_cast<double>(t.mutex_wait_ns) / 1e6, t.cv_wakeups,
                   t.spurious_wakeups, t.tasks_resumed,
-                  m.obs.host.quiescence_events, m.obs.host.quiescence_checks,
-                  m.obs.host.pool_contended);
+                  m.obs.host.quiescence_events, m.obs.host.quiescence_checks);
     }
 
   // Append a one-line summary to BENCH_history.jsonl next to --out, so

@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
                                  outcome.sorted.end()) &&
                   outcome.sorted.size() == keys.size();
   std::cout << "fault-tolerant sort: " << (ok ? "OK" : "FAILED") << "\n";
-  if (config.record_trace) std::cout << outcome.trace << "\n";
+  if (config.record_trace)
+    std::cout << sim::format_trace(outcome.trace_events) << "\n";
 
   // Baseline for the same scenario.
   const auto baseline = baseline::mfs_bitonic_sort(

@@ -186,9 +186,11 @@ int main(int argc, char** argv) {
 
   std::cout << "\nevent trace around the death (timeout = a survivor "
                "detecting the loss):\n";
-  // Show only the interesting kinds; the full trace is huge.
+  // Show only the interesting kinds; the full trace is huge. Recovery
+  // traces are long (two sorts plus the negotiation), so the dump cap is
+  // raised until the death and the restart are visible.
   std::size_t shown = 0;
-  std::istringstream lines(out.trace);
+  std::istringstream lines(sim::format_trace(out.trace_events, 50'000));
   for (std::string line; std::getline(lines, line) && shown < 24;) {
     if (line.find("kill") != std::string::npos ||
         line.find("timeout") != std::string::npos ||

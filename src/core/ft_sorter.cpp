@@ -286,10 +286,7 @@ SortOutcome FaultTolerantSorter::sort(
                        ? machine.run_threaded(program)
                        : machine.run(program);
   outcome.block_size = placed.block_size;
-  if (config_.record_trace) {
-    outcome.trace = machine.trace().to_string();
-    outcome.trace_events = machine.trace().snapshot();
-  }
+  if (config_.record_trace) outcome.trace_events = machine.trace().snapshot();
   if (config_.record_link_stats)
     outcome.report.reindex_audit =
         build_reindex_audit(plan, schedule, machine.router());

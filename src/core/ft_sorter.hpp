@@ -71,8 +71,8 @@ struct SortConfig {
   // RunReport field. All are off by default and record logical results
   // only, deterministic across executors at zero simulated time; with every
   // one off, a charge site costs one check.
-  /// The flight recorder (sim/trace.hpp): SortOutcome::trace and
-  /// trace_events, the critical-path walk, and expired-wait diagnosis.
+  /// The flight recorder (sim/trace.hpp): the outcome's trace_events, the
+  /// critical-path walk, and expired-wait diagnosis.
   bool record_trace = false;
   /// Flight-recorder bound: per-node trace ring capacity in events
   /// (0 = unbounded). Lets record_trace stay always-on in long recovery
@@ -136,9 +136,9 @@ struct SortOutcome {
   std::vector<sort::Key> sorted;  ///< all input keys, ascending
   sim::RunReport report;          ///< logical time & traffic of the run
   std::size_t block_size = 0;     ///< ⌈M / N'⌉
-  std::string trace;              ///< event dump when record_trace was set
   /// Raw events when record_trace was set — feed to
-  /// sim::write_chrome_trace for a Perfetto-loadable timeline.
+  /// sim::write_chrome_trace for a Perfetto-loadable timeline, or to
+  /// sim::format_trace for a human-readable dump.
   std::vector<sim::TraceEvent> trace_events;
 };
 

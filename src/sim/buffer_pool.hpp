@@ -7,28 +7,28 @@
 // per-node free list so that, after warm-up, sends and receives perform no
 // heap allocation at all.
 //
-// Ownership protocol:
-//  * `NodeCtx::send` checks a buffer out of the *sender's* pool (or adopts
+// Ownership protocol: a payload buffer belongs to one node at a time, and a
+// delivered message lands in the receiver's memory, as on the paper's
+// distributed-memory machine.
+//  * `NodeCtx::send` checks a buffer out of the sender's pool (or adopts
 //    the storage of a moved-in vector) and wraps it in a `PooledBuffer`.
-//  * The `Message` carries the `PooledBuffer` to the receiver.
+//  * `Machine::post` hands a delivered message's buffer to the receiver's
+//    pool (`rebind`); a dropped message's buffer returns to the sender's.
 //  * When the receiver drops the handle — or swaps its storage out with
-//    `release_into` — the storage travels back to the pool it came from.
+//    `release_into` — the storage joins the receiver's free list, where
+//    the receiver's next send finds it.
 //
-// Receivers return storage from node code, outside any NodeCtx call and so
-// outside the threaded executor's machine lock; the pool's own mutex makes
-// those returns race-free. It is essentially uncontended (the owning node
-// checks out, the receiving node returns). Statistics count every
-// checkout, every checkout that had to touch the heap (`fresh` when the
-// free list was empty, `grows` when a recycled buffer was too small), and
-// every return, giving the benchmark harness an exact allocation ledger;
-// a run reports its slice of it as RunReport::pool_delta.
+// So only its own node's program (and the machine's teardown, after every
+// worker has joined) touches a pool, and a pool needs no lock on either
+// executor. Statistics count every checkout, every checkout that had to
+// touch the heap (`fresh` when the free list was empty, `grows` when a
+// recycled buffer was too small), and every return, giving the benchmark
+// harness an exact allocation ledger; a run reports its slice of it as
+// RunReport::pool_delta.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -37,12 +37,9 @@ namespace ftsort::sim {
 
 using Key = std::int64_t;
 
-/// Allocation ledger of one pool (or the aggregate over all pools).
-/// `checkouts` and `returns` follow from a run's sends and receives. On the
-/// threaded executor `fresh` and `grows` also follow the host's timing:
-/// whether a checkout finds a recycled buffer depends on when a receiver on
-/// another worker gave it back. So `heap_allocations()` is reproducible on
-/// the sequential executor only.
+/// Allocation ledger of one pool (or the aggregate over all pools). Every
+/// count follows from each node's own program order, so the ledger is the
+/// same on both executors.
 struct PoolStats {
   std::uint64_t checkouts = 0;  ///< buffers handed out
   std::uint64_t fresh = 0;      ///< checkouts served by a new heap vector
@@ -72,16 +69,13 @@ class BufferPool {
   /// carried, grown on demand.
   std::vector<Key> checkout(std::size_t size_hint) {
     std::vector<Key> storage;
-    {
-      const std::unique_lock<std::mutex> guard = lock();
-      ++stats_.checkouts;
-      if (free_.empty()) {
-        ++stats_.fresh;
-      } else {
-        storage = std::move(free_.back());
-        free_.pop_back();
-        if (storage.capacity() < size_hint) ++stats_.grows;
-      }
+    ++stats_.checkouts;
+    if (free_.empty()) {
+      ++stats_.fresh;
+    } else {
+      storage = std::move(free_.back());
+      free_.pop_back();
+      if (storage.capacity() < size_hint) ++stats_.grows;
     }
     storage.reserve(size_hint);
     return storage;
@@ -91,61 +85,16 @@ class BufferPool {
   /// capacity is kept for the next checkout.
   void give_back(std::vector<Key>&& storage) {
     storage.clear();
-    const std::unique_lock<std::mutex> guard = lock();
     ++stats_.returns;
     free_.push_back(std::move(storage));
   }
 
-  PoolStats stats() const {
-    const std::unique_lock<std::mutex> guard = lock();
-    return stats_;
-  }
-
-  std::size_t free_count() const {
-    const std::unique_lock<std::mutex> guard = lock();
-    return free_.size();
-  }
-
-  // Host-side contention ledger (Machine::profile_host): wall-clock data,
-  // kept out of PoolStats, which the metrics export carries.
-  void set_profiling(bool on) {
-    profiling_.store(on, std::memory_order_relaxed);
-  }
-  void reset_contention() {
-    contended_.store(0, std::memory_order_relaxed);
-    contended_wait_ns_.store(0, std::memory_order_relaxed);
-  }
-  std::uint64_t contended() const {
-    return contended_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t contended_wait_ns() const {
-    return contended_wait_ns_.load(std::memory_order_relaxed);
-  }
+  const PoolStats& stats() const { return stats_; }
+  std::size_t free_count() const { return free_.size(); }
 
  private:
-  std::unique_lock<std::mutex> lock() const {
-    if (!profiling_.load(std::memory_order_relaxed))
-      return std::unique_lock<std::mutex>(mutex_);
-    std::unique_lock<std::mutex> lk(mutex_, std::try_to_lock);
-    if (lk.owns_lock()) return lk;
-    const auto t0 = std::chrono::steady_clock::now();
-    lk.lock();
-    const auto waited = std::chrono::steady_clock::now() - t0;
-    contended_.fetch_add(1, std::memory_order_relaxed);
-    contended_wait_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(waited)
-                .count()),
-        std::memory_order_relaxed);
-    return lk;
-  }
-
-  mutable std::mutex mutex_;
   std::vector<std::vector<Key>> free_;
   PoolStats stats_;
-  std::atomic<bool> profiling_{false};
-  mutable std::atomic<std::uint64_t> contended_{0};
-  mutable std::atomic<std::uint64_t> contended_wait_ns_{0};
 };
 
 /// Move-only owning handle to pooled storage. Destruction (or `reset`)
@@ -181,6 +130,9 @@ class PooledBuffer {
     }
     storage_.clear();
   }
+
+  /// Hand the storage to `pool`: it returns there from now on.
+  void rebind(BufferPool& pool) { pool_ = &pool; }
 
   /// Swap the payload into `dst`; `dst`'s previous storage goes back to the
   /// pool in its place. The receiver-side analogue of a zero-copy move.

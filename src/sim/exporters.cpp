@@ -278,7 +278,9 @@ void write_metrics_json(std::ostream& os, const RunReport& report) {
   // conservation, top travelers, capped per-key custody trails — an
   // `"enabled": false` stub when not recorded); v7 adds the wall-clock
   // watchdog block (policy, deadline/interval echo, trip and near-miss
-  // counts — an `"enabled": false` stub when not armed).
+  // counts — an `"enabled": false` stub when not armed); v8 drops the host
+  // profile's two payload-pool contention counters: a pool has one owner
+  // and no lock.
   Writer w(os);
   w.begin_object(kLines);
   // Open block `name` with its "enabled" flag; a disabled block is only
@@ -476,9 +478,7 @@ void write_metrics_json(std::ostream& os, const RunReport& report) {
            "cv_wakeups", sched.cv_wakeups, "spurious_wakeups",
            sched.spurious_wakeups, "tasks_resumed", sched.tasks_resumed,
            "quiescence_checks", report.host.quiescence_checks,
-           "quiescence_events", report.host.quiescence_events,
-           "pool_contended", report.host.pool_contended,
-           "pool_contended_wait_ns", report.host.pool_contended_wait_ns);
+           "quiescence_events", report.host.quiescence_events);
   w.end();
   // Only the config echo and the trip counts: both are zero on every
   // healthy run, so the block stays byte-identical across executors and

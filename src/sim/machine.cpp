@@ -102,7 +102,7 @@ PhaseSpan::~PhaseSpan() {
 }
 
 void NodeCtx::send(cube::NodeId dst, Tag tag, std::span<const Key> payload) {
-  // The copy runs outside the machine lock; the pool has its own.
+  // The copy runs outside the machine lock: only this node uses its pool.
   BufferPool& pool = machine_->pools_[id_];
   std::vector<Key> storage = pool.checkout(payload.size());
   storage.assign(payload.begin(), payload.end());
@@ -111,8 +111,8 @@ void NodeCtx::send(cube::NodeId dst, Tag tag, std::span<const Key> payload) {
 }
 
 void NodeCtx::send(cube::NodeId dst, Tag tag, std::vector<Key>&& payload) {
-  // Adopt the storage: it enters the sender's pool circulation when the
-  // receiver is done with it.
+  // Adopt the storage: once delivered, it joins the receiver's pool when
+  // the receiver is done with it.
   send_buffer(dst, tag,
               PooledBuffer(&machine_->pools_[id_], std::move(payload)),
               /*checked_out=*/false);
@@ -255,11 +255,6 @@ Machine::Machine(cube::Dim n, fault::FaultSet faults,
   nodes_.resize(size());
 }
 
-void Machine::profile_host(bool on) {
-  profile_host_ = on;
-  for (BufferPool& pool : pools_) pool.set_profiling(on);
-}
-
 std::unique_lock<std::mutex> Machine::lock(std::size_t worker) {
   if (workers_ == 1) return {};
   std::unique_lock<std::mutex> lk(mu_, std::try_to_lock);
@@ -328,10 +323,15 @@ void Machine::post(Message msg) {
        msg.sent_at >= injector_.link_cut_time(msg.src, msg.dst));
   if (instrumented()) notify(&Instrument::on_post, PostEvent{msg, dropped});
   if (dropped) {
+    // The payload returns to the sender's pool, on the sender's thread:
+    // the destination may still be running on another worker.
     ++messages_dropped_;
     return;
   }
 
+  // Delivered: the payload now belongs to the receiver, which recycles it
+  // when it drops the message.
+  msg.payload.rebind(pools_[msg.dst]);
   const bool awaited = dst->waiting_ && dst->want_src_ == msg.src &&
                        dst->want_tag_ == msg.tag;
   dst->inbox_.push_back(std::move(msg));
@@ -431,8 +431,6 @@ void Machine::instantiate_programs(const Program& program) {
   }
   pool_mark_ = pool_total();
   prof_quiescence_checks_ = prof_quiescence_events_ = 0;
-  if (profile_host_)
-    for (BufferPool& pool : pools_) pool.reset_contention();
   ready_.clear();
   checked_in_ = 0;
   next_start_ = 0;
@@ -621,10 +619,6 @@ HostProfile Machine::snapshot_host_profile() const {
   host.shards = prof_workers_;
   host.quiescence_checks = prof_quiescence_checks_;
   host.quiescence_events = prof_quiescence_events_;
-  for (const BufferPool& pool : pools_) {
-    host.pool_contended += pool.contended();
-    host.pool_contended_wait_ns += pool.contended_wait_ns();
-  }
   return host;
 }
 

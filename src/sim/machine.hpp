@@ -19,12 +19,13 @@
 //
 // Performance architecture (see DESIGN.md §6): message payloads live in
 // per-node BufferPools, so steady-state message traffic performs no heap
-// allocation; each node's pending messages sit in a flat arrival-ordered
-// vector (per-channel FIFO is preserved because arrival order restricted to
-// one (src, tag) channel is FIFO). Both executors run one scheduler loop:
-// the sequential one on the calling thread alone, the MIMD one on a small
-// worker pool that shares one machine lock and drops it while a node's
-// coroutine computes.
+// allocation; a delivered payload belongs to its receiver, so only a
+// node's own program uses its pool and no pool is locked. Each node's
+// pending messages sit in a flat arrival-ordered vector (per-channel FIFO
+// is preserved because arrival order restricted to one (src, tag) channel
+// is FIFO). Both executors run one scheduler loop: the sequential one on
+// the calling thread alone, the MIMD one on a small worker pool that
+// shares one machine lock and drops it while a node's coroutine computes.
 //
 // Dynamic faults (sim/fault_injector.hpp): a `FaultInjector` kills nodes
 // and cuts links at scheduled logical times mid-run. Dead nodes halt at
@@ -292,8 +293,6 @@ struct HostProfile {
   std::vector<SchedShardProfile> shards;  ///< index = worker
   std::uint64_t quiescence_checks = 0;  ///< idle-machine resolutions
   std::uint64_t quiescence_events = 0;  ///< timeouts/kills fired there
-  std::uint64_t pool_contended = 0;     ///< contended BufferPool acquisitions
-  std::uint64_t pool_contended_wait_ns = 0;  ///< wall ns blocked on pools
 
   SchedShardProfile total() const {
     SchedShardProfile sum;
@@ -319,8 +318,9 @@ struct RunReport {
   std::vector<cube::NodeId> killed_nodes;  ///< injector victims, ascending
   /// Payload buffer-pool ledger of this run only: every node pool's
   /// counters at collection time minus the mark taken when the run started
-  /// (the pools stay warm across runs of one machine). `heap_allocations()`
-  /// varies from run to run on the threaded executor (sim/buffer_pool.hpp).
+  /// (the pools stay warm across runs of one machine). It follows from each
+  /// node's program order alone, so both executors report the same ledger
+  /// (sim/buffer_pool.hpp).
   PoolStats pool_delta;
   /// Per-node, per-phase counters. Empty unless `Machine::metrics()` was
   /// enabled for the run.
@@ -358,7 +358,7 @@ struct RunReport {
   /// gathered output — the exact no-loss/no-dup audit. Empty unless
   /// `Machine::lineage()` was enabled and assigned before the run.
   LineageSnapshot lineage;
-  /// Host-side scheduler/pool profile; enabled==false (all zeros) unless
+  /// Host-side scheduler profile; enabled==false (all zeros) unless
   /// Machine::profile_host(true) was set before the run.
   HostProfile host;
   /// Wall-clock watchdog stats (sim/watchdog.hpp); enabled==false unless
@@ -410,10 +410,10 @@ class Machine {
   }
   const FaultInjector& injector() const { return injector_; }
 
-  /// Toggle host-side (wall-clock) scheduler and buffer-pool profiling for
-  /// subsequent runs; populates RunReport::host. Charged entirely outside
-  /// simulated time — cannot change logical results.
-  void profile_host(bool on);
+  /// Toggle host-side (wall-clock) scheduler profiling for subsequent runs;
+  /// populates RunReport::host. Charged entirely outside simulated time —
+  /// cannot change logical results.
+  void profile_host(bool on) { profile_host_ = on; }
   bool profiling_host() const { return profile_host_; }
 
   /// Arm a wall-clock watchdog for subsequent runs (sim/watchdog.hpp). The
@@ -526,7 +526,8 @@ class Machine {
   PoolStats pool_mark_;  ///< pool_total() at run start
 
   // Declared before nodes_ so in-flight payload handles (inside inboxes)
-  // are destroyed before the pools they return to.
+  // are destroyed before the pools they return to. Node u's program alone
+  // uses pools_[u] while a run is going (sim/buffer_pool.hpp).
   std::vector<BufferPool> pools_;  // index = address; persists across runs
   std::vector<std::unique_ptr<NodeCtx>> nodes_;  // index = address
   std::uint64_t messages_ = 0;

@@ -27,8 +27,9 @@ struct Message {
   cube::NodeId src = 0;
   cube::NodeId dst = 0;
   Tag tag = 0;
-  /// Pooled payload storage: checked out of the sender's BufferPool and
-  /// returned there when the receiver drops (or `release_into`s) it.
+  /// Pooled payload storage: checked out of the sender's BufferPool, handed
+  /// to the receiver's at delivery and returned there when the receiver
+  /// drops (or `release_into`s) it.
   PooledBuffer payload;
   SimTime sent_at = 0.0;   ///< sender clock when the send was issued
   SimTime arrival = 0.0;   ///< store-and-forward arrival time at dst

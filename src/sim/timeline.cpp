@@ -85,8 +85,8 @@ void Timeline::on_send(const SendEvent& ev) {
 void Timeline::on_post(const PostEvent& ev) {
   const Message& m = ev.msg;
   if (ev.dropped)
-    // A dropped message leaves the wire (and frees its buffer) at its
-    // would-be arrival; same deltas as a delivery.
+    // A dropped message leaves the wire (and its buffer returns to the
+    // sender) at its would-be arrival; same deltas as a delivery.
     note_wire(m.src, m.dst, m.payload.size(), m.arrival, -1);
   else
     note_queue(m.dst, m.arrival, +1);

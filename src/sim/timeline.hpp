@@ -54,8 +54,9 @@ struct TimelineSnapshot {
   std::uint64_t dropped = 0;   ///< deltas past kTimelineMaxTicks, not recorded
   /// [node][tick]: messages arrived but not yet received at tick end.
   std::vector<std::vector<std::int64_t>> queue_depth;
-  /// [node][tick]: payload buffers checked out of this node's pool and
-  /// still travelling (sent, not yet delivered or dropped) at tick end.
+  /// [node][tick]: payloads this node has sent that are not yet received
+  /// or dropped at tick end (a received payload joins the receiver's pool,
+  /// a dropped one returns to this node's; sim/buffer_pool.hpp).
   std::vector<std::vector<std::int64_t>> pool_in_use;
   /// [dim][tick]: keys on the wire crossing this cube dimension at tick
   /// end (multi-hop messages count on every dimension they traverse).

@@ -93,8 +93,8 @@ void Trace::collect(RunReport& report) const {
   report.trace_dropped = run_dropped();
 }
 
-std::string Trace::to_string(std::size_t max_lines) const {
-  const std::vector<TraceEvent> events = snapshot();
+std::string format_trace(std::span<const TraceEvent> events,
+                         std::size_t max_lines) {
   std::ostringstream os;
   std::size_t shown = 0;
   for (const auto& ev : events) {

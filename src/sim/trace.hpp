@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,12 @@ struct TraceEvent {
 /// Lower-case name of an event kind ("send", "span_begin", ...), as the
 /// watchdog dump's trace tail spells it.
 const char* event_kind_name(EventKind k);
+
+/// Human-readable dump of `events` (one line per event), truncated to
+/// `max_lines`. Formatted only where it is printed: a long recovery trace
+/// takes longer to format than to record.
+std::string format_trace(std::span<const TraceEvent> events,
+                         std::size_t max_lines = 200);
 
 /// Key of the (src, dst, tag) channel a Send and its Recv share; delivery
 /// is FIFO per channel, which is what pairs them.
@@ -114,9 +121,6 @@ class Trace final : public Instrument {
   std::vector<TraceEvent> run_events() const;
   /// Ring evictions since the current (or most recent) run started.
   std::uint64_t run_dropped() const;
-
-  /// Human-readable dump (one line per event), truncated to `max_lines`.
-  std::string to_string(std::size_t max_lines = 200) const;
 
   /// Takes the run-start watermarks; the rings keep earlier runs' events.
   void on_run_start() override;

@@ -61,19 +61,17 @@ void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
   if (want == 0) return;
   Key* const dst = out.data();
 
+  // `mine` cannot run out: each of the |mine| keys placed takes at most one.
   if (keep == SplitHalf::Lower) {
     // Forward merge until `want` keys are produced.
     std::size_t i = 0;
     std::size_t j = 0;
     for (std::size_t k = 0; k < want; ++k) {
-      if (i < mine.size() && j < theirs.size()) {
+      if (j < theirs.size()) {
         ++comparisons;
         dst[k] = theirs[j] < mine[i] ? theirs[j++] : mine[i++];
-      } else if (i < mine.size()) {
-        dst[k] = mine[i++];
       } else {
-        FTSORT_INVARIANT(j < theirs.size());
-        dst[k] = theirs[j++];
+        dst[k] = mine[i++];
       }
     }
   } else {
@@ -82,14 +80,11 @@ void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
     std::size_t i = mine.size();
     std::size_t j = theirs.size();
     for (std::size_t k = want; k-- > 0;) {
-      if (i > 0 && j > 0) {
+      if (j > 0) {
         ++comparisons;
         dst[k] = mine[i - 1] < theirs[j - 1] ? theirs[--j] : mine[--i];
-      } else if (i > 0) {
-        dst[k] = mine[--i];
       } else {
-        FTSORT_INVARIANT(j > 0);
-        dst[k] = theirs[--j];
+        dst[k] = mine[--i];
       }
     }
   }

@@ -15,7 +15,7 @@
 
 namespace ftsort::util {
 
-inline constexpr int kMetricsSchemaVersion = 7;
+inline constexpr int kMetricsSchemaVersion = 8;
 inline constexpr int kBenchSchemaVersion = 3;
 inline constexpr int kCampaignSchemaVersion = 7;
 inline constexpr int kWatchdogDumpSchemaVersion = 1;

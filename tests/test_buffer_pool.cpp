@@ -1,15 +1,6 @@
-// Tests for the payload buffer pool, including a cross-thread stress test
-// that mirrors the MIMD executor's usage: the owning node checks buffers
-// out, receivers running on other threads return them. Run under
-// ThreadSanitizer via the `tsan` preset (the test filter matches on the
-// suite name).
+// Tests for the payload buffer pool and its owning handle.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <deque>
-#include <mutex>
-#include <numeric>
-#include <thread>
 #include <vector>
 
 #include "sim/buffer_pool.hpp"
@@ -80,95 +71,21 @@ TEST(BufferPool, MoveTransfersOwnershipExactlyOnce) {
   EXPECT_EQ(pool.stats().returns, 1u);
 }
 
-// Cross-thread stress: producer threads check buffers out of per-producer
-// pools and hand them to consumers through a shared mailbox; consumers
-// return them from a different thread, exactly like the MIMD executor's
-// receive path. TSan must see no races; the ledger must balance.
-TEST(BufferPoolStress, ConcurrentCheckoutAndCrossThreadReturn) {
-  constexpr int kProducers = 3;
-  constexpr int kMessagesPerProducer = 800;
-  std::vector<BufferPool> pools(kProducers);
-
-  std::mutex mailbox_mutex;
-  std::deque<PooledBuffer> mailbox;
-  std::atomic<int> produced{0};
-
-  std::atomic<std::int64_t> consumed_sum{0};
-  std::atomic<std::uint64_t> consumed_count{0};
-
-  const auto producer = [&](int id) {
-    for (int i = 0; i < kMessagesPerProducer; ++i) {
-      const std::size_t len = 1 + static_cast<std::size_t>(i % 13);
-      std::vector<Key> storage = pools[static_cast<std::size_t>(id)].checkout(len);
-      storage.assign(len, static_cast<Key>(id + 1));
-      PooledBuffer handle(&pools[static_cast<std::size_t>(id)],
-                          std::move(storage));
-      {
-        const std::lock_guard<std::mutex> guard(mailbox_mutex);
-        mailbox.push_back(std::move(handle));
-      }
-      produced.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  const auto consumer = [&] {
-    std::vector<Key> local;  // exercises release_into's swap path
-    for (;;) {
-      PooledBuffer handle;
-      bool got = false;
-      {
-        const std::lock_guard<std::mutex> guard(mailbox_mutex);
-        if (!mailbox.empty()) {
-          handle = std::move(mailbox.front());
-          mailbox.pop_front();
-          got = true;
-        }
-      }
-      if (!got) {
-        if (produced.load(std::memory_order_relaxed) ==
-            kProducers * kMessagesPerProducer) {
-          const std::lock_guard<std::mutex> guard(mailbox_mutex);
-          if (mailbox.empty()) return;
-        }
-        std::this_thread::yield();
-        continue;
-      }
-      handle.release_into(local);
-      consumed_sum.fetch_add(
-          std::accumulate(local.begin(), local.end(), std::int64_t{0}),
-          std::memory_order_relaxed);
-      consumed_count.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  for (int id = 0; id < kProducers; ++id) threads.emplace_back(producer, id);
-  threads.emplace_back(consumer);
-  threads.emplace_back(consumer);
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(consumed_count.load(),
-            static_cast<std::uint64_t>(kProducers * kMessagesPerProducer));
-  // Every key carries its producer's id + 1; check the total survived.
-  std::int64_t expected = 0;
-  for (int id = 0; id < kProducers; ++id)
-    for (int i = 0; i < kMessagesPerProducer; ++i)
-      expected += (1 + i % 13) * (id + 1);
-  EXPECT_EQ(consumed_sum.load(), expected);
-
-  // The ledger balances: every checkout was returned (consumers' local
-  // scratch vectors went back through release_into in a payload's place).
-  PoolStats total;
-  std::size_t free_total = 0;
-  for (const BufferPool& pool : pools) {
-    total += pool.stats();
-    free_total += pool.free_count();
-  }
-  EXPECT_EQ(total.checkouts,
-            static_cast<std::uint64_t>(kProducers * kMessagesPerProducer));
-  EXPECT_EQ(total.returns, total.checkouts);
-  // Free-list size = returns minus recycled checkouts = fresh allocations.
-  EXPECT_EQ(free_total, total.fresh);
+TEST(BufferPool, RebindReturnsStorageToTheNewOwner) {
+  // A delivered payload: checked out of the sender's pool, handed to the
+  // receiver's, which recycles it for the receiver's next send.
+  BufferPool sender;
+  BufferPool receiver;
+  PooledBuffer payload(&sender, sender.checkout(16));
+  const Key* storage = payload.data();
+  payload.rebind(receiver);
+  payload.reset();
+  EXPECT_EQ(sender.stats().returns, 0u);
+  EXPECT_EQ(sender.free_count(), 0u);
+  EXPECT_EQ(receiver.stats().returns, 1u);
+  const std::vector<Key> reply = receiver.checkout(16);
+  EXPECT_EQ(reply.data(), storage);
+  EXPECT_EQ(receiver.stats().heap_allocations(), 0u);
 }
 
 }  // namespace

@@ -86,6 +86,14 @@ void expect_identical(const Result& a, const Result& b,
   EXPECT_TRUE(a.report.phases == b.report.phases) << label;
   EXPECT_TRUE(a.report.links == b.report.links) << label;
   EXPECT_TRUE(a.report.reindex_audit == b.report.reindex_audit) << label;
+  // A payload buffer belongs to one node at a time, so the pool ledger
+  // follows each node's program order and not the host's timing.
+  EXPECT_EQ(a.report.pool_delta.checkouts, b.report.pool_delta.checkouts)
+      << label;
+  EXPECT_EQ(a.report.pool_delta.fresh, b.report.pool_delta.fresh) << label;
+  EXPECT_EQ(a.report.pool_delta.grows, b.report.pool_delta.grows) << label;
+  EXPECT_EQ(a.report.pool_delta.returns, b.report.pool_delta.returns)
+      << label;
   // Conservation must hold on every swept run: the traffic matrix's total
   // key-hops is exactly the aggregate scalar (drops included on both
   // sides).

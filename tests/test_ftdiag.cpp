@@ -421,7 +421,7 @@ TEST(FtdiagSchema, RefusesFilesNewerThanTheBuildWithVersionedMessage) {
   EXPECT_FALSE(metrics.ok);
   EXPECT_NE(metrics.error.find("schema v99"), std::string::npos)
       << metrics.error;
-  EXPECT_NE(metrics.error.find("reads up to v7"), std::string::npos)
+  EXPECT_NE(metrics.error.find("reads up to v8"), std::string::npos)
       << metrics.error;
 
   const tools::HotspotsResult bench = tools::hotspots_report(

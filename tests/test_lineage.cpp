@@ -249,7 +249,7 @@ TEST(LineageCorruptClassification, AuditFailureClassifiesCorrupt) {
 TEST(LineageMetricsJson, BlockCarriesAuditTrailsAndStubWhenOff) {
   const core::SortOutcome on = run_recovery(core::Executor::Sequential);
   const std::string json = metrics_json_of(on);
-  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"lineage\": {"), std::string::npos);
   EXPECT_NE(json.find("\"enabled\": true"), std::string::npos);
   EXPECT_NE(json.find("\"audit\": {"), std::string::npos);
@@ -367,7 +367,7 @@ TEST(LineageFtdiagCli, VersionPrintsSchemaTable) {
   const char* args[] = {"ftdiag", "--version"};
   EXPECT_EQ(tools::run_cli(2, args, cli_out, cli_err), 0);
   const std::string text = cli_out.str();
-  EXPECT_NE(text.find("metrics JSON: up to v7"), std::string::npos) << text;
+  EXPECT_NE(text.find("metrics JSON: up to v8"), std::string::npos) << text;
   EXPECT_NE(text.find("bench JSON: up to v3"), std::string::npos) << text;
   EXPECT_NE(text.find("campaign JSON: exactly v7"), std::string::npos)
       << text;

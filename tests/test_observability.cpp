@@ -214,9 +214,14 @@ TEST(ObservabilityPool, PoolDeltaIsPerRunWhilePoolIsCumulative) {
       // vector&& overload adopts storage and would bypass it).
       const std::vector<sim::Key> payload{1, 2, 3};
       ctx.send(1, 1, std::span<const sim::Key>(payload));
+      (void)co_await ctx.recv(1, 2);
     } else if (ctx.id() == 1) {
-      const sim::Message m = co_await ctx.recv(0, 1);
-      (void)m;
+      // A delivered payload belongs to its receiver: node 1 drops the
+      // message, so its answer reuses that buffer, and node 0 keeps the
+      // answer's for its next run.
+      (void)co_await ctx.recv(0, 1);
+      const std::vector<sim::Key> answer{4, 5, 6};
+      ctx.send(0, 2, std::span<const sim::Key>(answer));
     }
     co_return;
   };
@@ -339,7 +344,7 @@ TEST(ObservabilityExport, MetricsJsonContainsEveryPhaseAndKey) {
         "watchdog"})
     EXPECT_NE(json.find(std::string("\"") + key + "\""), std::string::npos)
         << key;
-  EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
   EXPECT_NE(json.find("\"watchdog\": {\"enabled\": false}"),
             std::string::npos);
   EXPECT_NE(json.find("\"cost_model\": {\"name\": \"ncube7\", \"routing\": "

@@ -316,8 +316,9 @@ TEST(TimingInvariants, TraceCapturesWhenRequested) {
   config.record_trace = true;
   FaultTolerantSorter sorter(4, faults, config);
   const auto outcome = sorter.sort(keys);
-  EXPECT_FALSE(outcome.trace.empty());
-  EXPECT_NE(outcome.trace.find("send"), std::string::npos);
+  const std::string trace = sim::format_trace(outcome.trace_events);
+  EXPECT_FALSE(trace.empty());
+  EXPECT_NE(trace.find("send"), std::string::npos);
 }
 
 }  // namespace

@@ -86,7 +86,8 @@ TEST(Recovery, SingleDeathMidSortRecovers) {
     // progress, not a node that never started.
     EXPECT_GT(out.report.node_clocks[5], 0.0);
     EXPECT_GE(out.report.timeouts, 1u);
-    EXPECT_NE(out.trace.find("kill"), std::string::npos);
+    EXPECT_NE(sim::format_trace(out.trace_events, 50'000).find("kill"),
+              std::string::npos);
   }
 }
 

@@ -332,7 +332,7 @@ TEST(Machine, TraceRecordsSendRecvCompute) {
   EXPECT_EQ(events[1].kind, EventKind::Send);
   EXPECT_EQ(events[2].kind, EventKind::Recv);
   EXPECT_EQ(events[1].keys, 2u);
-  const std::string dump = machine.trace().to_string();
+  const std::string dump = format_trace(events);
   EXPECT_NE(dump.find("send"), std::string::npos);
   EXPECT_NE(dump.find("recv"), std::string::npos);
 }

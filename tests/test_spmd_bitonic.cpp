@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -316,7 +317,10 @@ void expect_partners_agree(const partition::Plan& plan, core::Step8Mode step8) {
   }
 }
 
-void expect_partners_agree(const fault::FaultSet& faults) {
+/// Calls `check(plan, step8)` in both Step 8 modes when Plan::build accepts
+/// `faults` and the plan has a live node.
+template <typename Check>
+void for_each_step8(const fault::FaultSet& faults, Check check) {
   std::optional<partition::Plan> plan;
   try {
     plan = partition::Plan::build(faults);
@@ -326,11 +330,13 @@ void expect_partners_agree(const fault::FaultSet& faults) {
   if (plan->live_count() == 0) return;
   for (const core::Step8Mode step8 :
        {core::Step8Mode::BitonicMerge, core::Step8Mode::FullSort})
-    expect_partners_agree(*plan, step8);
+    check(*plan, step8);
 }
 
-TEST(NodeSchedule, PartnersAgree) {
-  // Every fault set of Q_3 and Q_4 with at most n - 1 faults.
+/// Calls `visit` with every fault set of Q_3 and Q_4 with at most n - 1
+/// faults.
+template <typename Visit>
+void for_each_small_fault_set(Visit visit) {
   for (const cube::Dim n : {3, 4}) {
     const std::uint32_t nodes = cube::num_nodes(n);
     for (std::uint32_t set = 0; set < (1u << nodes); ++set) {
@@ -338,14 +344,112 @@ TEST(NodeSchedule, PartnersAgree) {
       std::vector<cube::NodeId> faulty;
       for (cube::NodeId u = 0; u < nodes; ++u)
         if ((set >> u) & 1u) faulty.push_back(u);
-      expect_partners_agree(fault::FaultSet(n, faulty));
+      visit(fault::FaultSet(n, faulty));
     }
   }
+}
+
+TEST(NodeSchedule, PartnersAgree) {
+  for_each_small_fault_set([](const fault::FaultSet& faults) {
+    for_each_step8(faults, expect_partners_agree);
+  });
   // And random ones on Q_6.
   util::Rng rng(2006);
   for (int trial = 0; trial < 100; ++trial)
-    expect_partners_agree(fault::random_faults(
-        6, 1 + static_cast<std::size_t>(trial) % 5, rng));
+    for_each_step8(fault::random_faults(
+                       6, 1 + static_cast<std::size_t>(trial) % 5, rng),
+                   expect_partners_agree);
+}
+
+// At block size 1 the lists of a plan are one comparator network over its
+// N' live nodes: an exchange is a comparator, a reversal swap a fixed
+// permutation and a skip nothing. By the 0-1 principle (Knuth Vol. 3,
+// §5.3.4) the network sorts every input once it sorts every 0/1 input;
+// DESIGN §5.0 says why that carries over to every block size.
+
+/// Walks every live node's list of `plan` in lockstep with one key per
+/// node, over every 0/1 input, and returns the first input (bit i is the
+/// key of slot i) that does not come out as its zeros followed by its ones
+/// in slot order. The inputs are bit-sliced 64 to a word: lane l of a
+/// node's word is the node's key in input base + l.
+std::optional<std::uint64_t> first_unsorted_input(const partition::Plan& plan,
+                                                  core::Step8Mode step8) {
+  const core::PlanLayout layout = core::plan_layout(plan);
+  const std::vector<cube::NodeId>& slots = layout.slots;
+  const std::size_t live = slots.size();
+  std::vector<std::vector<ExchangeStep>> lists(cube::num_nodes(plan.n()));
+  for (const cube::NodeId u : slots)
+    lists[u] = core::node_schedule(plan, layout, u, step8);
+  const std::size_t length = lists[slots.front()].size();
+
+  // Slot i's key is bit i of the input: below bit 6 a fixed lane pattern,
+  // above it the same in every lane of a word.
+  std::uint64_t lane_bit[6] = {};
+  for (unsigned i = 0; i < 6; ++i)
+    for (unsigned l = 0; l < 64; ++l)
+      lane_bit[i] |= std::uint64_t{(l >> i) & 1u} << l;
+  const std::uint64_t inputs = std::uint64_t{1} << live;
+  std::vector<std::uint64_t> word(lists.size());
+  std::vector<std::uint64_t> next(lists.size());
+  std::vector<std::uint64_t> by_ones(live + 1);  // lanes by count of ones
+  for (std::uint64_t base = 0; base < inputs; base += 64) {
+    for (std::size_t i = 0; i < live; ++i)  // all ones when bit i is set
+      word[slots[i]] =
+          i < 6 ? lane_bit[i] : std::uint64_t{0} - ((base >> i) & 1u);
+    for (std::size_t k = 0; k < length; ++k) {
+      for (const cube::NodeId u : slots) {
+        const ExchangeStep& st = lists[u][k];
+        const std::uint64_t theirs = word[st.partner];
+        if (st.skip)
+          next[u] = word[u];
+        else if (st.swap)
+          next[u] = theirs;
+        else
+          next[u] = st.keep == SplitHalf::Lower ? word[u] & theirs
+                                                : word[u] | theirs;
+      }
+      std::swap(word, next);
+    }
+    // Sorted, slot i holds a one exactly when the input has at least
+    // live - i ones.
+    std::fill(by_ones.begin(), by_ones.end(), 0);
+    for (unsigned l = 0; l < 64; ++l)
+      by_ones[static_cast<std::size_t>(
+          std::popcount((base + l) & (inputs - 1)))] |= std::uint64_t{1} << l;
+    std::uint64_t at_least = 0;
+    for (std::size_t i = 0; i < live; ++i) {
+      at_least |= by_ones[live - i];
+      const std::uint64_t wrong = word[slots[i]] ^ at_least;
+      if (wrong != 0)
+        return (base + static_cast<unsigned>(std::countr_zero(wrong))) &
+               (inputs - 1);
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(NodeSchedule, SortsEveryZeroOneInput) {
+  std::size_t checked = 0;
+  const auto check = [&checked](const partition::Plan& plan,
+                                core::Step8Mode step8) {
+    ++checked;
+    if (const auto bad = first_unsorted_input(plan, step8))
+      ADD_FAILURE() << plan.to_string()
+                    << (step8 == core::Step8Mode::FullSort ? " full"
+                                                           : " merge")
+                    << ": 0/1 input " << *bad << " comes out unsorted";
+  };
+  for_each_small_fault_set([&check](const fault::FaultSet& faults) {
+    for_each_step8(faults, check);
+  });
+  EXPECT_EQ(checked, 1468u);
+  // The paper's Example 1: N' = 24, so 2^24 inputs per Step 8 mode.
+  const partition::Plan example1 =
+      partition::Plan::build(fault::FaultSet(5, {3, 5, 16, 24}));
+  ASSERT_EQ(example1.live_count(), 24u);
+  for (const core::Step8Mode step8 :
+       {core::Step8Mode::BitonicMerge, core::Step8Mode::FullSort})
+    check(example1, step8);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ TEST(Trace, ToStringTruncates) {
   for (int i = 0; i < 50; ++i)
     trace.record({static_cast<double>(i), 0, sim::EventKind::Compute, 0, 0,
                   1, 0});
-  const std::string out = trace.to_string(10);
+  const std::string out = sim::format_trace(trace.snapshot(), 10);
   EXPECT_NE(out.find("40 more events"), std::string::npos);
 }
 

@@ -14,7 +14,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <span>
 #include <vector>
 
 #include "core/ft_sorter.hpp"
@@ -187,17 +187,21 @@ int main(int argc, char** argv) {
   std::cout << "\nevent trace around the death (timeout = a survivor "
                "detecting the loss):\n";
   // Show only the interesting kinds; the full trace is huge. Recovery
-  // traces are long (two sorts plus the negotiation), so the dump cap is
-  // raised until the death and the restart are visible.
+  // traces are long (two sorts plus the negotiation), so the first 50,000
+  // events are searched until the death and the restart are visible. Only
+  // the lines printed are formatted.
   std::size_t shown = 0;
-  std::istringstream lines(sim::format_trace(out.trace_events, 50'000));
-  for (std::string line; std::getline(lines, line) && shown < 24;) {
-    if (line.find("kill") != std::string::npos ||
-        line.find("timeout") != std::string::npos ||
-        line.find("drop") != std::string::npos) {
-      std::cout << "  " << line << '\n';
-      ++shown;
-    }
+  const std::span<const sim::TraceEvent> events(
+      out.trace_events.data(),
+      std::min<std::size_t>(out.trace_events.size(), 50'000));
+  for (const sim::TraceEvent& ev : events) {
+    if (shown == 24) break;
+    if (ev.kind != sim::EventKind::Kill &&
+        ev.kind != sim::EventKind::Timeout &&
+        ev.kind != sim::EventKind::Drop)
+      continue;
+    std::cout << "  " << sim::format_trace(std::span(&ev, 1));
+    ++shown;
   }
 
   if (!cli.str("trace").empty()) {

@@ -105,4 +105,101 @@ void pairwise_select_rev_into(std::span<const Key> a, std::span<const Key> b,
                                           comparisons);
 }
 
+namespace {
+
+/// The two spans one side's pairwise select reads: it pairs a[t] with
+/// b[n - 1 - t].
+struct SelectInputs {
+  std::span<const Key> a;
+  std::span<const Key> b;
+};
+
+SelectInputs select_inputs(std::span<const Key> block,
+                           std::span<const Key> theirs, SplitHalf keep) {
+  const std::size_t h = block.size() / 2;
+  // Lower: a = A[h, b), b = B[0, b - h) received. Upper: a = A[0, h)
+  // received, b = B[b - h, b), the top of my own block.
+  if (keep == SplitHalf::Lower) return {block.subspan(h), theirs};
+  return {theirs, block.last(h)};
+}
+
+/// Which input holds every winner of the select, when its end pairs show
+/// it. a[t] - b[n - 1 - t] rises with t, so the last pair decides whether
+/// every min comes from `a` and the first whether every min comes from `b`.
+enum class Winners { Mixed, FromA, FromB };
+
+Winners winners(const SelectInputs& in, SplitHalf keep) {
+  const std::size_t n = in.a.size();
+  const bool lower = keep == SplitHalf::Lower;
+  if (n == 0) return Winners::Mixed;
+  if (in.a[n - 1] <= in.b[0]) return lower ? Winners::FromA : Winners::FromB;
+  if (in.a[0] >= in.b[n - 1]) return lower ? Winners::FromB : Winners::FromA;
+  return Winners::Mixed;
+}
+
+}  // namespace
+
+std::uint64_t half_exchange_select(std::span<const Key> block,
+                                   std::span<const Key> theirs, SplitHalf keep,
+                                   std::vector<Key>& kept,
+                                   std::vector<Key>& returned) {
+  const SelectInputs in = select_inputs(block, theirs, keep);
+  const std::size_t n = in.a.size();
+  FTSORT_REQUIRE(in.b.size() == n);
+  const Winners from = winners(in, keep);
+  if (from == Winners::Mixed) {
+    std::uint64_t comparisons = 0;
+    pairwise_select_rev_into(in.a, in.b, keep, kept, returned, comparisons);
+    return comparisons;
+  }
+  kept.resize(n);
+  returned.resize(n);
+  if (from == Winners::FromA) {  // kept[t] = a[t], returned[t] = b[n-1-t]
+    std::copy(in.a.begin(), in.a.end(), kept.begin());
+    std::reverse_copy(in.b.begin(), in.b.end(), returned.begin());
+  } else {  // kept = b read backwards, stored ascending; returned = a
+    std::copy(in.b.begin(), in.b.end(), kept.begin());
+    std::copy(in.a.begin(), in.a.end(), returned.begin());
+  }
+  return n;  // the select's one comparison per pair
+}
+
+std::uint64_t half_exchange_merge(std::vector<Key>& block,
+                                  std::span<const Key> theirs, SplitHalf keep,
+                                  std::vector<Key>& kept,
+                                  std::vector<Key>& back,
+                                  std::vector<Key>& unimodal,
+                                  std::vector<Key>& merged) {
+  const bool lower = keep == SplitHalf::Lower;
+  const Winners from = winners(select_inputs(block, theirs, keep), keep);
+  std::uint64_t comparisons = 0;
+  if (from == Winners::Mixed) {
+    sort_unimodal(kept, unimodal, comparisons);
+  } else {
+    // The select would have written the b-side winners descending.
+    comparisons += monotone_unimodal_count(kept, from == Winners::FromB);
+  }
+  // Already split: every key of A is <= every key of B. Then `back` is the
+  // rest of my own block, ascending on the Lower side (A[0, h)) and
+  // descending on the Upper side (B[0, b - h) reversed).
+  const bool holds_half =
+      lower ? from == Winners::FromA
+            : from == Winners::FromB && back.back() == block.front();
+  if (holds_half) {
+    if (back.empty()) return comparisons;  // b = 1: nothing to merge
+    // merge_sorted_into(kept, back ascending), when the runs' ends settle
+    // its count.
+    const Key back_min = lower ? back.front() : back.back();
+    const Key back_max = lower ? back.back() : back.front();
+    const std::uint64_t repair = monotone_unimodal_count(back, false);
+    if (back_max < kept.front()) return comparisons + repair + back.size();
+    if (kept.back() <= back_min) return comparisons + repair + kept.size();
+  }
+  sort_unimodal(back, unimodal, comparisons);
+  merge_sorted_into(kept, back, merged, comparisons);
+  FTSORT_ENSURE(merged.size() == block.size());
+  std::swap(block, merged);
+  return comparisons;
+}
+
 }  // namespace ftsort::sort

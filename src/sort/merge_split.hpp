@@ -86,4 +86,41 @@ void pairwise_select_rev_into(std::span<const Key> a, std::span<const Key> b,
                               std::vector<Key>& returned,
                               std::uint64_t& comparisons);
 
+/// One side of the half exchange, in the two parts its walker runs around
+/// the losers' round trip (spmd_bitonic.cpp does the messaging). `block` is
+/// this side's ascending block of b keys; `theirs` is the bottom of the
+/// partner's block that arrived first: B[0, b - h) on the Lower side,
+/// A[0, h) on the Upper side, h = b / 2. The Lower side pairs A[h + t] with
+/// B[b - 1 - h - t], the Upper side A[t] with B[b - 1 - t].
+///
+/// Before the losers are sent: writes this side's pairwise winners to
+/// `kept` and its losers, the wire content, to `returned`, and returns the
+/// comparisons to charge before the send, one per pair. When the end pairs
+/// show that every min comes from one input, the winners are one input and
+/// the losers the other: `kept` is a copy of the winning input, already
+/// ascending, `returned` the other forwards or reversed, as the select
+/// would have written it, and the select is skipped.
+std::uint64_t half_exchange_select(std::span<const Key> block,
+                                   std::span<const Key> theirs, SplitHalf keep,
+                                   std::vector<Key>& kept,
+                                   std::vector<Key>& returned);
+
+/// After the partner's winners `back` arrived: leaves this side's half of
+/// the union in `block`, ascending, and returns the comparisons to charge
+/// now, those of sort_unimodal on `kept` and on `back` and of
+/// merge_sorted_into on the two, whether their loops ran or not. The
+/// select's end-pair check is made again here rather than kept across the
+/// round trip. A side that already holds its half (the Lower side when
+/// A[b - 1] <= B[0], the Upper side when the partner's last loser equals
+/// B[0]) leaves `block` as it is, when the runs' ends settle the merge's
+/// count. `block`, `theirs`, `keep` and `kept` must be those of the select;
+/// `unimodal` and `merged` are scratch, and `back` may be sorted in place
+/// or swapped with `unimodal`, as sort_unimodal does.
+std::uint64_t half_exchange_merge(std::vector<Key>& block,
+                                  std::span<const Key> theirs, SplitHalf keep,
+                                  std::vector<Key>& kept,
+                                  std::vector<Key>& back,
+                                  std::vector<Key>& unimodal,
+                                  std::vector<Key>& merged);
+
 }  // namespace ftsort::sort

@@ -159,6 +159,20 @@ void merge_sorted_into(std::span<const Key> a, std::span<const Key> b,
                        std::vector<Key>& out, std::uint64_t& comparisons) {
   out.resize(a.size() + b.size());
   Key* const dst = out.data();
+  if (!a.empty() && !b.empty()) {
+    // Runs that do not overlap: the loop below would place all of one run
+    // while the other still held every key, counting the first run's keys.
+    if (a.back() <= b.front()) {
+      std::copy(b.begin(), b.end(), std::copy(a.begin(), a.end(), dst));
+      comparisons += a.size();
+      return;
+    }
+    if (b.back() < a.front()) {
+      std::copy(a.begin(), a.end(), std::copy(b.begin(), b.end(), dst));
+      comparisons += b.size();
+      return;
+    }
+  }
   std::size_t i = 0;
   std::size_t j = 0;
   std::size_t k = 0;
@@ -176,22 +190,23 @@ void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
   // Detect the shape from the first strict change of direction. A peak
   // sequence splits into ascending + descending; a valley into descending
   // + ascending.
-  std::size_t turn = n;  // index where the second run starts
   std::size_t k = 1;
   while (k < n && data[k] == data[k - 1]) ++k;
   if (k == n) return;  // all equal
-  std::uint64_t count = 1;  // the direction
+  const std::size_t first = k;  // the first key unequal to its predecessor
   const bool rising_start = data[k] > data[k - 1];
-  for (; k < n; ++k) {
-    ++count;
-    if (data[k] == data[k - 1]) continue;
-    const bool rising_here = data[k] > data[k - 1];
-    if (rising_here != rising_start) {
-      turn = k;
-      break;
+  // The turn is the first strict step against the starting direction: one
+  // host comparison per key.
+  if (rising_start) {
+    while (++k < n && !(data[k] < data[k - 1])) {
+    }
+  } else {
+    while (++k < n && !(data[k] > data[k - 1])) {
     }
   }
-  comparisons += count;
+  const std::size_t turn = k;  // where the second run starts; n if none
+  // One for the direction, one per index from `first` through the turn.
+  comparisons += 1 + (turn < n ? turn + 1 : n) - first;
   if (turn == n) {  // already monotone
     if (!rising_start) std::reverse(data.begin(), data.end());
     return;
@@ -203,8 +218,6 @@ void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
   Key* const dst = scratch.data();
   // Run A = data[0, turn), ascending when rising_start else read backward;
   // run B = data[turn, n), read backward when rising_start else ascending.
-  std::size_t ai = 0;
-  std::size_t bj = 0;
   const std::size_t a_len = turn;
   const std::size_t b_len = n - turn;
   const auto a_at = [&](std::size_t i) {
@@ -213,22 +226,58 @@ void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
   const auto b_at = [&](std::size_t j) {
     return rising_start ? src[n - 1 - j] : src[turn + j];
   };
-  std::size_t out = 0;
-  while (ai < a_len && bj < b_len) {
-    const Key a = a_at(ai);
-    const Key b = b_at(bj);
-    if (b < a) {
-      dst[out++] = b;
-      ++bj;
-    } else {
-      dst[out++] = a;
-      ++ai;
+  // Each run read ascending into `to`.
+  const auto copy_a = [&](Key* to) {
+    return rising_start ? std::copy(src, src + turn, to)
+                        : std::reverse_copy(src, src + turn, to);
+  };
+  const auto copy_b = [&](Key* to) {
+    return rising_start ? std::reverse_copy(src + turn, src + n, to)
+                        : std::copy(src + turn, src + n, to);
+  };
+  // Runs that do not overlap are copied, counted as the merge loop would
+  // count them (merge_sorted_into's rule).
+  if (a_at(a_len - 1) <= b_at(0)) {
+    copy_b(copy_a(dst));
+    comparisons += a_len;
+  } else if (b_at(b_len - 1) < a_at(0)) {
+    copy_a(copy_b(dst));
+    comparisons += b_len;
+  } else {
+    std::size_t ai = 0;
+    std::size_t bj = 0;
+    std::size_t out = 0;
+    while (ai < a_len && bj < b_len) {
+      const Key a = a_at(ai);
+      const Key b = b_at(bj);
+      if (b < a) {
+        dst[out++] = b;
+        ++bj;
+      } else {
+        dst[out++] = a;
+        ++ai;
+      }
     }
+    comparisons += out;  // one per key placed while both runs held keys
+    while (ai < a_len) dst[out++] = a_at(ai++);
+    while (bj < b_len) dst[out++] = b_at(bj++);
   }
-  comparisons += out;  // one per key placed while both runs held keys
-  while (ai < a_len) dst[out++] = a_at(ai++);
-  while (bj < b_len) dst[out++] = b_at(bj++);
   std::swap(data, scratch);
+}
+
+std::uint64_t monotone_unimodal_count(std::span<const Key> run,
+                                      bool read_backward) {
+  const std::size_t n = run.size();
+  if (n < 2) return 0;
+  // `first` is sort_unimodal's: the first index, in read order, whose key
+  // differs from its predecessor's.
+  std::size_t first = 1;
+  if (read_backward) {
+    while (first < n && run[n - 1 - first] == run[n - first]) ++first;
+  } else {
+    while (first < n && run[first] == run[first - 1]) ++first;
+  }
+  return first == n ? 0 : 1 + n - first;
 }
 
 bool is_ascending(std::span<const Key> data) {

@@ -4,11 +4,16 @@
 // heapsort) and every kernel reports the number of key comparisons it
 // performed so the simulator can charge t_c faithfully. The count is part
 // of every simulated time, so each kernel's counting rule below is a
-// contract: a faster kernel must make the same comparisons, in the same
-// order. heapsort, merge_sorted_into and sort_unimodal count into locals
-// and add them to the caller's `comparisons` after their loops: the
-// counter is a std::uint64_t& that may alias the std::int64_t keys, so
-// bumping it inside a loop costs a load and a store per comparison.
+// contract: a faster kernel must count the comparisons of its textbook
+// loop. The rules hold on the copy paths too: where a kernel, or the half
+// exchange (merge_split.hpp), sees from the end keys of its runs that they
+// are already in order, it copies them instead of comparing key by key
+// and counts what the loop would have counted; whatever the ends do not
+// settle runs the loop. heapsort, merge_sorted_into and sort_unimodal
+// count into locals and add them to the caller's `comparisons` after their
+// loops: the counter is a std::uint64_t& that may alias the std::int64_t
+// keys, so bumping it inside a loop costs a load and a store per
+// comparison.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +50,9 @@ void local_sort(LocalSort algorithm, std::span<Key> data,
 
 /// Stable two-way merge of ascending runs into caller-owned `out` (resized,
 /// capacity reused across calls). `out` must not alias the inputs. One
-/// comparison per key placed while both runs still hold keys.
+/// comparison per key placed while both runs still hold keys. Runs that do
+/// not overlap are copied, and counted by the same rule: |a| when a's last
+/// key is <= b's first, |b| when b's last is < a's first.
 void merge_sorted_into(std::span<const Key> a, std::span<const Key> b,
                        std::vector<Key>& out, std::uint64_t& comparisons);
 
@@ -58,9 +65,20 @@ void merge_sorted_into(std::span<const Key> a, std::span<const Key> b,
 /// comparisons: one for the direction, taken at the first key that differs
 /// from its predecessor; one per index scanned from that key up to and
 /// including the turn (or to the end, if there is none); and one per key
-/// placed while both runs still hold keys. An all-equal input costs none.
+/// placed while both runs still hold keys, by merge_sorted_into's rule,
+/// also when runs that do not overlap are copied. An all-equal input costs
+/// none. A monotone input is reversed in place if it descends and is never
+/// swapped with `scratch`.
 void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
                    std::uint64_t& comparisons);
+
+/// The comparisons sort_unimodal counts on `run` read forwards, or
+/// backwards when `read_backward`, given that this read is monotone: 1 +
+/// n - (the index of its first key that differs from its predecessor), or
+/// none when n < 2 or all keys are equal. Reads only the leading plateau.
+/// The half exchange charges it for pieces it copies instead of scanning.
+std::uint64_t monotone_unimodal_count(std::span<const Key> run,
+                                      bool read_backward);
 
 /// True iff ascending (non-strict).
 bool is_ascending(std::span<const Key> data);

@@ -118,9 +118,10 @@ sim::Task run_schedule(sim::NodeCtx& ctx, std::span<const ExchangeStep> steps,
         // each way and the per-step traffic matches the paper's ⌈M/2N'⌉
         // terms. Each side first sends the bottom of its block the
         // partner's pairs need: A[0..h) from the Lower side, B[0..b-h) from
-        // the Upper side. The reversed indexing of each pair's second
-        // element happens inside pairwise_select_rev_into; no reversed
-        // copies are materialised.
+        // the Upper side. half_exchange_select and half_exchange_merge do
+        // the rest of each side's work (merge_split.hpp); the first reads
+        // its pairs' second elements backwards or, when every winner comes
+        // from one input, copies the losers out reversed.
         const bool lower = st.keep == SplitHalf::Lower;
         const std::size_t b = block.size();
         const std::size_t h = b / 2;
@@ -129,28 +130,18 @@ sim::Task run_schedule(sim::NodeCtx& ctx, std::span<const ExchangeStep> steps,
         ctx.send(st.partner, st.tag, mine.first(out));
         sim::Message msg = co_await ctx.recv(st.partner, st.tag);
         FTSORT_REQUIRE(msg.payload.size() == b - out);
-        // Lower pairs: a[t] = A[h+t], b[t] = B[b-1-(h+t)] =
-        // reversed(received). Upper pairs: a[t] = A[t] (received), b[t] =
-        // B[b-1-t] = the top of my own block read backwards.
-        std::uint64_t comparisons = 0;
-        pairwise_select_rev_into(lower ? mine.subspan(h) : msg.payload.span(),
-                                 lower ? msg.payload.span() : mine.last(h),
-                                 st.keep, kept, returned, comparisons);
-        ctx.charge_compares(comparisons);
-        comparisons = 0;
+        ctx.charge_compares(half_exchange_select(mine, msg.payload.span(),
+                                                 st.keep, kept, returned));
         // Return the losers; receive the winners of the partner's pairs.
         // The two sets hold my final multiset exactly once (the Upper
         // side's block top served only as comparison input).
         ctx.send(st.partner, st.tag + 1, std::span<const Key>(returned));
         sim::Message back = co_await ctx.recv(st.partner, st.tag + 1);
         FTSORT_REQUIRE(back.payload.size() == out);
-        // Both parts are unimodal; sort each, then merge.
-        sort_unimodal(kept, unimodal, comparisons);
-        sort_unimodal(back.payload.vec(), unimodal, comparisons);
-        merge_sorted_into(kept, back.payload.span(), merged, comparisons);
-        ctx.charge_compares(comparisons);
-        FTSORT_ENSURE(merged.size() == b);
-        std::swap(block, merged);
+        ctx.charge_compares(half_exchange_merge(block, msg.payload.span(),
+                                                st.keep, kept,
+                                                back.payload.vec(), unimodal,
+                                                merged));
       }
       // Custody commits here, at the merge or the swap — never at
       // send/recv: the wire carried a copy (sim/lineage.hpp).

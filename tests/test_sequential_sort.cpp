@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "ordered_blocks.hpp"
 #include "sort/distribution.hpp"
 #include "sort/merge_split.hpp"
 #include "sort/sequential.hpp"
@@ -272,36 +273,91 @@ TEST(ExactCountOracle, UnimodalMatchesTextbookWithPlateaus) {
   }
 }
 
+/// One side of the half exchange by the textbook: the pairwise select
+/// before the losers leave, then both unimodal repairs and the merge.
+struct TextbookSide {
+  std::vector<Key> block;   ///< the kept half, at the end
+  std::vector<Key> losers;  ///< the wire content of the second send
+  std::uint64_t before = 0;  ///< comparisons charged before that send
+  std::uint64_t after = 0;   ///< comparisons charged after the reply
+};
+
+/// Both sides of the half-exchange protocol on sorted blocks A (Lower) and
+/// B (Upper) of b keys: the Lower side evaluates pairs [h, b), the Upper
+/// side [0, h); each repairs its kept and received unimodal halves and
+/// merges them. half_exchange_select and half_exchange_merge must match
+/// the textbook's losers, kept block and both counts on each side.
+::testing::AssertionResult half_exchange_matches(
+    const std::vector<Key>& lower_block, const std::vector<Key>& upper_block) {
+  const std::size_t b = lower_block.size();
+  const std::size_t h = b / 2;
+  const std::span<const Key> lower(lower_block);
+  const std::span<const Key> upper(upper_block);
+  const SplitHalf keep[2] = {SplitHalf::Lower, SplitHalf::Upper};
+  // The bottom of the partner's block, which each side receives first.
+  const std::span<const Key> theirs[2] = {upper.first(b - h), lower.first(h)};
+
+  TextbookSide want[2];
+  pairwise_select_rev_into(lower.subspan(h), theirs[0], keep[0],
+                           want[0].block, want[0].losers, want[0].before);
+  pairwise_select_rev_into(theirs[1], upper.last(h), keep[1], want[1].block,
+                           want[1].losers, want[1].before);
+  std::vector<Key> scratch;
+  for (int s = 0; s < 2; ++s) {
+    std::vector<Key> winners = want[1 - s].losers;
+    textbook_sort_unimodal(want[s].block, scratch, want[s].after);
+    textbook_sort_unimodal(winners, scratch, want[s].after);
+    std::vector<Key> merged;
+    textbook_merge_sorted_into(want[s].block, winners, merged,
+                               want[s].after);
+    want[s].block = std::move(merged);
+  }
+
+  std::vector<Key> block[2] = {lower_block, upper_block};
+  std::vector<Key> kept[2];
+  std::vector<Key> losers[2];
+  for (int s = 0; s < 2; ++s) {
+    const std::uint64_t before =
+        half_exchange_select(block[s], theirs[s], keep[s], kept[s], losers[s]);
+    if (losers[s] != want[s].losers)
+      return ::testing::AssertionFailure() << "side " << s << ": losers differ";
+    if (before != want[s].before)
+      return ::testing::AssertionFailure()
+             << "side " << s << ": " << before << " comparisons before the "
+             << "send, textbook " << want[s].before;
+  }
+  for (int s = 0; s < 2; ++s) {
+    std::vector<Key> back = losers[1 - s];
+    std::vector<Key> unimodal;
+    std::vector<Key> merged;
+    const std::uint64_t after = half_exchange_merge(
+        block[s], theirs[s], keep[s], kept[s], back, unimodal, merged);
+    if (block[s] != want[s].block)
+      return ::testing::AssertionFailure()
+             << "side " << s << ": kept block differs";
+    if (after != want[s].after)
+      return ::testing::AssertionFailure()
+             << "side " << s << ": " << after << " comparisons after the "
+             << "reply, textbook " << want[s].after;
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(ExactCountOracle, HalfExchangeSidesMatchTextbook) {
-  // Both sides of the half-exchange protocol on sorted blocks A (Lower)
-  // and B (Upper) of b keys: the Lower side evaluates pairs [h, b), the
-  // Upper side [0, h); each repairs its kept and received unimodal halves
-  // and merges them.
   util::Rng rng(34);
   for (std::size_t b = 0; b <= kMaxOracleSize; ++b) {
     for (const std::uint64_t range : kKeyRanges) {
       const auto lower_block = sorted_random_keys(b, range, rng);
       const auto upper_block = sorted_random_keys(b, range, rng);
-      const std::size_t h = b / 2;
-      const std::span<const Key> lower(lower_block);
-      const std::span<const Key> upper(upper_block);
-      std::vector<Key> lower_kept, to_upper, upper_kept, to_lower;
-      std::uint64_t select = 0;
-      pairwise_select_rev_into(lower.subspan(h), upper.first(b - h),
-                               SplitHalf::Lower, lower_kept, to_upper, select);
-      pairwise_select_rev_into(lower.first(h), upper.last(h), SplitHalf::Upper,
-                               upper_kept, to_lower, select);
-      for (auto* side : {&lower_kept, &to_lower, &upper_kept, &to_upper})
-        ASSERT_TRUE(unimodal_matches(*side)) << "b=" << b
-                                             << " range=" << range;
-      std::vector<Key> scratch;
-      std::uint64_t repair = 0;
-      for (auto* side : {&lower_kept, &to_lower, &upper_kept, &to_upper})
-        sort_unimodal(*side, scratch, repair);
-      ASSERT_TRUE(merge_matches(lower_kept, to_lower))
+      ASSERT_TRUE(half_exchange_matches(lower_block, upper_block))
           << "b=" << b << " range=" << range;
-      ASSERT_TRUE(merge_matches(upper_kept, to_upper))
-          << "b=" << b << " range=" << range;
+      // The ordered families: A below or above B, touching at one key, a
+      // plateau across the crossover, all keys equal.
+      const auto families = test::ordered_block_pairs(b, range, rng);
+      for (std::size_t f = 0; f < families.size(); ++f)
+        ASSERT_TRUE(half_exchange_matches(families[f].first,
+                                          families[f].second))
+            << "b=" << b << " range=" << range << " family=" << f;
     }
   }
 }

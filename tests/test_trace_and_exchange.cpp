@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "ordered_blocks.hpp"
 #include "sim/machine.hpp"
 #include "sort/distribution.hpp"
 #include "sort/merge_split.hpp"
@@ -157,6 +158,81 @@ TEST(Exchange, DummyPaddedBlocks) {
   EXPECT_EQ(lower, (std::vector<Key>{1, 2}));
   EXPECT_EQ(upper,
             (std::vector<Key>{sim::kDummyKey, sim::kDummyKey}));
+}
+
+/// One side of a half exchange done with the kernels alone: the pairwise
+/// select before the losers leave, then both unimodal repairs and the
+/// merge.
+struct KernelSide {
+  std::vector<Key> kept;
+  std::vector<Key> losers;
+  std::uint64_t select = 0;  ///< comparisons before the send
+  std::uint64_t repair = 0;  ///< comparisons after the winners arrive
+};
+
+void kernel_repair(KernelSide& side, std::vector<Key> winners) {
+  std::vector<Key> scratch;
+  sort::sort_unimodal(side.kept, scratch, side.repair);
+  sort::sort_unimodal(winners, scratch, side.repair);
+  std::vector<Key> merged;
+  sort::merge_sorted_into(side.kept, winners, merged, side.repair);
+  side.kept = std::move(merged);
+}
+
+TEST(Exchange, OrderedBlocksMatchKernelSequence) {
+  // A one-step Q_1 half exchange on the ordered block families: both final
+  // blocks and the comparisons equal the kernel sequence's, and each side
+  // sends its losers (tag + 1) exactly one t_c per pair after its first
+  // receive.
+  util::Rng rng(3);
+  for (std::size_t b = 0; b <= 600; ++b) {
+    for (const std::uint64_t range : {1u, 3u, 1000u}) {
+      SCOPED_TRACE(::testing::Message() << "b=" << b << " range=" << range);
+      for (const auto& [a, bb] : test::ordered_block_pairs(b, range, rng)) {
+        const std::size_t h = b / 2;
+        const std::span<const Key> lower(a);
+        const std::span<const Key> upper(bb);
+        KernelSide side[2];
+        sort::pairwise_select_rev_into(lower.subspan(h), upper.first(b - h),
+                                       sort::SplitHalf::Lower, side[0].kept,
+                                       side[0].losers, side[0].select);
+        sort::pairwise_select_rev_into(lower.first(h), upper.last(h),
+                                       sort::SplitHalf::Upper, side[1].kept,
+                                       side[1].losers, side[1].select);
+        kernel_repair(side[0], side[1].losers);
+        kernel_repair(side[1], side[0].losers);
+
+        std::vector<Key> block[2] = {a, bb};
+        sim::Machine machine(1, fault::FaultSet(1));
+        machine.trace().enable(true);
+        const auto program = [&](sim::NodeCtx& ctx) -> sim::Task {
+          const sort::ExchangeStep step = exchange_step(ctx.id());
+          co_await sort::run_schedule(ctx, std::span(&step, 1),
+                                      block[ctx.id()],
+                                      sort::ExchangeProtocol::HalfExchange);
+        };
+        const sim::RunReport report = machine.run(program);
+        ASSERT_EQ(block[0], side[0].kept);
+        ASSERT_EQ(block[1], side[1].kept);
+        ASSERT_EQ(report.comparisons, side[0].select + side[0].repair +
+                                          side[1].select + side[1].repair);
+        for (cube::NodeId u = 0; u < 2; ++u) {
+          double received = -1.0;
+          double sent = -1.0;
+          for (const sim::TraceEvent& ev : machine.trace().snapshot()) {
+            if (ev.node != u) continue;
+            if (ev.kind == sim::EventKind::Recv && ev.tag == 0)
+              received = ev.time;
+            if (ev.kind == sim::EventKind::Send && ev.tag == 1) sent = ev.time;
+          }
+          ASSERT_GE(received, 0.0);
+          EXPECT_DOUBLE_EQ(sent - received,
+                           machine.cost().compare_time(side[u].select))
+              << "node " << u;
+        }
+      }
+    }
+  }
 }
 
 TEST(Exchange, DeterministicTiming) {

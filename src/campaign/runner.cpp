@@ -59,13 +59,6 @@ std::uint32_t scheduled_kills(const TrialSpec& spec) {
 
 core::RecoveryConfig calibrated_recovery(const CampaignConfig& cfg,
                                          sim::SimTime envelope) {
-  const core::RecoveryConfig defaults;
-  const bool customized =
-      cfg.recovery.detect_patience != defaults.detect_patience ||
-      cfg.recovery.collect_patience != defaults.collect_patience ||
-      cfg.recovery.verdict_patience != defaults.verdict_patience ||
-      cfg.recovery.max_attempts != defaults.max_attempts;
-  if (customized) return cfg.recovery;
   core::RecoveryConfig tuned;
   // Soundness separations (recovery.hpp): collect dominates
   // makespan + detect (envelope >= makespan, so 8x clears it), verdict
@@ -86,7 +79,7 @@ sim::SimTime calibrate_envelope(const CampaignConfig& cfg) {
                  cfg.universe.num_keys);
   core::FaultTolerantSorter sorter(
       cfg.universe.n, fault::FaultSet(cfg.universe.n),
-      trial_config(cfg, core::Executor::Sequential, cfg.recovery));
+      trial_config(cfg, core::Executor::Sequential, core::RecoveryConfig{}));
   const sim::SimTime makespan = sorter.sort(keys).report.makespan;
   FTSORT_ENSURE(makespan > 0.0);
   return makespan * cfg.universe.envelope_scale;

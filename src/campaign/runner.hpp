@@ -57,14 +57,6 @@ struct CampaignConfig {
   core::Executor executor = core::Executor::Sequential;
   /// Worker pool width; results are byte-identical for any value >= 1.
   unsigned workers = 1;
-  /// Patience tiers handed to every trial's recovery engine. When left at
-  /// the RecoveryConfig defaults, the campaign rescales them from the
-  /// calibration envelope (calibrated_recovery below): the library
-  /// defaults leave orders of magnitude between tiers for soundness, but
-  /// a recovered trial would then spend ~1e6 logical units detecting a
-  /// fault inside a ~1e3-unit sort and the slowdown curve would measure
-  /// nothing except patience. Explicitly-set tiers pass through untouched.
-  core::RecoveryConfig recovery;
   /// Per-node flight-recorder ring of each trial (events). Bounded so a
   /// thousand-trial campaign's memory stays flat; big enough that the
   /// diagnosis of a single-fault trial never sees an eviction.
@@ -97,12 +89,14 @@ struct CampaignConfig {
   std::uint32_t progress_interval_ms = 250;
 };
 
-/// The patience tiers a trial actually runs with: cfg.recovery when any
-/// field differs from the RecoveryConfig defaults, else tiers derived
-/// from the envelope (detect = envelope, collect = 8×, verdict = 64 ×
-/// (r_max + 1) ×) that keep the soundness separations recovery.hpp
-/// documents while staying on the sort's own time scale. Deterministic
-/// in (cfg, envelope), so replay sees identical tiers.
+/// The patience tiers every trial runs with, derived from the envelope
+/// (detect = envelope, collect = 8×, verdict = 64 × (r_max + 1) ×): they
+/// keep the soundness separations recovery.hpp documents while staying on
+/// the sort's own time scale. The library defaults leave orders of
+/// magnitude between tiers, so a recovered trial would spend ~1e6 logical
+/// units detecting a fault inside a ~1e3-unit sort and the slowdown curve
+/// would measure nothing but patience. Deterministic in (cfg, envelope),
+/// so replay sees identical tiers.
 core::RecoveryConfig calibrated_recovery(const CampaignConfig& cfg,
                                          sim::SimTime envelope);
 
@@ -119,9 +113,9 @@ TrialResult run_trial(const CampaignConfig& cfg, sim::SimTime envelope,
 
 /// The full campaign: calibrate, sweep every trial over the worker pool,
 /// aggregate. The returned report (and its JSON) depends only on
-/// (cfg.universe, cfg.seed, cfg.executor, cfg.recovery, trial knobs) —
-/// never on cfg.workers, the watchdog, cancel, or the progress callback
-/// (a cancelled sweep is the one exception: it aggregates the completed
+/// (cfg.universe, cfg.seed, cfg.executor, trial knobs) — never on
+/// cfg.workers, the watchdog, cancel, or the progress callback (a
+/// cancelled sweep is the one exception: it aggregates the completed
 /// prefix and sets CampaignReport::partial). Throws sim::WatchdogError
 /// when the pool-level watchdog trips under the abort policy.
 CampaignReport run_campaign(const CampaignConfig& cfg);

@@ -80,11 +80,10 @@ struct SortConfig {
   /// trace degrades only attribution (critical path, diagnosis depth) —
   /// logical results and golden report fields are unaffected.
   std::size_t trace_capacity = 0;
-  /// Host-side (wall-clock) scheduler and buffer-pool profiling: populates
-  /// RunReport::host with per-worker machine-lock waits, idle-worker
-  /// sleeps, resume and quiescence counters. Charged outside simulated
-  /// time, so enabling it never changes logical results. Mainly useful
-  /// with Executor::Threaded.
+  /// Host-side (wall-clock) scheduler profiling: populates RunReport::host
+  /// with per-worker machine-lock waits, idle-worker sleeps, resume and
+  /// quiescence counters. Charged outside simulated time, so enabling it
+  /// never changes logical results. Mainly useful with Executor::Threaded.
   bool profile_host = false;
   /// Populate RunReport::metrics / RunReport::phases with per-node,
   /// per-phase counters (sim/metrics.hpp). The critical-path makespan

@@ -52,7 +52,6 @@ class Router {
          LinkSet dead_links = {});
 
   Dim dim() const { return n_; }
-  bool avoids_faulty() const { return avoid_faulty_; }
   const LinkSet& dead_links() const { return dead_links_; }
 
   /// The path a message takes. Throws ContractViolation if unreachable

@@ -245,7 +245,7 @@ std::optional<Message> NodeCtx::RecvTimeoutAwaiter::await_resume() {
 Machine::Machine(cube::Dim n, fault::FaultSet faults,
                  fault::FaultModel model, CostModel cost,
                  cube::LinkSet dead_links)
-    : n_(n), faults_(std::move(faults)), model_(model), cost_(cost),
+    : n_(n), faults_(std::move(faults)), cost_(cost),
       router_(n, faults_.bitmap(), model == fault::FaultModel::Total,
               std::move(dead_links)),
       trace_(cube::num_nodes(n)) {

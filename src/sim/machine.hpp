@@ -388,7 +388,6 @@ class Machine {
   cube::Dim dim() const { return n_; }
   std::uint32_t size() const { return cube::num_nodes(n_); }
   const fault::FaultSet& faults() const { return faults_; }
-  fault::FaultModel fault_model() const { return model_; }
   const CostModel& cost() const { return cost_; }
   const cube::Router& router() const { return router_; }
   /// The instruments (sim/instrument.hpp). Enable one before a run and it
@@ -414,7 +413,6 @@ class Machine {
   /// populates RunReport::host. Charged entirely outside simulated time —
   /// cannot change logical results.
   void profile_host(bool on) { profile_host_ = on; }
-  bool profiling_host() const { return profile_host_; }
 
   /// Arm a wall-clock watchdog for subsequent runs (sim/watchdog.hpp). The
   /// threaded executor publishes one heartbeat slot per healthy node (beat
@@ -425,7 +423,6 @@ class Machine {
   /// only counts a near-miss in RunReport::watchdog. Pass a default
   /// (disabled) config to disarm.
   void set_watchdog(WatchdogConfig cfg) { watchdog_cfg_ = std::move(cfg); }
-  const WatchdogConfig& watchdog_config() const { return watchdog_cfg_; }
 
   /// Build a failure explanation from the current run's evidence: blocked
   /// node states, observed deaths, configured link cuts, and (when the
@@ -509,7 +506,6 @@ class Machine {
 
   cube::Dim n_;
   fault::FaultSet faults_;
-  fault::FaultModel model_;
   CostModel cost_;
   cube::Router router_;
   Trace trace_;

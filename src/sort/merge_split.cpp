@@ -1,6 +1,7 @@
 #include "sort/merge_split.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "sort/merge_split_kernels.hpp"
 #include "util/contracts.hpp"
@@ -53,40 +54,37 @@ void pairwise_select_rev_into_scalar(std::span<const Key> a,
 
 }  // namespace detail
 
+namespace {
+
+/// The first `want` keys, in the order `before`, of the merge of the runs
+/// `mine` and [theirs, theirs_end), both in that order, written to `dst`;
+/// ties go to `mine`. Returns the comparisons: one per key placed while
+/// `theirs` still held keys. `mine` must hold at least `want` keys.
+template <class Run, class Out, class Before>
+std::uint64_t take_merged(Run mine, Run theirs, const Run theirs_end, Out dst,
+                          const std::size_t want, const Before before) {
+  std::size_t k = 0;
+  for (; k < want && theirs != theirs_end; ++k)
+    *dst++ = before(*theirs, *mine) ? *theirs++ : *mine++;
+  std::copy_n(mine, want - k, dst);
+  return k;
+}
+
+}  // namespace
+
 void merge_split_into(std::span<const Key> mine, std::span<const Key> theirs,
                       SplitHalf keep, std::vector<Key>& out,
                       std::uint64_t& comparisons) {
   const std::size_t want = mine.size();
   out.resize(want);
-  if (want == 0) return;
-  Key* const dst = out.data();
-
   // `mine` cannot run out: each of the |mine| keys placed takes at most one.
+  // The Upper half is the Lower half's merge read backwards, `out` included.
   if (keep == SplitHalf::Lower) {
-    // Forward merge until `want` keys are produced.
-    std::size_t i = 0;
-    std::size_t j = 0;
-    for (std::size_t k = 0; k < want; ++k) {
-      if (j < theirs.size()) {
-        ++comparisons;
-        dst[k] = theirs[j] < mine[i] ? theirs[j++] : mine[i++];
-      } else {
-        dst[k] = mine[i++];
-      }
-    }
+    comparisons += take_merged(mine.begin(), theirs.begin(), theirs.end(),
+                               out.begin(), want, std::less<>());
   } else {
-    // Backward merge from the top, filling `out` back-to-front (no final
-    // reverse). Comparison sequence matches the forward-filling reference.
-    std::size_t i = mine.size();
-    std::size_t j = theirs.size();
-    for (std::size_t k = want; k-- > 0;) {
-      if (j > 0) {
-        ++comparisons;
-        dst[k] = mine[i - 1] < theirs[j - 1] ? theirs[--j] : mine[--i];
-      } else {
-        dst[k] = mine[--i];
-      }
-    }
+    comparisons += take_merged(mine.rbegin(), theirs.rbegin(), theirs.rend(),
+                               out.rbegin(), want, std::greater<>());
   }
 }
 

@@ -1,6 +1,7 @@
 #include "sort/sequential.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/contracts.hpp"
 
@@ -41,6 +42,32 @@ std::uint64_t sift_down(Key* data, std::size_t root, std::size_t size,
   return comparisons;
 }
 
+/// Merge the ascending runs [a, a_end) and [b, b_end) into `dst`, ties to
+/// the first run. Either run may be read through reverse iterators. Returns
+/// the textbook count: one per key placed while both runs held keys. Runs
+/// that do not overlap are copied and counted by the same rule.
+template <class RunA, class RunB>
+std::uint64_t merge_runs(RunA a, const RunA a_end, RunB b, const RunB b_end,
+                         Key* dst) {
+  if (a != a_end && b != b_end) {
+    // The loop would place all of one run while the other still held
+    // every key, counting the first run's keys.
+    if (*std::prev(a_end) <= *b) {
+      std::copy(b, b_end, std::copy(a, a_end, dst));
+      return static_cast<std::uint64_t>(a_end - a);
+    }
+    if (*std::prev(b_end) < *a) {
+      std::copy(a, a_end, std::copy(b, b_end, dst));
+      return static_cast<std::uint64_t>(b_end - b);
+    }
+  }
+  Key* const start = dst;
+  while (a != a_end && b != b_end) *dst++ = (*b < *a) ? *b++ : *a++;
+  const auto placed = static_cast<std::uint64_t>(dst - start);
+  std::copy(b, b_end, std::copy(a, a_end, dst));
+  return placed;
+}
+
 }  // namespace
 
 void heapsort(std::span<Key> data, std::uint64_t& comparisons) {
@@ -69,15 +96,8 @@ void mergesort_impl(std::span<Key> data, std::span<Key> scratch,
                  comparisons);
   mergesort_impl(data.subspan(half), scratch.subspan(half), comparisons);
   // Merge into scratch, then copy back.
-  std::size_t i = 0;
-  std::size_t j = half;
-  std::size_t out = 0;
-  while (i < half && j < n) {
-    ++comparisons;
-    scratch[out++] = (data[j] < data[i]) ? data[j++] : data[i++];
-  }
-  while (i < half) scratch[out++] = data[i++];
-  while (j < n) scratch[out++] = data[j++];
+  const Key* const d = data.data();
+  comparisons += merge_runs(d, d + half, d + half, d + n, scratch.data());
   std::copy(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(n),
             data.begin());
 }
@@ -158,29 +178,7 @@ void local_sort(LocalSort algorithm, std::span<Key> data,
 void merge_sorted_into(std::span<const Key> a, std::span<const Key> b,
                        std::vector<Key>& out, std::uint64_t& comparisons) {
   out.resize(a.size() + b.size());
-  Key* const dst = out.data();
-  if (!a.empty() && !b.empty()) {
-    // Runs that do not overlap: the loop below would place all of one run
-    // while the other still held every key, counting the first run's keys.
-    if (a.back() <= b.front()) {
-      std::copy(b.begin(), b.end(), std::copy(a.begin(), a.end(), dst));
-      comparisons += a.size();
-      return;
-    }
-    if (b.back() < a.front()) {
-      std::copy(a.begin(), a.end(), std::copy(b.begin(), b.end(), dst));
-      comparisons += b.size();
-      return;
-    }
-  }
-  std::size_t i = 0;
-  std::size_t j = 0;
-  std::size_t k = 0;
-  while (i < a.size() && j < b.size())
-    dst[k++] = (b[j] < a[i]) ? b[j++] : a[i++];
-  comparisons += k;  // one per key placed while both runs held keys
-  while (i < a.size()) dst[k++] = a[i++];
-  while (j < b.size()) dst[k++] = b[j++];
+  comparisons += merge_runs(a.begin(), a.end(), b.begin(), b.end(), out.data());
 }
 
 void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
@@ -211,57 +209,15 @@ void sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
     if (!rising_start) std::reverse(data.begin(), data.end());
     return;
   }
-  // Merge the two monotone runs straight out of `data`, reading the
-  // descending run backwards instead of materialising reversed copies.
+  // Merge the two monotone runs straight out of `data`, data[0, turn)
+  // first, reading the falling one backwards instead of copying it.
   scratch.resize(n);
   const Key* const src = data.data();
-  Key* const dst = scratch.data();
-  // Run A = data[0, turn), ascending when rising_start else read backward;
-  // run B = data[turn, n), read backward when rising_start else ascending.
-  const std::size_t a_len = turn;
-  const std::size_t b_len = n - turn;
-  const auto a_at = [&](std::size_t i) {
-    return rising_start ? src[i] : src[a_len - 1 - i];
-  };
-  const auto b_at = [&](std::size_t j) {
-    return rising_start ? src[n - 1 - j] : src[turn + j];
-  };
-  // Each run read ascending into `to`.
-  const auto copy_a = [&](Key* to) {
-    return rising_start ? std::copy(src, src + turn, to)
-                        : std::reverse_copy(src, src + turn, to);
-  };
-  const auto copy_b = [&](Key* to) {
-    return rising_start ? std::reverse_copy(src + turn, src + n, to)
-                        : std::copy(src + turn, src + n, to);
-  };
-  // Runs that do not overlap are copied, counted as the merge loop would
-  // count them (merge_sorted_into's rule).
-  if (a_at(a_len - 1) <= b_at(0)) {
-    copy_b(copy_a(dst));
-    comparisons += a_len;
-  } else if (b_at(b_len - 1) < a_at(0)) {
-    copy_a(copy_b(dst));
-    comparisons += b_len;
-  } else {
-    std::size_t ai = 0;
-    std::size_t bj = 0;
-    std::size_t out = 0;
-    while (ai < a_len && bj < b_len) {
-      const Key a = a_at(ai);
-      const Key b = b_at(bj);
-      if (b < a) {
-        dst[out++] = b;
-        ++bj;
-      } else {
-        dst[out++] = a;
-        ++ai;
-      }
-    }
-    comparisons += out;  // one per key placed while both runs held keys
-    while (ai < a_len) dst[out++] = a_at(ai++);
-    while (bj < b_len) dst[out++] = b_at(bj++);
-  }
+  using Back = std::reverse_iterator<const Key*>;
+  comparisons += rising_start ? merge_runs(src, src + turn, Back(src + n),
+                                           Back(src + turn), scratch.data())
+                              : merge_runs(Back(src + turn), Back(src),
+                                           src + turn, src + n, scratch.data());
   std::swap(data, scratch);
 }
 

@@ -9,11 +9,11 @@
 // exchange (merge_split.hpp), sees from the end keys of its runs that they
 // are already in order, it copies them instead of comparing key by key
 // and counts what the loop would have counted; whatever the ends do not
-// settle runs the loop. heapsort, merge_sorted_into and sort_unimodal
-// count into locals and add them to the caller's `comparisons` after their
-// loops: the counter is a std::uint64_t& that may alias the std::int64_t
-// keys, so bumping it inside a loop costs a load and a store per
-// comparison.
+// settle runs the loop. heapsort, mergesort, merge_sorted_into and
+// sort_unimodal count into locals and add them to the caller's
+// `comparisons` after their loops: the counter is a std::uint64_t& that
+// may alias the std::int64_t keys, so bumping it inside a loop costs a
+// load and a store per comparison.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +33,11 @@ using sim::Key;
 /// the lone-left-child parent of an even-sized heap.
 void heapsort(std::span<Key> data, std::uint64_t& comparisons);
 
-/// Top-down merge sort (stable, ~n log n comparisons, n extra space).
-/// The paper prescribes heapsort for Step 3; this is the ablation
-/// alternative with a lower comparison count.
+/// Top-down merge sort (stable, ~n log n comparisons, n extra space): it
+/// splits at n / 2, sorts both halves and merges them, and each merge
+/// counts by merge_sorted_into's rule, copies of runs that do not overlap
+/// included. The paper prescribes heapsort for Step 3; this is the
+/// ablation alternative with a lower comparison count.
 void mergesort(std::span<Key> data, std::uint64_t& comparisons);
 
 /// Median-of-three quicksort with insertion-sort cutoff. Expected

@@ -32,8 +32,8 @@ std::vector<Key> merged(std::span<const Key> a, std::span<const Key> b,
 // simulated time depends on the kernels' counts: the library kernels must
 // make the comparisons of the textbook loops below, call for call, not
 // merely stay within a bound. These are the straightforward swap-per-level
-// heapsort and the merge loops that bump the caller's counter per
-// comparison, kept here only as oracles.
+// heapsort, the top-down mergesort and the merge loops that bump the
+// caller's counter per comparison, kept here only as oracles.
 
 void textbook_sift_down(std::span<Key> data, std::size_t root,
                         std::size_t size, std::uint64_t& comparisons) {
@@ -78,6 +78,19 @@ void textbook_merge_sorted_into(std::span<const Key> a,
   }
   while (i < a.size()) dst[k++] = a[i++];
   while (j < b.size()) dst[k++] = b[j++];
+}
+
+/// Top-down, split at n / 2, each merge by the textbook loop above.
+void textbook_mergesort(std::span<Key> data, std::uint64_t& comparisons) {
+  const std::size_t n = data.size();
+  if (n < 2) return;
+  const std::size_t half = n / 2;
+  textbook_mergesort(data.first(half), comparisons);
+  textbook_mergesort(data.subspan(half), comparisons);
+  std::vector<Key> merged;
+  textbook_merge_sorted_into(data.first(half), data.subspan(half), merged,
+                             comparisons);
+  std::copy(merged.begin(), merged.end(), data.begin());
 }
 
 void textbook_sort_unimodal(std::vector<Key>& data, std::vector<Key>& scratch,
@@ -159,6 +172,16 @@ constexpr std::uint64_t kCounterStart = 7;
   return same_result(got, got_count, want, want_count);
 }
 
+::testing::AssertionResult mergesort_matches(const std::vector<Key>& input) {
+  std::vector<Key> got = input;
+  std::vector<Key> want = input;
+  std::uint64_t got_count = kCounterStart;
+  std::uint64_t want_count = kCounterStart;
+  mergesort(got, got_count);
+  textbook_mergesort(want, want_count);
+  return same_result(got, got_count, want, want_count);
+}
+
 ::testing::AssertionResult merge_matches(const std::vector<Key>& a,
                                          const std::vector<Key>& b) {
   std::vector<Key> got;
@@ -236,6 +259,20 @@ TEST(ExactCountOracle, HeapsortMatchesTextbookOnEverySize) {
         gen_few_distinct(n, 3, rng), gen_nearly_sorted(n, n / 16 + 1, rng)};
     for (const auto& keys : shaped)
       ASSERT_TRUE(heapsort_matches(keys)) << "n=" << n;
+  }
+}
+
+TEST(ExactCountOracle, MergesortMatchesTextbookOnEverySize) {
+  util::Rng rng(35);
+  for (std::size_t n = 0; n <= kMaxOracleSize; ++n) {
+    for (const std::uint64_t range : kKeyRanges)
+      ASSERT_TRUE(mergesort_matches(random_keys(n, range, rng)))
+          << "n=" << n << " range=" << range;
+    const std::vector<Key> shaped[] = {
+        gen_sorted(n), gen_reverse(n), gen_organ_pipe(n),
+        gen_few_distinct(n, 3, rng), gen_nearly_sorted(n, n / 16 + 1, rng)};
+    for (const auto& keys : shaped)
+      ASSERT_TRUE(mergesort_matches(keys)) << "n=" << n;
   }
 }
 

@@ -15,13 +15,15 @@ bench and example binaries built). From each one the script runs
 and saves the standard output of five programs that run every variant of
 the Steps 3-8 schedule (the Fig. 6 walkthrough phase by phase, the
 FullSort Step 8, full vs half exchange, both Step 8 modes, the MFS and
-ring baselines):
+ring baselines) and of the one that runs every Step 3 local sort (heapsort,
+mergesort and quicksort):
 
   examples/figure6_walkthrough
   bench/bench_formula
   bench/bench_ablation_protocol
   bench/bench_ablation_cost
   bench/bench_alternatives
+  bench/bench_ablation_localsort
 
 and of seven that run the sorter against the MFS baseline across M (the
 Fig. 7 panels, under store-and-forward and cut-through, and Table 2) or
@@ -32,9 +34,9 @@ print the human trace dump:
   bench/bench_table2
   examples/ncube_demo --trace
 
-into a scratch directory of its own, then compares each pair of files
-with `cmp`. BENCH_sort.json is compared after zeroing `wall_ns` and
-`allocations`: host timing and process allocator counts that differ
+into a scratch directory of its own, then compares each of the 22 pairs
+of files with `cmp`. BENCH_sort.json is compared after zeroing `wall_ns`
+and `allocations`: host timing and process allocator counts that differ
 between two runs of the same build. Its `pool_heap_allocations` is
 compared as is: a delivered payload belongs to its receiver, so the pool
 ledger follows each node's program order on both executors.
@@ -71,6 +73,7 @@ COMMANDS = [
     ("bench/bench_ablation_protocol", [], "bench_ablation_protocol.txt"),
     ("bench/bench_ablation_cost", [], "bench_ablation_cost.txt"),
     ("bench/bench_alternatives", [], "bench_alternatives.txt"),
+    ("bench/bench_ablation_localsort", [], "bench_ablation_localsort.txt"),
     ("bench/bench_fig7a", [], "bench_fig7a.txt"),
     ("bench/bench_fig7b", [], "bench_fig7b.txt"),
     ("bench/bench_fig7c", [], "bench_fig7c.txt"),
